@@ -99,16 +99,24 @@ VitisSystem::VitisSystem(VitisConfig config,
              std::size_t worker) { refresh_heartbeats(node, worker); });
   engine_.add_cycle_hook("vitis-maintenance",
                          [this](std::size_t) { cycle_maintenance(); });
-  engine_.add_stage(
+  // Each worker applies the installs to the relay tables it owns: a table
+  // receives the records that name it in global order, as a serial drain
+  // would apply them.
+  engine_.add_sharded_stage(
       "relay-refresh", kSaltRelay,
       [this](ids::NodeIndex node, std::size_t, sim::Rng&,
              std::size_t worker) { refresh_relays(node, worker); },
-      [this](std::size_t) {
-        relay_outbox_.drain([this](const RelayInstall& install) {
-          arena_.relay(install.a).add_link(install.topic, install.b);
-          arena_.relay(install.b).add_link(install.topic, install.a);
+      [this](std::size_t, std::size_t, sim::NodeRange owned) {
+        relay_outbox_.for_each([&](const RelayInstall& install) {
+          if (owned.contains(install.a)) {
+            arena_.relay(install.a).add_link(install.topic, install.b);
+          }
+          if (owned.contains(install.b)) {
+            arena_.relay(install.b).add_link(install.topic, install.a);
+          }
         });
-      });
+      },
+      [this](std::size_t) { relay_outbox_.clear(); });
   // Registered unconditionally so plan installation never reorders hooks;
   // for_due_crashes is a no-op while the plan is inactive.
   engine_.add_cycle_hook("fault-crashes", [this](std::size_t cycle) {

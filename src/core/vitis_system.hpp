@@ -250,7 +250,8 @@ class VitisSystem final : public pubsub::PubSubSystem {
   // Stage body: serve `node`'s relay requests collected by this cycle's
   // election sweep — greedy lookups over frozen routing state plus
   // counter-based fault admission — emitting link installs into the
-  // worker's outbox lane; the stage merge applies them.
+  // worker's outbox lane; the stage's sharded merge applies them, each
+  // worker to the relay tables of the nodes it owns.
   void refresh_relays(ids::NodeIndex node, std::size_t worker);
 
   // Re-intern a node's (possibly changed) subscription set; when the

@@ -29,6 +29,16 @@ void CycleEngine::add_stage(std::string name, std::uint64_t salt,
   steps_.push_back(std::move(step));
 }
 
+void CycleEngine::add_sharded_stage(std::string name, std::uint64_t salt,
+                                    NodeStageFn body,
+                                    ShardedMergeFn sharded_merge,
+                                    MergeFn merge,
+                                    std::optional<support::Phase> phase) {
+  VITIS_CHECK(sharded_merge != nullptr);
+  add_stage(std::move(name), salt, std::move(body), std::move(merge), phase);
+  steps_.back().sharded_merge = std::move(sharded_merge);
+}
+
 void CycleEngine::add_cycle_hook(std::string name, CycleHook hook) {
   VITIS_CHECK(hook != nullptr);
   Step step;
@@ -125,6 +135,15 @@ void CycleEngine::run_stage(Step& step) {
     }
     worker_busy_ns_[worker] = support::monotonic_ns() - busy_start;
   });
+  if (step.sharded_merge != nullptr) {
+    // A second pool pass: every lane is complete once the barrier above
+    // returned, and each worker writes only the nodes it owns.
+    pool_.run([this, &step](std::size_t worker) {
+      const std::int64_t busy_start = support::monotonic_ns();
+      step.sharded_merge(cycle_, worker, owned_range(worker));
+      worker_busy_ns_[worker] += support::monotonic_ns() - busy_start;
+    });
+  }
   step.span_ns += static_cast<std::uint64_t>(support::monotonic_ns() -
                                              span_start);
   for (std::size_t worker = 0; worker < worker_busy_ns_.size(); ++worker) {
@@ -135,8 +154,24 @@ void CycleEngine::run_stage(Step& step) {
   if (step.merge != nullptr) step.merge(cycle_);
 }
 
+NodeRange CycleEngine::owned_range(std::size_t worker) const {
+  // Worker w's range starts at the first node of its slice [total·w/J,
+  // total·(w+1)/J) and ends where worker w+1's starts. Worker 0 starts at
+  // index 0 and the last range is open-ended, so the ranges partition every
+  // index; an empty slice yields an empty range.
+  const std::size_t total = order_scratch_.size();
+  const std::size_t jobs = pool_.jobs();
+  const auto lower = [&](std::size_t w) -> ids::NodeIndex {
+    if (w == 0) return 0;
+    const std::size_t first = total * w / jobs;
+    return first < total ? order_scratch_[first] : ids::kInvalidNode;
+  };
+  return NodeRange{lower(worker), lower(worker + 1)};
+}
+
 void CycleEngine::run(std::size_t cycles) {
   const support::WallTimer timer;
+  double observe_ms = 0.0;
   for (std::size_t c = 0; c < cycles; ++c) {
     for (Step& step : steps_) {
       if (step.hook != nullptr) {
@@ -151,11 +186,16 @@ void CycleEngine::run(std::size_t cycles) {
         recorder_->should_sample_cycle(cycle_)) {
       const support::ScopedPhase phase_timer(profiler_,
                                              support::Phase::kObserve);
+      const support::WallTimer observe_timer;
       observer_(cycle_);
+      observe_ms += observe_timer.elapsed_ms();
     }
     ++cycle_;
   }
-  run_wall_ms_ += timer.elapsed_ms();
+  // The observer is instrumentation: keep it out of the maintenance wall
+  // that cycles_per_second() divides by.
+  run_wall_ms_ += timer.elapsed_ms() - observe_ms;
+  observe_wall_ms_ += observe_ms;
 }
 
 std::vector<CycleEngine::StageTiming> CycleEngine::stage_timings() const {

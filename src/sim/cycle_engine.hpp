@@ -17,6 +17,12 @@
 //     concatenation is globally ascending by initiating node for ANY worker
 //     count — the merge order, and therefore the whole run, is bit-identical
 //     whatever `--run-jobs` is.
+//   * a **sharded stage** adds a merge the pool runs after the barrier: each
+//     worker reads every lane in lane order but writes only the nodes of its
+//     owner range (the index range its own stage slice covers). Every node
+//     then sees exactly the subsequence of the global record stream that
+//     names it, in the global order — the serial merge's result for any
+//     worker count. At `run_jobs = 1` the one range covers every index.
 //   * a **hook** runs serially once per cycle (elections, crash delivery,
 //     anything with cross-node read-modify-write dependencies).
 //
@@ -45,6 +51,18 @@
 
 namespace vitis::sim {
 
+/// The half-open node-index range [begin, end) one worker owns during a
+/// sharded merge. The last worker's range is open-ended (end is
+/// ids::kInvalidNode, which names no node).
+struct NodeRange {
+  ids::NodeIndex begin = 0;
+  ids::NodeIndex end = ids::kInvalidNode;
+
+  [[nodiscard]] bool contains(ids::NodeIndex node) const {
+    return node >= begin && node < end;
+  }
+};
+
 class CycleEngine {
  public:
   /// `node_count` fixes the universe of node indices; nodes start dead and
@@ -65,6 +83,11 @@ class CycleEngine {
   /// A serial merge run after the stage barrier (drains outbox lanes).
   using MergeFn = std::function<void(std::size_t cycle)>;
 
+  /// A sharded merge, run by every worker after the stage barrier. It may
+  /// read every outbox lane but write state only for nodes in `owned`.
+  using ShardedMergeFn = std::function<void(
+      std::size_t cycle, std::size_t worker, NodeRange owned)>;
+
   /// A per-cycle hook: invoked serially once per cycle, in step order.
   using CycleHook = std::function<void(std::size_t cycle)>;
 
@@ -75,6 +98,19 @@ class CycleEngine {
   void add_stage(std::string name, std::uint64_t salt, NodeStageFn body,
                  MergeFn merge = nullptr,
                  std::optional<support::Phase> phase = std::nullopt);
+
+  /// Append a parallel node stage whose merge runs on the pool: after the
+  /// barrier, `sharded_merge` runs once per worker with that worker's owner
+  /// range, then the optional serial `merge` (e.g. clearing the lanes).
+  /// Owner ranges are cut from the ascending activation snapshot at the
+  /// worker slice boundaries: worker 0's starts at index 0, worker w's at
+  /// the first node of its slice, and the ranges partition every index.
+  /// The sharded merge's wall and busy time count toward the stage's
+  /// stage_timings().
+  void add_sharded_stage(std::string name, std::uint64_t salt,
+                         NodeStageFn body, ShardedMergeFn sharded_merge,
+                         MergeFn merge = nullptr,
+                         std::optional<support::Phase> phase = std::nullopt);
 
   /// Append a serial hook to the per-cycle step list.
   void add_cycle_hook(std::string name, CycleHook hook);
@@ -141,9 +177,14 @@ class CycleEngine {
   static constexpr std::size_t kCanonicalShards = 16;
   [[nodiscard]] double canonical_shard_imbalance() const;
 
-  /// Wall-clock milliseconds accumulated inside run() calls. Telemetry
-  /// only — never printed on stdout (varies between runs).
+  /// Wall-clock milliseconds of maintenance accumulated inside run() calls:
+  /// every step, but not the observer. Telemetry only — never printed on
+  /// stdout (varies between runs).
   [[nodiscard]] double run_wall_ms() const { return run_wall_ms_; }
+
+  /// Wall-clock milliseconds the observer took inside run() calls (the part
+  /// run_wall_ms() leaves out). Telemetry only, like run_wall_ms().
+  [[nodiscard]] double observe_wall_ms() const { return observe_wall_ms_; }
 
   /// Simulated cycles per wall-clock second across all run() calls so far
   /// (0 before the first cycle). Telemetry only, like run_wall_ms().
@@ -155,8 +196,9 @@ class CycleEngine {
 
   /// Per-stage parallel-efficiency accounting, accumulated across run()
   /// calls: busy_ns sums every worker's time inside the stage's parallel
-  /// section; span_ns is the section's wall time. Telemetry only (feeds
-  /// the schema-v6 `parallel` block); busy/(span × run_jobs) ≈ efficiency.
+  /// section (a sharded merge included); span_ns is the section's wall
+  /// time. Telemetry only (feeds the schema-v6 `parallel` block);
+  /// busy/(span × run_jobs) ≈ efficiency.
   struct StageTiming {
     std::string name;
     std::uint64_t busy_ns = 0;
@@ -172,6 +214,7 @@ class CycleEngine {
     std::string name;
     std::uint64_t salt = 0;
     NodeStageFn body;  // null for hooks
+    ShardedMergeFn sharded_merge;
     MergeFn merge;
     CycleHook hook;  // null for stages
     std::optional<support::Phase> phase;
@@ -182,11 +225,15 @@ class CycleEngine {
 
   void run_stage(Step& step);
 
+  /// `worker`'s owner range over the current stage snapshot.
+  [[nodiscard]] NodeRange owned_range(std::size_t worker) const;
+
   std::vector<bool> alive_;  // O(1) is_alive for the full index universe
   std::vector<ids::NodeIndex> active_;  // dense ascending activation list
   std::vector<Step> steps_;
   std::size_t cycle_ = 0;
   double run_wall_ms_ = 0.0;
+  double observe_wall_ms_ = 0.0;
   std::uint64_t seed_;
   WorkerPool pool_;
   support::Profiler* profiler_ = nullptr;

@@ -3,7 +3,8 @@
 // During a parallel node stage each worker appends exchange records to its
 // own lane — no synchronization, no allocation after warm-up (lanes retain
 // capacity across cycles). After the stage barrier the serial merge drains
-// lanes in worker order. Because the engine slices the ascending activation
+// lanes in worker order (a sharded merge has every worker walk them in that
+// order with for_each). Because the engine slices the ascending activation
 // snapshot into contiguous per-worker chunks, lane concatenation in worker
 // order is globally ascending by initiating node for ANY worker count —
 // which is exactly why the merge (and therefore the whole run) is
@@ -34,10 +35,22 @@ class Outbox {
   /// in append order, then clear all lanes (capacity retained).
   template <typename Fn>
   void drain(Fn&& fn) {
-    for (std::vector<Record>& lane : lanes_) {
-      for (Record& record : lane) fn(record);
-      lane.clear();
+    for_each(fn);
+    clear();
+  }
+
+  /// Invoke `fn(record)` for every record in drain order without clearing —
+  /// the read side of a sharded merge, where every worker walks all lanes.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const std::vector<Record>& lane : lanes_) {
+      for (const Record& record : lane) fn(record);
     }
+  }
+
+  /// Clear all lanes (capacity retained).
+  void clear() {
+    for (std::vector<Record>& lane : lanes_) lane.clear();
   }
 
  private:

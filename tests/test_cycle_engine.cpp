@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/cycle_engine.hpp"
 #include "sim/outbox.hpp"
+#include "support/recorder.hpp"
 
 namespace vitis::sim {
 namespace {
@@ -203,6 +206,135 @@ TEST(CycleEngine, RunIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(serial, simulate(7));
 }
 
+// One exchange record of the sharded-merge tests: `value` goes to both
+// endpoints.
+struct PairRecord {
+  ids::NodeIndex a;
+  ids::NodeIndex b;
+  std::uint64_t value;
+};
+
+// Per node, the values it received, in application order.
+using Applied = std::vector<std::vector<std::uint64_t>>;
+
+constexpr std::size_t kShardNodes = 61;
+
+// Every fifth node never joins, so the activation snapshot has holes and
+// some records name dead nodes; a hook crashes and revives a few more.
+void seed_liveness(CycleEngine& engine) {
+  for (ids::NodeIndex i = 0; i < kShardNodes; ++i) {
+    if (i % 5 != 3) engine.set_alive(i, true);
+  }
+  engine.add_cycle_hook("churn", [&engine](std::size_t cycle) {
+    if (cycle == 2) engine.set_alive(10, false);
+    if (cycle == 3) engine.set_alive(40, false);
+    if (cycle == 4) engine.set_alive(10, true);
+  });
+}
+
+// Each node sends one record to a near and one to a far node, so endpoints
+// sit in different workers' ranges.
+void emit_pairs(Outbox<PairRecord>& outbox, ids::NodeIndex node,
+                std::size_t cycle, Rng& rng, std::size_t worker) {
+  const auto near = static_cast<ids::NodeIndex>((node + cycle + 1) %
+                                                kShardNodes);
+  const auto far = static_cast<ids::NodeIndex>(kShardNodes - 1 - node);
+  outbox.lane(worker).push_back({node, near, rng.next_u64()});
+  outbox.lane(worker).push_back({far, node, rng.next_u64()});
+}
+
+// Reference: the same records applied by a serial drain.
+Applied serial_drain_reference() {
+  CycleEngine engine(kShardNodes, 31);
+  seed_liveness(engine);
+  Outbox<PairRecord> outbox;
+  outbox.configure(engine.run_jobs());
+  Applied applied(kShardNodes);
+  engine.add_stage(
+      "pairs", 0x77,
+      [&](ids::NodeIndex node, std::size_t cycle, Rng& rng,
+          std::size_t worker) { emit_pairs(outbox, node, cycle, rng, worker); },
+      [&](std::size_t) {
+        outbox.drain([&](const PairRecord& r) {
+          applied[r.a].push_back(r.value);
+          applied[r.b].push_back(r.value);
+        });
+      });
+  engine.run(6);
+  return applied;
+}
+
+TEST(CycleEngine, ShardedMergeMatchesSerialDrainPerOwner) {
+  const Applied reference = serial_drain_reference();
+  ASSERT_FALSE(reference[3].empty());  // dead nodes still receive records
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{3}, std::size_t{7}}) {
+    CycleEngine engine(kShardNodes, 31, jobs);
+    seed_liveness(engine);
+    Outbox<PairRecord> outbox;
+    outbox.configure(engine.run_jobs());
+    Applied applied(kShardNodes);
+    std::vector<NodeRange> ranges(jobs);
+    std::vector<std::size_t> slice_worker(kShardNodes, jobs);
+    engine.add_sharded_stage(
+        "pairs", 0x77,
+        [&](ids::NodeIndex node, std::size_t cycle, Rng& rng,
+            std::size_t worker) {
+          slice_worker[node] = worker;
+          emit_pairs(outbox, node, cycle, rng, worker);
+        },
+        [&](std::size_t, std::size_t worker, NodeRange owned) {
+          ranges[worker] = owned;
+          outbox.for_each([&](const PairRecord& r) {
+            if (owned.contains(r.a)) applied[r.a].push_back(r.value);
+            if (owned.contains(r.b)) applied[r.b].push_back(r.value);
+          });
+        },
+        [&](std::size_t) { outbox.clear(); });
+    engine.add_cycle_hook("check-ranges", [&](std::size_t cycle) {
+      // The ranges tile the index universe in worker order...
+      EXPECT_EQ(ranges.front().begin, 0u);
+      EXPECT_EQ(ranges.back().end, ids::kInvalidNode);
+      for (std::size_t w = 0; w + 1 < jobs; ++w) {
+        EXPECT_EQ(ranges[w].end, ranges[w + 1].begin);
+      }
+      for (ids::NodeIndex node = 0; node < kShardNodes; ++node) {
+        const auto owners = std::count_if(
+            ranges.begin(), ranges.end(),
+            [node](const NodeRange& r) { return r.contains(node); });
+        EXPECT_EQ(owners, 1) << "node " << node << " cycle " << cycle
+                             << " jobs " << jobs;
+      }
+      // ...and each alive node is owned by the worker that stepped it.
+      for (const ids::NodeIndex node : engine.active_nodes()) {
+        ASSERT_LT(slice_worker[node], jobs);
+        EXPECT_TRUE(ranges[slice_worker[node]].contains(node))
+            << "node " << node << " cycle " << cycle << " jobs " << jobs;
+      }
+    });
+    engine.run(6);
+    EXPECT_EQ(applied, reference) << "jobs=" << jobs;
+  }
+}
+
+TEST(CycleEngine, ShardedMergeTimeCountsTowardTheStage) {
+  CycleEngine engine(8, 15, 2);
+  for (ids::NodeIndex i = 0; i < 8; ++i) engine.set_alive(i, true);
+  engine.add_sharded_stage(
+      "merge-heavy", 0x1, [](ids::NodeIndex, std::size_t, Rng&, std::size_t) {},
+      [](std::size_t, std::size_t, NodeRange) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      });
+  engine.run(2);
+  const auto timings = engine.stage_timings();
+  ASSERT_EQ(timings.size(), 1u);
+  EXPECT_GE(timings[0].span_ns, 2 * 5'000'000u);
+  EXPECT_GE(timings[0].busy_ns, 2 * 2 * 5'000'000u);
+  for (const std::uint64_t busy : timings[0].worker_busy_ns) {
+    EXPECT_GE(busy, 2 * 5'000'000u);
+  }
+}
+
 TEST(CycleEngine, SetAliveIsIdempotentOnDeadNodes) {
   // Regression: a crash-without-leave (fault layer) followed by a
   // node_leave — or a crash event firing twice — must not corrupt the
@@ -304,6 +436,30 @@ TEST(CycleEngine, ThroughputGaugeCountsOnlyRunTime) {
   EXPECT_DOUBLE_EQ(engine.cycles_per_second(),
                    static_cast<double>(engine.cycle()) /
                        (engine.run_wall_ms() / 1000.0));
+  EXPECT_EQ(engine.observe_wall_ms(), 0.0);  // no observer attached
+}
+
+TEST(CycleEngine, ThroughputGaugeExcludesTheObserver) {
+  CycleEngine engine(8, 16);
+  for (ids::NodeIndex i = 0; i < 8; ++i) engine.set_alive(i, true);
+  engine.add_stage("noop", 0x1,
+                   [](ids::NodeIndex, std::size_t, Rng&, std::size_t) {});
+  support::RecorderConfig config;
+  config.enabled = true;
+  config.stride = 2;
+  support::Recorder recorder;
+  recorder.configure(config);
+  std::size_t observed = 0;
+  engine.set_observer(&recorder, [&observed](std::size_t) {
+    ++observed;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  engine.run(4);  // cycles 0 and 2 are sampled
+  EXPECT_EQ(observed, 2u);
+  EXPECT_GE(engine.observe_wall_ms(), 40.0);
+  // Four no-op cycles take far less than the observer's 40 ms of sleep.
+  EXPECT_LT(engine.run_wall_ms(), engine.observe_wall_ms());
+  EXPECT_GT(engine.run_wall_ms(), 0.0);
 }
 
 TEST(CycleEngine, StageTimingsCoverStagesNotHooks) {

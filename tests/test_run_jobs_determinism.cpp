@@ -10,8 +10,9 @@
 // This works because node stages draw from counter-based per-node streams
 // (sim::Rng::at(seed, salt, node, cycle)) instead of one shared sequential
 // stream, and cross-node effects travel through per-worker outbox lanes
-// drained in fixed lane order by a serial merge — worker count moves where
-// work happens, not what happens.
+// read in fixed lane order — by a serial merge, or by a sharded merge in
+// which each worker writes only the nodes it owns — so worker count moves
+// where work happens, not what happens.
 //
 // The same contract covers the distribution channels (schema v7): worker
 // lanes merge by bucket-wise sum, so the merged histograms are compared
@@ -78,9 +79,11 @@ void mix(std::uint64_t& h, std::uint64_t v) {
 }
 
 /// Full protocol-visible state. Any worker-count-dependent divergence
-/// cascades into the routing tables within a cycle or two.
+/// cascades into the routing tables within a cycle or two. Vitis relay
+/// tables are hashed too (every topic's links, peer and age, in link
+/// order), so a relay reorder that leaves deliveries unchanged is caught.
 template <typename System>
-std::uint64_t digest(const System& system) {
+std::uint64_t digest(const System& system, std::size_t topics) {
   std::uint64_t h = 0x72756e6a6f6273ULL;
   for (std::size_t i = 0; i < system.node_count(); ++i) {
     const auto node = static_cast<ids::NodeIndex>(i);
@@ -89,6 +92,17 @@ std::uint64_t digest(const System& system) {
       mix(h, entry.node);
       mix(h, static_cast<std::uint64_t>(entry.kind));
       mix(h, entry.age);
+    }
+    if constexpr (requires { system.relay_table(node); }) {
+      const auto& relay = system.relay_table(node);
+      for (std::size_t t = 0; t < topics; ++t) {
+        for (const auto& link :
+             relay.links(static_cast<ids::TopicIndex>(t))) {
+          mix(h, t);
+          mix(h, link.peer);
+          mix(h, link.age);
+        }
+      }
     }
   }
   mix(h, system.metrics().total_messages());
@@ -165,7 +179,8 @@ RunResult run_once(Make make, std::size_t jobs, double rate_alpha) {
   }
 
   RunResult result;
-  result.state_digest = digest(*system);
+  result.state_digest =
+      digest(*system, scenario.subscriptions.topic_count());
   result.series = system->recorder()->series();
   result.traces = system->recorder()->traces();
   result.faults = system->fault_plan().stats();
