@@ -31,7 +31,8 @@ BaselineSystem::BaselineSystem(BaselineConfig config,
               config.run_jobs),
       metrics_(subscriptions_.node_count()),
       rng_(seed),
-      trace_rng_(seed ^ 0x7472616365ULL),
+      dissemination_(subscriptions_.node_count(), subscriptions_, metrics_,
+                     recorder_, seed ^ 0x7472616365ULL),
       fault_seed_(seed) {
   config_.validate();
   const std::size_t n = subscriptions_.node_count();
@@ -51,8 +52,6 @@ BaselineSystem::BaselineSystem(BaselineConfig config,
   }
   join_cycle_.assign(n, 0);
   undirected_.resize(n);
-  visit_stamp_.assign(n, 0);
-  expected_stamp_.assign(n, 0);
 
   // Baseline subscription sets are static, so one interning pass suffices;
   // fresh descriptors snapshot the canonical id (no fingerprint function —
@@ -274,65 +273,19 @@ std::size_t BaselineSystem::memory_footprint() const {
          sampling_->memory_bytes() +
          undirected_.size() * sizeof(std::vector<ids::NodeIndex>) +
          adjacency_links * sizeof(ids::NodeIndex) +
-         (visit_stamp_.size() + expected_stamp_.size()) *
-             sizeof(std::uint32_t) +
+         dissemination_.memory_bytes() +
          extra_memory_bytes();
 }
 
-BaselineSystem::PublishContext BaselineSystem::start_publish(
+pubsub::Dissemination& BaselineSystem::begin_publish(
     ids::TopicIndex topic, ids::NodeIndex publisher) {
   VITIS_CHECK(topic < subscriptions_.topic_count());
   VITIS_CHECK(engine_.is_alive(publisher));
-
-  if (++current_stamp_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    std::fill(expected_stamp_.begin(), expected_stamp_.end(), 0);
-    current_stamp_ = 1;
-  }
-
-  PublishContext ctx;
-  ctx.stamp = current_stamp_;
-  ctx.report.topic = topic;
-  ctx.report.publisher = publisher;
-  // Trace sampling from the dedicated stream only; an untraced run and a
-  // traced run disseminate identically.
-  ctx.traced = recorder_.want_trace() &&
-               trace_rng_.bernoulli(recorder_.config().trace_rate);
-  if (ctx.traced) recorder_.begin_trace(publish_count_, topic, publisher);
-  ++publish_count_;
-  for (const ids::NodeIndex s : subscriptions_.subscribers(topic)) {
-    if (s == publisher || !engine_.is_alive(s)) continue;
-    if (join_cycle_[s] + config_.join_grace_cycles > engine_.cycle()) continue;
-    expected_stamp_[s] = ctx.stamp;
-    ++ctx.report.expected;
-  }
-  visit_stamp_[publisher] = ctx.stamp;
-  return ctx;
-}
-
-bool BaselineSystem::transmit(PublishContext& ctx, ids::NodeIndex from,
-                              ids::NodeIndex to, std::uint32_t hop,
-                              bool route) {
-  const bool interested = subscriptions_.subscribes(to, ctx.report.topic);
-  metrics_.on_message(to, interested);
-  ++ctx.report.messages;
-  if (ctx.traced) recorder_.add_hop(from, to, hop, interested, route);
-  if (visit_stamp_[to] == ctx.stamp) return false;
-  visit_stamp_[to] = ctx.stamp;
-  if (expected_stamp_[to] == ctx.stamp) {
-    ++ctx.report.delivered;
-    ctx.report.delay_sum += hop;
-    ctx.report.max_delay = std::max<std::size_t>(ctx.report.max_delay, hop);
-    metrics_.on_delivery(hop);
-  }
-  return true;
-}
-
-void BaselineSystem::finish_publish(PublishContext& ctx) {
-  if (ctx.traced) {
-    recorder_.end_trace(ctx.report.expected, ctx.report.delivered);
-  }
-  metrics_.on_report(ctx.report);
+  dissemination_.begin(topic, publisher, [this](ids::NodeIndex s) {
+    return engine_.is_alive(s) &&
+           join_cycle_[s] + config_.join_grace_cycles <= engine_.cycle();
+  });
+  return dissemination_;
 }
 
 // ---------------------------------------------------------------------------

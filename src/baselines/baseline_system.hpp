@@ -21,6 +21,7 @@
 #include "gossip/tman.hpp"
 #include "overlay/greedy_routing.hpp"
 #include "overlay/routing_table.hpp"
+#include "pubsub/dissemination.hpp"
 #include "pubsub/subscription_registry.hpp"
 #include "pubsub/system.hpp"
 #include "sim/cycle_engine.hpp"
@@ -175,31 +176,25 @@ class BaselineSystem : public pubsub::PubSubSystem {
   /// OPT's per-topic state); same live-sizes-only contract.
   [[nodiscard]] virtual std::size_t extra_memory_bytes() const { return 0; }
 
-  // --- dissemination helpers ----------------------------------------------
-  struct PublishContext {
-    pubsub::DisseminationReport report;
-    std::uint32_t stamp = 0;
-    bool traced = false;  // this publication records a route trace
+  // --- dissemination -------------------------------------------------------
+  /// Open a publication on the shared forwarding loop: the publisher is
+  /// visited, and alive subscribers past their join grace are expected.
+  [[nodiscard]] pubsub::Dissemination& begin_publish(ids::TopicIndex topic,
+                                                     ids::NodeIndex publisher);
+
+  /// The admission half of a baseline's dissemination Net: the fault
+  /// plan's publication drop, and no hop penalty (the baselines take no
+  /// delay accounting).
+  struct FaultAdmission {
+    BaselineSystem& system;
+
+    [[nodiscard]] bool admit(ids::NodeIndex from, ids::NodeIndex to) const {
+      return system.fault_deliver(from, to, sim::MessageKind::kPublication);
+    }
+    [[nodiscard]] std::uint32_t penalty(ids::NodeIndex, ids::NodeIndex) const {
+      return 0;
+    }
   };
-
-  /// Stamp the expected-subscriber set and visit the publisher; decides
-  /// (from the trace RNG stream) whether this publication is traced.
-  [[nodiscard]] PublishContext start_publish(ids::TopicIndex topic,
-                                             ids::NodeIndex publisher);
-
-  /// Count one transmission `from` -> `to`; if `to` is newly visited,
-  /// record delivery accounting at `hop` and return true (caller enqueues
-  /// it). `route` marks greedy-route segments in the trace (vs flooding).
-  bool transmit(PublishContext& ctx, ids::NodeIndex from, ids::NodeIndex to,
-                std::uint32_t hop, bool route = false);
-
-  /// Close the publication: finalize an open trace, record the report.
-  void finish_publish(PublishContext& ctx);
-
-  [[nodiscard]] bool visited(const PublishContext& ctx,
-                             ids::NodeIndex node) const {
-    return visit_stamp_[node] == ctx.stamp;
-  }
 
   /// Sorted alive undirected neighbors, rebuilt once per cycle.
   [[nodiscard]] const std::vector<ids::NodeIndex>& undirected(
@@ -262,12 +257,11 @@ class BaselineSystem : public pubsub::PubSubSystem {
   pubsub::MetricsCollector metrics_;
   sim::Rng rng_;
 
-  // Flight recorder (off by default; see configure_recorder). trace_rng_ is
-  // a dedicated stream so trace sampling never advances the protocol rng_.
+  // Flight recorder (off by default; see configure_recorder). Trace
+  // sampling draws from the dissemination's own stream, never rng_.
   support::Recorder recorder_;
   analysis::HealthAnalyzer health_;
-  sim::Rng trace_rng_;
-  std::uint64_t publish_count_ = 0;
+  pubsub::Dissemination dissemination_;
 
   // Fault-injection layer (inactive unless set_fault_plan installs an
   // effective plan; draws only from the seed^"fault" stream).
@@ -288,9 +282,6 @@ class BaselineSystem : public pubsub::PubSubSystem {
   std::vector<std::vector<ids::NodeIndex>> undirected_;
   std::vector<ids::NodeIndex> undirected_touched_;
   mutable std::vector<overlay::RoutingEntry> lookup_scratch_;
-  std::vector<std::uint32_t> visit_stamp_;
-  std::vector<std::uint32_t> expected_stamp_;
-  std::uint32_t current_stamp_ = 0;
 };
 
 }  // namespace vitis::baselines

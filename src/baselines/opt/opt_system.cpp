@@ -5,15 +5,21 @@
 #include "support/check.hpp"
 
 namespace vitis::baselines::opt {
-namespace {
 
-struct FloodItem {
-  ids::NodeIndex node;
-  ids::NodeIndex from;
-  std::uint32_t hop;
+// Pure per-topic flooding: only links between subscribers carry the event;
+// there is no relay mechanism (hence zero traffic overhead but no
+// connectivity guarantee).
+struct OptSystem::TopicHops : FaultAdmission {
+  const OptSystem& opt;
+  ids::TopicIndex topic;
+
+  template <typename Fn>
+  void for_each_next(ids::NodeIndex node, Fn&& fn) const {
+    for (const ids::NodeIndex y : opt.undirected(node)) {
+      if (opt.subscriptions().subscribes(y, topic)) fn(y);
+    }
+  }
 };
-
-}  // namespace
 
 BaselineConfig OptSystem::effective_base(const OptConfig& config) {
   BaselineConfig base = config.base;
@@ -95,31 +101,11 @@ pubsub::DisseminationReport OptSystem::publish(ids::TopicIndex topic,
                                                ids::NodeIndex publisher) {
   const support::ScopedPhase phase(&profiler_mut(),
                                    support::Phase::kDelivery);
-  PublishContext ctx = start_publish(topic, publisher);
-
-  // Pure per-topic flooding: only links between subscribers carry the
-  // event; there is no relay mechanism (hence zero traffic overhead but no
-  // connectivity guarantee).
-  std::vector<FloodItem> queue;
-  queue.reserve(64);
-  queue.push_back(FloodItem{publisher, ids::kInvalidNode, 0});
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const FloodItem item = queue[head];
-    for (const ids::NodeIndex y : undirected(item.node)) {
-      if (y == item.from) continue;
-      if (!subscriptions().subscribes(y, topic)) continue;
-      if (fault_active() &&
-          !fault_deliver(item.node, y, sim::MessageKind::kPublication)) {
-        continue;
-      }
-      if (transmit(ctx, item.node, y, item.hop + 1)) {
-        queue.push_back(FloodItem{y, item.node, item.hop + 1});
-      }
-    }
-  }
-
-  finish_publish(ctx);
-  return ctx.report;
+  pubsub::Dissemination& flood = begin_publish(topic, publisher);
+  TopicHops hops{{*this}, *this, topic};
+  flood.seed<pubsub::QueuePolicy::kFifo>(publisher);
+  flood.flood<pubsub::QueuePolicy::kFifo>(hops);
+  return flood.finish();
 }
 
 }  // namespace vitis::baselines::opt

@@ -60,6 +60,8 @@ class OptSystem final : public BaselineSystem {
   [[nodiscard]] double cache_hit_rate() const override;
 
  private:
+  struct TopicHops;  // the dissemination Net (defined in the .cpp)
+
   static BaselineConfig effective_base(const OptConfig& config);
 
   OptConfig config_;

@@ -7,15 +7,19 @@
 #include "support/check.hpp"
 
 namespace vitis::baselines::rvr {
-namespace {
 
-struct TreeItem {
-  ids::NodeIndex node;
-  ids::NodeIndex from;
-  std::uint32_t hop;
+// RVR forwards along the topic's live multicast-tree links, in link order.
+struct RvrSystem::TreeHops : FaultAdmission {
+  const RvrSystem& rvr;
+  ids::TopicIndex topic;
+
+  template <typename Fn>
+  void for_each_next(ids::NodeIndex node, Fn&& fn) const {
+    for (const auto& link : rvr.trees_[node].links(topic)) {
+      if (rvr.is_alive(link.peer)) fn(link.peer);
+    }
+  }
 };
-
-}  // namespace
 
 RvrSystem::RvrSystem(RvrConfig config, pubsub::SubscriptionTable subscriptions,
                      std::uint64_t seed, bool start_online)
@@ -108,7 +112,8 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
                                                ids::NodeIndex publisher) {
   const support::ScopedPhase phase(&profiler_mut(),
                                    support::Phase::kDelivery);
-  PublishContext ctx = start_publish(topic, publisher);
+  pubsub::Dissemination& flood = begin_publish(topic, publisher);
+  TreeHops hops{{*this}, *this, topic};
 
   // Scribe publish: route the event to the rendezvous node...
   const auto route = lookup(publisher, ids::topic_ring_id(topic));
@@ -118,48 +123,25 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
     histograms_mut().record(support::Channel::kRelayPathLength,
                             route.path.size() - 1);
   }
-  std::vector<TreeItem> queue;
-  queue.reserve(64);
   for (std::size_t i = 1; i < route.path.size(); ++i) {
-    // A dropped route hop kills the rest of the path: admission happens
-    // before transmit so the lost message is never counted.
-    if (fault_active() &&
-        !fault_deliver(route.path[i - 1], route.path[i],
-                       sim::MessageKind::kPublication)) {
-      break;
-    }
-    if (transmit(ctx, route.path[i - 1], route.path[i],
-                 static_cast<std::uint32_t>(i), /*route=*/true)) {
-      // Route nodes that are also tree members may disseminate early (they
-      // hold tree links); harmless and closer to real Scribe behavior.
-      queue.push_back(TreeItem{route.path[i], route.path[i - 1],
-                               static_cast<std::uint32_t>(i)});
-    }
+    // A dropped route hop kills the rest of the path; the lost message is
+    // never counted.
+    if (!hops.admit(route.path[i - 1], route.path[i])) break;
+    // Route nodes that are also tree members may disseminate early (they
+    // hold tree links); harmless and closer to real Scribe behavior.
+    flood.route_hop<pubsub::QueuePolicy::kFifo>(hops, route.path[i - 1],
+                                                route.path[i]);
   }
-  if (queue.empty()) {
-    // Publisher is itself the rendezvous node (or routing stalled there).
-    queue.push_back(TreeItem{route.owner, ids::kInvalidNode,
-                             static_cast<std::uint32_t>(route.hops())});
+  // A publisher that is itself the rendezvous node roots the flood. One
+  // whose route was cut before the rendezvous delivers nothing beyond the
+  // route nodes it reached.
+  if (route.owner == publisher) {
+    flood.seed<pubsub::QueuePolicy::kFifo>(publisher);
   }
 
   // ...then flood the multicast tree from the root outward.
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const TreeItem item = queue[head];
-    for (const auto& link : trees_[item.node].links(topic)) {
-      const ids::NodeIndex y = link.peer;
-      if (y == item.from || !is_alive(y)) continue;
-      if (fault_active() &&
-          !fault_deliver(item.node, y, sim::MessageKind::kPublication)) {
-        continue;
-      }
-      if (transmit(ctx, item.node, y, item.hop + 1)) {
-        queue.push_back(TreeItem{y, item.node, item.hop + 1});
-      }
-    }
-  }
-
-  finish_publish(ctx);
-  return ctx.report;
+  flood.flood<pubsub::QueuePolicy::kFifo>(hops);
+  return flood.finish();
 }
 
 }  // namespace vitis::baselines::rvr

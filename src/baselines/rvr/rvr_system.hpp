@@ -74,6 +74,8 @@ class RvrSystem final : public BaselineSystem {
   }
 
  private:
+  struct TreeHops;  // the dissemination Net (defined in the .cpp)
+
   void refresh_subscription(ids::NodeIndex node, ids::TopicIndex topic);
 
   RvrConfig config_;

@@ -32,9 +32,6 @@ void VitisConfig::validate() const {
   if (bootstrap_contacts == 0) {
     throw std::invalid_argument("bootstrap_contacts must be positive");
   }
-  if (message_loss < 0.0 || message_loss >= 1.0) {
-    throw std::invalid_argument("message_loss must be in [0, 1)");
-  }
   if (proximity_weight < 0.0) {
     throw std::invalid_argument("proximity_weight must be non-negative");
   }

@@ -51,10 +51,6 @@ struct VitisConfig {
   /// Newscast and Cyclon interchangeably; Newscast is its evaluation pick).
   gossip::SamplingPolicy sampling = gossip::SamplingPolicy::kNewscast;
 
-  /// Probability that a dissemination transmission is lost (failure
-  /// injection; 0 in the paper's loss-free simulation model).
-  double message_loss = 0.0;
-
   /// Physical-proximity bias of the preference function (§III-A2's
   /// extension: "account for the underlying network topology"). 0 disables;
   /// larger values discount far-away candidates when ranking friends.

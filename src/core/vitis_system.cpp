@@ -4,7 +4,6 @@
 
 #include "ids/hash.hpp"
 #include "overlay/small_world.hpp"
-#include "sim/event_queue.hpp"
 #include "support/check.hpp"
 
 namespace vitis::core {
@@ -33,7 +32,8 @@ VitisSystem::VitisSystem(VitisConfig config,
       arena_(subscriptions_.node_count(), config.routing_table_size),
       metrics_(subscriptions_.node_count()),
       rng_(seed),
-      trace_rng_(seed ^ 0x7472616365ULL),
+      dissemination_(subscriptions_.node_count(), subscriptions_, metrics_,
+                     recorder_, seed ^ 0x7472616365ULL),
       fault_seed_(seed) {
   config_.validate();
   VITIS_CHECK(rates.size() == subscriptions_.topic_count());
@@ -131,14 +131,11 @@ VitisSystem::VitisSystem(VitisConfig config,
   lookup_ctx_.resize(workers);
 
   undirected_.resize(n);
-  visit_stamp_.assign(n, 0);
-  expected_stamp_.assign(n, 0);
   topic_stamp_.assign(subscriptions_.topic_count(), 0);
   topic_pos_.assign(subscriptions_.topic_count(), 0);
   select_buffer_.reserve(64);
   selected_.reserve(config_.routing_table_size);
   ranked_.reserve(64);
-  flood_queue_.reserve(64);
   if (config_.gateway_silence_limit > 0) {
     silence_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -669,44 +666,59 @@ void VitisSystem::check_invariants() const {
 // ---------------------------------------------------------------------------
 // Event dissemination (§III-C).
 // ---------------------------------------------------------------------------
-pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
-                                                 ids::NodeIndex publisher) {
+// Vitis forwards to subscribed overlay neighbours and along the topic's
+// live relay links, in ascending node order; a fault plan drops and delays.
+struct VitisSystem::Hops {
+  VitisSystem& system;
+  ids::TopicIndex topic;
+
+  template <typename Fn>
+  void for_each_next(ids::NodeIndex node, Fn&& fn) {
+    std::vector<ids::NodeIndex>& targets = system.targets_;
+    targets.clear();
+    for (const ids::NodeIndex y : system.undirected_[node]) {
+      if (system.subscriptions_.subscribes(y, topic)) targets.push_back(y);
+    }
+    for (const auto& link : system.arena_.relay(node).links(topic)) {
+      if (system.engine_.is_alive(link.peer)) targets.push_back(link.peer);
+    }
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    for (const ids::NodeIndex y : targets) fn(y);
+  }
+  [[nodiscard]] bool admit(ids::NodeIndex from, ids::NodeIndex to) const {
+    return !system.fault_.active() ||
+           system.fault_.deliver(from, to, sim::MessageKind::kPublication);
+  }
+  [[nodiscard]] std::uint32_t penalty(ids::NodeIndex from,
+                                      ids::NodeIndex to) const {
+    return system.fault_.active() ? system.fault_.hop_penalty(from, to) : 0;
+  }
+  // Installed coordinates give each link its latency; without them every
+  // link takes 1 ms.
+  [[nodiscard]] double latency(ids::NodeIndex a, ids::NodeIndex b) const {
+    return system.coordinates_.empty()
+               ? 1.0
+               : 1.0 + sim::latency_ms(system.coordinates_[a],
+                                       system.coordinates_[b]);
+  }
+};
+
+template <pubsub::QueuePolicy P>
+pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
+                                                     ids::NodeIndex publisher) {
   const support::ScopedPhase phase(&profiler_, support::Phase::kDelivery);
   VITIS_CHECK(topic < subscriptions_.topic_count());
   VITIS_CHECK(engine_.is_alive(publisher));
 
-  pubsub::DisseminationReport report;
-  report.topic = topic;
-  report.publisher = publisher;
-
-  // Route tracing draws from the dedicated trace stream only while capacity
-  // remains, so an untraced run and a traced run disseminate identically.
-  const bool traced = recorder_.want_trace() &&
-                      trace_rng_.bernoulli(recorder_.config().trace_rate);
-  if (traced) recorder_.begin_trace(publish_count_, topic, publisher);
-  ++publish_count_;
-
-  // Fresh visit/expected stamps; on wrap-around reset the arrays once.
-  if (++current_stamp_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    std::fill(expected_stamp_.begin(), expected_stamp_.end(), 0);
-    current_stamp_ = 1;
-  }
-  const std::uint32_t stamp = current_stamp_;
-
-  for (const ids::NodeIndex s : subscriptions_.subscribers(topic)) {
-    if (s == publisher || !engine_.is_alive(s)) continue;
-    if (arena_.join_cycle(s) + config_.join_grace_cycles > engine_.cycle()) {
-      continue;  // freshly joined: not yet expected to receive events
-    }
-    expected_stamp_[s] = stamp;
-    ++report.expected;
-  }
-
-  std::vector<FloodItem>& queue = flood_queue_;
-  queue.clear();
-  visit_stamp_[publisher] = stamp;
-  queue.push_back(FloodItem{publisher, ids::kInvalidNode, 0});
+  pubsub::Dissemination& flood = dissemination_;
+  flood.begin(topic, publisher, [this](ids::NodeIndex s) {
+    // A freshly joined node is not yet expected to receive events.
+    return engine_.is_alive(s) &&
+           arena_.join_cycle(s) + config_.join_grace_cycles <= engine_.cycle();
+  });
+  Hops hops{*this, topic};
+  flood.seed<P>(publisher);
 
   // A publisher outside any cluster of the topic (not subscribed, not a
   // relay) hands the event to the rendezvous node by greedy routing first.
@@ -714,35 +726,12 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
       !arena_.relay(publisher).is_relay_for(topic)) {
     const ids::RingId target = ids::topic_ring_id(topic);
     auto route = lookup(publisher, target);
-    std::uint32_t hop = 0;
     std::uint32_t fallbacks_left =
         fault_.active() ? config_.route_fallback_limit : 0;
-    const auto deliver_route_hop = [&](ids::NodeIndex from,
-                                       ids::NodeIndex to) {
-      metrics_.on_message(to, subscriptions_.subscribes(to, topic));
-      ++report.messages;
-      if (traced) {
-        recorder_.add_hop(from, to, hop,
-                          subscriptions_.subscribes(to, topic),
-                          /*route=*/true);
-      }
-      if (visit_stamp_[to] != stamp) {
-        visit_stamp_[to] = stamp;
-        if (expected_stamp_[to] == stamp) {
-          ++report.delivered;
-          report.delay_sum += hop;
-          report.max_delay = std::max<std::size_t>(report.max_delay, hop);
-          metrics_.on_delivery(hop);
-        }
-        queue.push_back(FloodItem{to, from, hop});
-      }
-    };
     std::size_t i = 1;
     while (i < route.path.size()) {
       const ids::NodeIndex from = route.path[i - 1];
-      if (fault_.active() &&
-          !fault_.deliver(from, route.path[i],
-                          sim::MessageKind::kPublication)) {
+      if (!hops.admit(from, route.path[i])) {
         // The greedy hop is lost. With the fallback knob the sender
         // detects the hop timeout and hands the event to its ring
         // successor, which restarts the greedy descent from there;
@@ -753,73 +742,24 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
             arena_.rt(from).first_of(overlay::LinkKind::kSuccessor);
         if (!succ.has_value() || !engine_.is_alive(succ->node)) break;
         const ids::NodeIndex detour = succ->node;
-        if (!fault_.deliver(from, detour, sim::MessageKind::kPublication)) {
-          break;
-        }
-        hop += 1 + fault_.hop_penalty(from, detour);
-        deliver_route_hop(from, detour);
+        if (!hops.admit(from, detour)) break;
+        flood.route_hop<P>(hops, from, detour);
         route = lookup(detour, target);
         i = 1;
         continue;
       }
-      const ids::NodeIndex to = route.path[i];
-      hop += 1 + (fault_.active() ? fault_.hop_penalty(from, to) : 0);
-      deliver_route_hop(from, to);
+      flood.route_hop<P>(hops, from, route.path[i]);
       ++i;
     }
   }
 
-  std::vector<ids::NodeIndex>& targets = targets_;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const FloodItem item = queue[head];
+  flood.flood<P>(hops);
+  return flood.finish();
+}
 
-    targets.clear();
-    for (const ids::NodeIndex y : undirected_[item.node]) {
-      if (subscriptions_.subscribes(y, topic)) targets.push_back(y);
-    }
-    for (const auto& link : arena_.relay(item.node).links(topic)) {
-      if (engine_.is_alive(link.peer)) targets.push_back(link.peer);
-    }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-
-    for (const ids::NodeIndex y : targets) {
-      if (y == item.from || y == item.node) continue;
-      // Failure injection: a lost transmission never reaches the receiver.
-      if (config_.message_loss > 0.0 &&
-          rng_.bernoulli(config_.message_loss)) {
-        continue;
-      }
-      if (fault_.active() &&
-          !fault_.deliver(item.node, y, sim::MessageKind::kPublication)) {
-        continue;
-      }
-      // A delayed delivery is charged extra propagation hops (jitter).
-      const std::uint32_t hop =
-          item.hop + 1 +
-          (fault_.active() ? fault_.hop_penalty(item.node, y) : 0);
-      metrics_.on_message(y, subscriptions_.subscribes(y, topic));
-      ++report.messages;
-      if (traced) {
-        recorder_.add_hop(item.node, y, hop,
-                          subscriptions_.subscribes(y, topic),
-                          /*route=*/false);
-      }
-      if (visit_stamp_[y] == stamp) continue;
-      visit_stamp_[y] = stamp;
-      if (expected_stamp_[y] == stamp) {
-        ++report.delivered;
-        report.delay_sum += hop;
-        report.max_delay = std::max<std::size_t>(report.max_delay, hop);
-        metrics_.on_delivery(hop);
-      }
-      queue.push_back(FloodItem{y, item.node, hop});
-    }
-  }
-
-  if (traced) recorder_.end_trace(report.expected, report.delivered);
-  metrics_.on_report(report);
-  return report;
+pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
+                                                 ids::NodeIndex publisher) {
+  return disseminate<pubsub::QueuePolicy::kFifo>(topic, publisher);
 }
 
 // ---------------------------------------------------------------------------
@@ -871,111 +811,10 @@ void VitisSystem::node_crash(ids::NodeIndex node) {
 // ---------------------------------------------------------------------------
 TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
                                                     ids::NodeIndex publisher) {
-  const support::ScopedPhase phase(&profiler_, support::Phase::kDelivery);
-  VITIS_CHECK(topic < subscriptions_.topic_count());
-  VITIS_CHECK(engine_.is_alive(publisher));
-
   TimedDisseminationReport timed;
-  pubsub::DisseminationReport& report = timed.base;
-  report.topic = topic;
-  report.publisher = publisher;
-
-  if (++current_stamp_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    std::fill(expected_stamp_.begin(), expected_stamp_.end(), 0);
-    current_stamp_ = 1;
-  }
-  const std::uint32_t stamp = current_stamp_;
-  for (const ids::NodeIndex s : subscriptions_.subscribers(topic)) {
-    if (s == publisher || !engine_.is_alive(s)) continue;
-    if (arena_.join_cycle(s) + config_.join_grace_cycles > engine_.cycle()) {
-      continue;
-    }
-    expected_stamp_[s] = stamp;
-    ++report.expected;
-  }
-
-  const auto link_latency = [this](ids::NodeIndex a, ids::NodeIndex b) {
-    return coordinates_.empty()
-               ? 1.0
-               : 1.0 + sim::latency_ms(coordinates_[a], coordinates_[b]);
-  };
-
-  struct Arrival {
-    ids::NodeIndex to;
-    ids::NodeIndex from;
-    std::uint32_t hop;
-  };
-  sim::EventQueue<Arrival> queue;
-  visit_stamp_[publisher] = stamp;
-
-  // Forward from a node that just (first-)received the event at `now`.
-  std::vector<ids::NodeIndex>& targets = targets_;
-  const auto forward_from = [&](ids::NodeIndex x, ids::NodeIndex from,
-                                std::uint32_t hop, double now) {
-    targets.clear();
-    for (const ids::NodeIndex y : undirected_[x]) {
-      if (subscriptions_.subscribes(y, topic)) targets.push_back(y);
-    }
-    for (const auto& link : arena_.relay(x).links(topic)) {
-      if (engine_.is_alive(link.peer)) targets.push_back(link.peer);
-    }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    for (const ids::NodeIndex y : targets) {
-      if (y == from || y == x) continue;
-      if (config_.message_loss > 0.0 &&
-          rng_.bernoulli(config_.message_loss)) {
-        continue;
-      }
-      if (fault_.active() &&
-          !fault_.deliver(x, y, sim::MessageKind::kPublication)) {
-        continue;
-      }
-      queue.schedule(now + link_latency(x, y), Arrival{y, x, hop + 1});
-    }
-  };
-
-  // Non-subscriber publishers hand the event toward the rendezvous first.
-  if (!subscriptions_.subscribes(publisher, topic) &&
-      !arena_.relay(publisher).is_relay_for(topic)) {
-    const auto route = lookup(publisher, ids::topic_ring_id(topic));
-    double t = 0.0;
-    for (std::size_t i = 1; i < route.path.size(); ++i) {
-      // Admission only in the timed model: a dropped hop severs the route
-      // there (no successor fallback — the hop-count model owns recovery).
-      if (fault_.active() &&
-          !fault_.deliver(route.path[i - 1], route.path[i],
-                          sim::MessageKind::kPublication)) {
-        break;
-      }
-      t += link_latency(route.path[i - 1], route.path[i]);
-      queue.schedule(t, Arrival{route.path[i], route.path[i - 1],
-                                static_cast<std::uint32_t>(i)});
-    }
-  }
-  forward_from(publisher, ids::kInvalidNode, 0, 0.0);
-
-  while (!queue.empty()) {
-    const auto event = queue.pop();
-    const Arrival& arrival = event.payload;
-    metrics_.on_message(arrival.to,
-                        subscriptions_.subscribes(arrival.to, topic));
-    ++report.messages;
-    if (visit_stamp_[arrival.to] == stamp) continue;  // duplicate arrival
-    visit_stamp_[arrival.to] = stamp;
-    if (expected_stamp_[arrival.to] == stamp) {
-      ++report.delivered;
-      report.delay_sum += arrival.hop;
-      report.max_delay = std::max<std::size_t>(report.max_delay, arrival.hop);
-      metrics_.on_delivery(arrival.hop);
-      timed.delay_ms_sum += event.time;
-      timed.max_delay_ms = std::max(timed.max_delay_ms, event.time);
-    }
-    forward_from(arrival.to, arrival.from, arrival.hop, event.time);
-  }
-
-  metrics_.on_report(report);
+  timed.base = disseminate<pubsub::QueuePolicy::kTimed>(topic, publisher);
+  timed.delay_ms_sum = dissemination_.delay_ms_sum();
+  timed.max_delay_ms = dissemination_.max_delay_ms();
   return timed;
 }
 
@@ -1093,8 +932,7 @@ std::size_t VitisSystem::memory_footprint() const {
   return arena_.memory_bytes() + sampling_->memory_bytes() +
          undirected_.size() * sizeof(std::vector<ids::NodeIndex>) +
          adjacency_links * sizeof(ids::NodeIndex) +
-         (visit_stamp_.size() + expected_stamp_.size()) *
-             sizeof(std::uint32_t) +
+         dissemination_.memory_bytes() +
          topic_stamp_.size() * sizeof(std::uint32_t) +
          topic_pos_.size() * sizeof(std::size_t);
 }

@@ -31,6 +31,7 @@
 #include "gossip/sampling_service.hpp"
 #include "gossip/tman.hpp"
 #include "overlay/greedy_routing.hpp"
+#include "pubsub/dissemination.hpp"
 #include "pubsub/system.hpp"
 #include "sim/coordinates.hpp"
 #include "sim/cycle_engine.hpp"
@@ -228,6 +229,15 @@ class VitisSystem final : public pubsub::PubSubSystem {
       ids::TopicIndex topic, ids::NodeIndex publisher);
 
  private:
+  // Vitis' next hops for the shared forwarding loop (defined in the .cpp).
+  struct Hops;
+
+  // publish()/publish_timed(): the §III-C dissemination under a queue
+  // policy, with the greedy handoff for publishers outside the topic.
+  template <pubsub::QueuePolicy P>
+  pubsub::DisseminationReport disseminate(ids::TopicIndex topic,
+                                          ids::NodeIndex publisher);
+
   // Algorithm 4. `rng` is the calling exchange's deterministic stream
   // (drives the small-world target draws).
   void select_neighbors(ids::NodeIndex self,
@@ -293,12 +303,11 @@ class VitisSystem final : public pubsub::PubSubSystem {
   pubsub::MetricsCollector metrics_;
   sim::Rng rng_;
 
-  // Flight recorder (off by default; see configure_recorder). trace_rng_ is
-  // a dedicated stream so trace sampling never advances the protocol rng_.
+  // Flight recorder (off by default; see configure_recorder). Trace
+  // sampling draws from the dissemination's own stream, never rng_.
   support::Recorder recorder_;
   analysis::HealthAnalyzer health_;
-  sim::Rng trace_rng_;
-  std::uint64_t publish_count_ = 0;
+  pubsub::Dissemination dissemination_;
 
   // Fault-injection layer (inactive unless set_fault_plan installs an
   // effective plan; all its draws come from the seed^"fault" stream).
@@ -336,13 +345,6 @@ class VitisSystem final : public pubsub::PubSubSystem {
   // because distributions() re-derives the node-message channel on read.
   mutable support::HistogramSet histograms_;
 
-  /// Transmission queue item of the dissemination BFS.
-  struct FloodItem {
-    ids::NodeIndex node;
-    ids::NodeIndex from;
-    std::uint32_t hop;
-  };
-
   // Relay refresh: the election sweep appends the elected self-gateways'
   // requests — ascending (gateway, topic) by construction — and the
   // relay-refresh stage binary-searches its node's slice, emitting link
@@ -372,9 +374,6 @@ class VitisSystem final : public pubsub::PubSubSystem {
   mutable std::vector<overlay::RoutingEntry> lookup_scratch_;
   mutable overlay::LookupResult lookup_result_;  // lookup_cached() buffer
   std::vector<std::vector<NeighborProposal>> election_scratch_;
-  mutable std::vector<std::uint32_t> visit_stamp_;
-  mutable std::vector<std::uint32_t> expected_stamp_;
-  mutable std::uint32_t current_stamp_ = 0;
   // selectNeighbors (Algorithm 4) working set. batch_ owns the SoA
   // candidate pool the SIMD scoring passes stream over; ranked_ receives
   // rank_top_k's (score, pool index) prefix. Members (not locals) so the
@@ -388,8 +387,7 @@ class VitisSystem final : public pubsub::PubSubSystem {
   std::vector<std::uint32_t> topic_stamp_;
   std::vector<std::size_t> topic_pos_;
   std::uint32_t topic_epoch_ = 0;
-  // Dissemination working sets.
-  std::vector<FloodItem> flood_queue_;
+  // Next-hop merge buffer of the dissemination (Hops::for_each_next).
   std::vector<ids::NodeIndex> targets_;
 };
 

@@ -1,7 +1,5 @@
 #include "pubsub/metrics.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace vitis::pubsub {
@@ -19,26 +17,10 @@ void MetricsCollector::on_message(ids::NodeIndex node, bool interested) {
 }
 
 void MetricsCollector::on_delivery(std::size_t hops) {
-  const std::size_t bucket = std::min(hops, kDelayBuckets - 1);
-  ++delay_histogram_[bucket];
+  delays_.record(hops);
   if (histograms_ != nullptr) {
     histograms_->record(support::Channel::kDeliveryHops, hops);
   }
-}
-
-std::size_t MetricsCollector::delay_percentile(double quantile) const {
-  VITIS_DCHECK(quantile >= 0.0 && quantile <= 1.0);
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : delay_histogram_) total += c;
-  if (total == 0) return 0;
-  const auto threshold = static_cast<std::uint64_t>(
-      quantile * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (std::size_t h = 0; h < delay_histogram_.size(); ++h) {
-    seen += delay_histogram_[h];
-    if (seen >= threshold && seen > 0) return h;
-  }
-  return delay_histogram_.size() - 1;
 }
 
 void MetricsCollector::on_report(const DisseminationReport& report) {
@@ -62,7 +44,7 @@ void MetricsCollector::reset() {
   delivered_ = 0;
   delay_sum_ = 0;
   events_ = 0;
-  std::fill(delay_histogram_.begin(), delay_histogram_.end(), 0);
+  delays_.reset();
 }
 
 double MetricsCollector::hit_ratio() const {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "ids/id.hpp"
@@ -76,7 +75,7 @@ class MetricsCollector {
   void on_message(ids::NodeIndex node, bool interested);
 
   /// A subscriber was delivered to after `hops` hops (feeds the delay
-  /// histogram; systems call this alongside their report bookkeeping).
+  /// histogram; the dissemination calls this alongside its report).
   void on_delivery(std::size_t hops);
 
   void on_report(const DisseminationReport& report);
@@ -110,15 +109,13 @@ class MetricsCollector {
   /// Fig. 5 distribution.
   [[nodiscard]] std::vector<double> node_overhead_fractions() const;
 
-  /// Count of deliveries per hop distance (index = hops; saturates at the
-  /// last bucket). Enables delay percentiles beyond the paper's averages.
-  [[nodiscard]] std::span<const std::uint64_t> delay_histogram() const {
-    return delay_histogram_;
-  }
-
   /// Smallest hop count h such that at least `quantile` of deliveries
-  /// arrived within h hops (0 when nothing was delivered).
-  [[nodiscard]] std::size_t delay_percentile(double quantile) const;
+  /// arrived within h hops (0 when nothing was delivered). Exact below 16
+  /// hops; above, the upper bound of h's log-linear bucket (at most 12.5%
+  /// high), never above the largest recorded delay.
+  [[nodiscard]] std::uint64_t delay_percentile(double quantile) const {
+    return delays_.quantile(quantile);
+  }
 
   [[nodiscard]] std::uint64_t total_messages() const;
 
@@ -137,16 +134,13 @@ class MetricsCollector {
   }
 
  private:
-  static constexpr std::size_t kDelayBuckets = 64;
-
   std::vector<NodeTraffic> traffic_;
+  support::Histogram delays_;  // per-delivery hops, cleared by reset()
   support::HistogramSet* histograms_ = nullptr;
   std::uint64_t expected_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t delay_sum_ = 0;
   std::size_t events_ = 0;
-  std::vector<std::uint64_t> delay_histogram_ =
-      std::vector<std::uint64_t>(kDelayBuckets, 0);
 };
 
 /// Point summary used by benches: one row of a paper plot.

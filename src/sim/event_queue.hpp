@@ -45,8 +45,10 @@ class EventQueue {
     return event;
   }
 
+  /// Empty the queue and rewind the clock. The buffer keeps its capacity,
+  /// so a reused queue schedules without allocating.
   void clear() {
-    heap_ = {};
+    heap_.clear();
     now_ = 0.0;
     next_sequence_ = 0;
   }
@@ -59,7 +61,11 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  // A priority queue whose clear() keeps the buffer's capacity.
+  struct Heap : std::priority_queue<Event, std::vector<Event>, Later> {
+    void clear() { this->c.clear(); }
+  };
+  Heap heap_;
   double now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
 };

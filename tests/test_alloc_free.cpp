@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "baselines/opt/opt_system.hpp"
 #include "core/batch_score.hpp"
 #include "core/utility.hpp"
 #include "core/vitis_system.hpp"
@@ -326,6 +327,69 @@ TEST(AllocationAudit, HistogramRecordPathIsAllocationFree) {
       << during << " heap allocations in 30k histogram records";
   EXPECT_EQ(merged.count(), 10'000u);
   EXPECT_LE(p99, 63u);
+}
+
+// Publication audits: the dissemination reuses its stamp arrays, next-hop
+// buffer and queue across publications, so once one pass over the schedule
+// grew them, publishing again from the same member publishers (subscribers:
+// no rendezvous lookup) must not touch the heap.
+workload::SyntheticScenario publish_audit_scenario() {
+  workload::SyntheticScenarioParams params;
+  params.subscriptions.nodes = 400;
+  params.subscriptions.topics = 200;
+  params.subscriptions.subs_per_node = 20;
+  params.subscriptions.pattern = workload::CorrelationPattern::kLowCorrelation;
+  params.events = 60;
+  params.seed = 2468;
+  return workload::make_synthetic_scenario(params);
+}
+
+template <typename Publish>
+void expect_steady_publish_allocation_free(
+    const workload::SyntheticScenario& scenario, Publish&& publish) {
+  std::uint64_t delivered = 0;
+  for (const auto& [topic, publisher] : scenario.schedule) {
+    delivered += publish(topic, publisher);  // warmup: grows the buffers
+  }
+  const std::uint64_t before = g_allocations;
+  for (const auto& [topic, publisher] : scenario.schedule) {
+    delivered += publish(topic, publisher);
+  }
+  const std::uint64_t during = g_allocations - before;
+  EXPECT_EQ(during, 0u) << during << " heap allocations in "
+                        << scenario.schedule.size()
+                        << " steady-state publications";
+  EXPECT_GT(delivered, 0u);
+}
+
+TEST(AllocationAudit, VitisPublishIsAllocationFree) {
+  const auto scenario = publish_audit_scenario();
+  auto system = workload::make_vitis(scenario, VitisConfig{}, 2468);
+  system->run_cycles(30);
+  expect_steady_publish_allocation_free(
+      scenario, [&](ids::TopicIndex topic, ids::NodeIndex publisher) {
+        return system->publish(topic, publisher).delivered;
+      });
+}
+
+TEST(AllocationAudit, VitisTimedPublishIsAllocationFree) {
+  const auto scenario = publish_audit_scenario();
+  auto system = workload::make_vitis(scenario, VitisConfig{}, 2468);
+  system->run_cycles(30);
+  expect_steady_publish_allocation_free(
+      scenario, [&](ids::TopicIndex topic, ids::NodeIndex publisher) {
+        return system->publish_timed(topic, publisher).base.delivered;
+      });
+}
+
+TEST(AllocationAudit, OptPublishIsAllocationFree) {
+  const auto scenario = publish_audit_scenario();
+  auto system = workload::make_opt(scenario, baselines::opt::OptConfig{}, 2468);
+  system->run_cycles(30);
+  expect_steady_publish_allocation_free(
+      scenario, [&](ids::TopicIndex topic, ids::NodeIndex publisher) {
+        return system->publish(topic, publisher).delivered;
+      });
 }
 
 TEST(AllocationAudit, ObserveSampleIsAllocationFree) {

@@ -1,11 +1,12 @@
 // Tests for the extension features: dynamic subscriptions, Cyclon-backed
-// systems, proximity-aware friend selection, message-loss injection, and
-// the small-world diagnostics.
+// systems, proximity-aware friend selection, publication loss under a fault
+// plan, and the small-world diagnostics.
 #include <gtest/gtest.h>
 
 #include "analysis/smallworld.hpp"
 #include "core/vitis_system.hpp"
 #include "sim/coordinates.hpp"
+#include "sim/fault.hpp"
 #include "workload/scenario.hpp"
 
 namespace vitis {
@@ -155,25 +156,27 @@ TEST(Proximity, CoordinateCountValidated) {
 
 TEST(MessageLoss, FloodingToleratesModerateLoss) {
   const auto scenario = scenario_for(31, 400, 150);
-  core::VitisConfig lossy;
-  lossy.message_loss = 0.10;
-  auto system = workload::make_vitis(scenario, lossy, 31);
+  auto system = workload::make_vitis(scenario, core::VitisConfig{}, 31);
+  // The drop window opens after warm-up: the overlay converges loss-free
+  // and only the measured publications lose messages.
+  constexpr std::size_t kWarmup = 35;
+  sim::FaultConfig lossy;
+  lossy.drop = 0.10;
+  lossy.drop_start_cycle = kWarmup;
+  system->set_fault_plan(lossy);
   const auto summary =
-      workload::run_measurement(*system, 35, scenario.schedule);
+      workload::run_measurement(*system, kWarmup, scenario.schedule);
   // Redundant flooding inside clusters absorbs most of a 10% loss rate.
   EXPECT_GE(summary.hit_ratio, 0.9);
   EXPECT_LT(summary.hit_ratio, 1.0);
+  const sim::FaultStats stats = system->fault_plan().stats();
+  EXPECT_GT(stats.drops, 0u);
+  EXPECT_EQ(stats.drops, stats.drops_by_kind[static_cast<std::size_t>(
+                             sim::MessageKind::kPublication)]);
 }
 
 TEST(MessageLoss, ConfigValidation) {
   core::VitisConfig config;
-  config.message_loss = 1.0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.message_loss = -0.1;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.message_loss = 0.5;
-  EXPECT_NO_THROW(config.validate());
-  config = core::VitisConfig{};
   config.proximity_weight = -1.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }

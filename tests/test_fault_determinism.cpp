@@ -63,7 +63,7 @@ std::uint64_t digest(const System& system) {
 }
 
 /// Publish the schedule, skipping events whose publisher a crash took
-/// offline (start_publish checks the publisher is alive).
+/// offline (publish checks the publisher is alive).
 template <typename System>
 void publish_alive(System& system,
                    const std::vector<pubsub::Publication>& schedule) {

@@ -17,7 +17,6 @@ TEST(PaperDefaults, VitisConfigMatchesSectionIVA) {
   EXPECT_EQ(config.gateway_depth, 5u);        // "d is set to 5"
   EXPECT_EQ(config.friend_links(), 12u);      // 15 - (pred + succ + 1 sw)
   EXPECT_EQ(config.sampling, gossip::SamplingPolicy::kNewscast);
-  EXPECT_DOUBLE_EQ(config.message_loss, 0.0);      // loss-free model
   EXPECT_DOUBLE_EQ(config.proximity_weight, 0.0);  // extension off
   EXPECT_NO_THROW(config.validate());
 }

@@ -2,6 +2,7 @@
 
 #include "baselines/rvr/rvr_system.hpp"
 #include "ids/hash.hpp"
+#include "sim/fault.hpp"
 #include "workload/scenario.hpp"
 
 namespace vitis::baselines::rvr {
@@ -99,6 +100,29 @@ TEST_F(RvrFixture, PublishRoutesThroughRendezvous) {
   if (report.expected > 0) {
     EXPECT_GT(report.delay_sum, 0u);
   }
+}
+
+TEST_F(RvrFixture, CutRouteNeverReachesTheTree) {
+  // An open partition cuts the first hop of the publisher's route to the
+  // rendezvous: the event never reaches the tree root, so nobody receives
+  // it (the tree flood must not start at a rendezvous the event missed).
+  sim::FaultConfig fault;
+  fault.partitions.push_back(
+      sim::PartitionWindow{0, 1'000'000, /*salt=*/0x5eedULL});
+  system_->set_fault_plan(fault);
+  std::size_t cut = 0;
+  for (const auto& [topic, publisher] : scenario_.schedule) {
+    const auto route = system_->lookup(publisher, ids::topic_ring_id(topic));
+    if (route.path.size() < 2 ||
+        !system_->fault_plan().partitioned(route.path[0], route.path[1])) {
+      continue;
+    }
+    const auto report = system_->publish(topic, publisher);
+    EXPECT_EQ(report.delivered, 0u);
+    EXPECT_EQ(report.messages, 0u);
+    ++cut;
+  }
+  EXPECT_GT(cut, 0u) << "no schedule route crosses the partition";
 }
 
 TEST_F(RvrFixture, TreeStateDecaysAfterLeave) {

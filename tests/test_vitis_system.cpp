@@ -172,6 +172,51 @@ TEST_F(VitisSystemFixture, DelayStaysWithinLogSquaredBound) {
             2.0 * (log2n * log2n) + system_->config().gateway_depth);
 }
 
+TEST_F(VitisSystemFixture, OutsidePublisherHandsOffToRendezvous) {
+  // §III-C: a publisher outside every cluster of the topic (neither a
+  // subscriber nor a relay) first routes the event greedily toward the
+  // rendezvous node, which forwards it into the topic's clusters.
+  const ids::TopicIndex topic = 0;
+  ASSERT_GT(system_->subscriptions().subscribers(topic).size(), 1u);
+  ids::NodeIndex outsider = 0;
+  while (system_->subscriptions().subscribes(outsider, topic) ||
+         system_->relay_table(outsider).is_relay_for(topic) ||
+         outsider == system_->global_rendezvous(topic)) {
+    ++outsider;
+  }
+  const auto route = system_->lookup(outsider, ids::topic_ring_id(topic));
+  ASSERT_GT(route.path.size(), 1u);
+
+  support::RecorderConfig recorder;
+  recorder.enabled = true;
+  recorder.trace_rate = 1.0;
+  system_->configure_recorder(recorder);
+  const auto hop = system_->publish(topic, outsider);
+  const auto timed = system_->publish_timed(topic, outsider);
+  EXPECT_GT(hop.expected, 0u);
+  EXPECT_EQ(hop.delivered, hop.expected);
+  EXPECT_EQ(timed.base.expected, hop.expected);
+  EXPECT_EQ(timed.base.delivered, timed.base.expected);
+
+  // Both traces start with the greedy route: its first hop leaves the
+  // publisher, and in the hop-count model the whole route precedes the
+  // flood.
+  const auto& traces = system_->recorder()->traces();
+  ASSERT_EQ(traces.size(), 2u);
+  for (const auto& trace : traces) {
+    ASSERT_FALSE(trace.hops.empty());
+    EXPECT_TRUE(trace.hops[0].route);
+    EXPECT_EQ(trace.hops[0].from, outsider);
+    EXPECT_EQ(trace.hops[0].to, route.path[1]);
+  }
+  for (std::size_t i = 1; i < route.path.size(); ++i) {
+    const auto& traced = traces[0].hops[i - 1];
+    EXPECT_TRUE(traced.route);
+    EXPECT_EQ(traced.to, route.path[i]);
+    EXPECT_EQ(traced.hop, i);
+  }
+}
+
 TEST(VitisSystem, ChurnJoinLeaveRecovery) {
   auto scenario =
       small_scenario(workload::CorrelationPattern::kLowCorrelation, 7, 200, 80);

@@ -1,37 +1,35 @@
 #!/usr/bin/env python3
-"""Validate BENCH_<name>.json artifacts against the schema-v3..v7 shape.
+"""Validate BENCH_<name>.json artifacts against the schema-v7 shape.
 
 Checks every artifact for:
 
-* schema_version in {3, 4, 5, 6, 7} and the top-level keys (bench, scale,
-  seed, jobs, points, totals);
+* schema_version 7 (any other version is rejected) and the top-level keys
+  (bench, scale, seed, jobs, points, totals);
 * the scale block (name/nodes/topics/cycles/events, all integers >= 0);
 * per point: params (scalars), metrics (numbers), telemetry (wall_ms,
-  peak_rss_kb, cycles, messages, the per-version named phases with
-  calls/wall_ms, the — v4+ — named counters block, the — v5 —
-  capacity gauges peak_rss_bytes and cycles_per_second, and the — v6 —
-  run_jobs count plus the optional per-stage `parallel` block with
-  busy_ms/span_ms/efficiency and the — v7 — per-worker `workers` busy
-  split), and the `timeseries` block — stride plus samples, each sample a
-  cycle, the per-version named gauges (number or null: NaN gauges from
+  peak_rss_kb, cycles, messages, the capacity gauges peak_rss_bytes and
+  cycles_per_second, the run_jobs count, the named phases with
+  calls/wall_ms, the named counters block and the optional per-stage
+  `parallel` block with busy_ms/span_ms/efficiency and the per-worker
+  `workers` busy split), and the `timeseries` block — stride plus samples,
+  each sample a cycle, the named gauges (number or null: NaN gauges from
   event-free windows serialize as null) and the phase call counters;
-* v4+ omission rules: "phases", "counters" and "timeseries" may be absent
-  (all-zero / recorder off); when present they must be complete;
-* v6 placement rule: --run-jobs is a wall-clock-only knob, so "run_jobs"
+* omission rules: "phases", "counters", "timeseries" and "distributions"
+  may be absent (all-zero / recorder off / no channel recorded); when
+  present they must be complete;
+* placement rule: --run-jobs is a wall-clock-only knob, so "run_jobs"
   must NEVER leak into the stdout-affecting fields — params, metrics,
-  totals or scale. A v6 artifact mentioning it there fails validation;
-* v6+ parallel tightenings: efficiency must sit in (0, 1] (zero-span
-  stages are omitted by the writer), busy_ms must not exceed
-  span_ms × run_jobs, and the v7 `workers` array must have run_jobs
-  entries summing to busy_ms;
-* the — v7 — `distributions` blocks (per point and totals, both optional
-  when no channel recorded): named support::Channel objects with exact
-  count/sum/max integers, monotone p50 <= p90 <= p99 <= max quantiles and
-  sparse buckets (lo <= hi, strictly ascending, positive counts summing
-  to the channel count). Pre-v7 artifacts must not carry the block;
-* totals: points matches len(points), summed phases/counters, the — v5 —
-  capacity gauges (v6+: cycles_per_second must equal the max over
-  points), and the `traces` count.
+  totals or scale;
+* parallel tightenings: efficiency must sit in (0, 1] (zero-span stages
+  are omitted by the writer), busy_ms must not exceed span_ms × run_jobs,
+  and the `workers` array must have run_jobs entries summing to busy_ms;
+* the `distributions` blocks (per point and totals): named
+  support::Channel objects with exact count/sum/max integers, monotone
+  p50 <= p90 <= p99 <= max quantiles and sparse buckets (lo <= hi,
+  strictly ascending, positive counts summing to the channel count);
+* totals: points matches len(points), summed phases/counters, the
+  capacity gauges (cycles_per_second must equal the max over points), and
+  the `traces` count.
 
 A git_describe ending in "-dirty" draws a warning on stderr (the
 committed artifacts must be regenerated from a clean tree) but does not
@@ -50,7 +48,7 @@ import json
 import numbers
 import sys
 
-GAUGES_V3 = [
+GAUGES = [
     "alive_nodes",
     "mean_clusters_per_topic",
     "relay_links",
@@ -59,11 +57,11 @@ GAUGES_V3 = [
     "max_view_age",
     "window_hit_ratio",
     "window_overhead_pct",
+    "utility_cache_hit_rate",
+    "shard_imbalance",
 ]
-GAUGES_V4 = GAUGES_V3 + ["utility_cache_hit_rate"]
-GAUGES_V7 = GAUGES_V4 + ["shard_imbalance"]
 
-CHANNELS_V7 = [
+CHANNELS = [
     "delivery_hops",
     "publication_latency",
     "relay_path_length",
@@ -72,10 +70,10 @@ CHANNELS_V7 = [
     "stage_activations",
 ]
 
-PHASES_V3 = ["sampling", "tman", "ranking", "relay", "routing"]
-PHASES_V4 = PHASES_V3 + ["delivery", "observe", "election"]
+PHASES = ["sampling", "tman", "ranking", "relay", "routing", "delivery",
+          "observe", "election"]
 
-COUNTERS_V4 = [
+COUNTERS = [
     "utility_cache_hits",
     "utility_cache_misses",
     "utility_cache_evictions",
@@ -109,35 +107,35 @@ class Checker:
         return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_phases(c, phases, names, where, optional):
-    if phases is None and optional:
+def check_phases(c, phases, where):
+    if phases is None:  # omitted when every phase is zero
         return
     if not c.require(isinstance(phases, dict), f"{where}: phases is not an object"):
         return
-    for name in names:
+    for name in PHASES:
         stats = phases.get(name)
         if not c.require(isinstance(stats, dict), f"{where}: phase '{name}' missing"):
             continue
         c.require(c.is_count(stats.get("calls")), f"{where}: {name}.calls not a count")
         c.require(c.is_number(stats.get("wall_ms")), f"{where}: {name}.wall_ms not a number")
     for name in phases:
-        c.require(name in names, f"{where}: unknown phase '{name}'")
+        c.require(name in PHASES, f"{where}: unknown phase '{name}'")
 
 
-def check_counters(c, counters, where, optional):
-    if counters is None and optional:
+def check_counters(c, counters, where):
+    if counters is None:  # omitted when every counter is zero
         return
     if not c.require(isinstance(counters, dict), f"{where}: counters is not an object"):
         return
-    for name in COUNTERS_V4:
+    for name in COUNTERS:
         c.require(c.is_count(counters.get(name)),
                   f"{where}: counter '{name}' not a count")
     for name in counters:
-        c.require(name in COUNTERS_V4, f"{where}: unknown counter '{name}'")
+        c.require(name in COUNTERS, f"{where}: unknown counter '{name}'")
 
 
-def check_timeseries(c, series, phases, gauges, where, optional):
-    if series is None and optional:
+def check_timeseries(c, series, where):
+    if series is None:  # omitted with the recorder off
         return
     if not c.require(isinstance(series, dict), f"{where}: timeseries is not an object"):
         return
@@ -158,7 +156,7 @@ def check_timeseries(c, series, phases, gauges, where, optional):
             last_cycle = cycle
         sample_gauges = sample.get("gauges")
         if c.require(isinstance(sample_gauges, dict), f"{at}: gauges not an object"):
-            for name in gauges:
+            for name in GAUGES:
                 if not c.require(name in sample_gauges, f"{at}: gauge '{name}' missing"):
                     continue
                 value = sample_gauges[name]
@@ -166,15 +164,15 @@ def check_timeseries(c, series, phases, gauges, where, optional):
                 c.require(value is None or c.is_number(value),
                           f"{at}: gauge '{name}' is neither number nor null")
             for name in sample_gauges:
-                c.require(name in gauges, f"{at}: unknown gauge '{name}'")
+                c.require(name in GAUGES, f"{at}: unknown gauge '{name}'")
         calls = sample.get("phase_calls")
         if c.require(isinstance(calls, dict), f"{at}: phase_calls not an object"):
-            for name in phases:
+            for name in PHASES:
                 c.require(c.is_count(calls.get(name)),
                           f"{at}: phase_calls.{name} not a count")
 
 
-def check_parallel(c, parallel, where, run_jobs, v7):
+def check_parallel(c, parallel, where, run_jobs):
     if parallel is None:  # optional: serial systems omit the block
         return
     if not c.require(isinstance(parallel, dict) and parallel,
@@ -188,8 +186,7 @@ def check_parallel(c, parallel, where, run_jobs, v7):
         for key in ("busy_ms", "span_ms", "efficiency"):
             c.require(c.is_number(stats.get(key)), f"{at}: {key} not a number")
         for key in stats:
-            c.require(key in known and (key != "workers" or v7),
-                      f"{at}: unknown key '{key}'")
+            c.require(key in known, f"{at}: unknown key '{key}'")
         # efficiency is busy/(span × run_jobs) — a utilization over a
         # non-empty section, so it must land in (0, 1].
         eff = stats.get("efficiency")
@@ -201,7 +198,7 @@ def check_parallel(c, parallel, where, run_jobs, v7):
             c.require(busy <= span * run_jobs * (1.0 + 1e-6),
                       f"{at}: busy_ms {busy!r} exceeds span_ms × run_jobs")
         workers = stats.get("workers")
-        if v7 and workers is not None:
+        if workers is not None:
             if c.require(isinstance(workers, list), f"{at}: workers not an array"):
                 c.require(len(workers) == run_jobs,
                           f"{at}: workers has {len(workers)} entries, "
@@ -217,15 +214,15 @@ def check_parallel(c, parallel, where, run_jobs, v7):
                     c.fail(f"{at}: workers entries not all numbers")
 
 
-def check_distributions(c, distributions, where, optional):
-    if distributions is None and optional:
+def check_distributions(c, distributions, where):
+    if distributions is None:  # omitted when no channel recorded a value
         return
     if not c.require(isinstance(distributions, dict) and distributions,
                      f"{where}: distributions is not a non-empty object"):
         return
     for name, channel in distributions.items():
         at = f"{where}: distributions['{name}']"
-        if not c.require(name in CHANNELS_V7, f"{at}: unknown channel"):
+        if not c.require(name in CHANNELS, f"{at}: unknown channel"):
             continue
         if not c.require(isinstance(channel, dict), f"{at} is not an object"):
             continue
@@ -259,37 +256,20 @@ def check_distributions(c, distributions, where, optional):
                   f"want count={channel.get('count')!r}")
 
 
-def check_telemetry(c, telemetry, phases, where, optional, v5, v6, v7):
+def check_telemetry(c, telemetry, where):
     if not c.require(isinstance(telemetry, dict), f"{where}: telemetry is not an object"):
         return
-    for key in ("wall_ms",):
+    for key in ("wall_ms", "cycles_per_second"):
         c.require(c.is_number(telemetry.get(key)), f"{where}: telemetry.{key} not a number")
-    for key in ("peak_rss_kb", "cycles", "messages"):
+    for key in ("peak_rss_kb", "peak_rss_bytes", "cycles", "messages"):
         c.require(c.is_count(telemetry.get(key)), f"{where}: telemetry.{key} not a count")
-    if v5:  # capacity gauges exist only in v5
-        c.require(c.is_count(telemetry.get("peak_rss_bytes")),
-                  f"{where}: telemetry.peak_rss_bytes not a count")
-        c.require(c.is_number(telemetry.get("cycles_per_second")),
-                  f"{where}: telemetry.cycles_per_second not a number")
-    else:
-        for key in ("peak_rss_bytes", "cycles_per_second"):
-            c.require(key not in telemetry,
-                      f"{where}: telemetry has v5 '{key}' in a v{3 if not optional else 4} artifact")
-    if v6:  # parallelism telemetry exists only in v6
-        c.require(c.is_count(telemetry.get("run_jobs")) and
-                  telemetry.get("run_jobs", 0) >= 1,
-                  f"{where}: telemetry.run_jobs not a positive count")
-        check_parallel(c, telemetry.get("parallel"), f"{where}: telemetry",
-                       telemetry.get("run_jobs"), v7)
-    else:
-        for key in ("run_jobs", "parallel"):
-            c.require(key not in telemetry,
-                      f"{where}: telemetry has v6 '{key}' in a pre-v6 artifact")
-    check_phases(c, telemetry.get("phases"), phases, f"{where}: telemetry", optional)
-    if optional:  # counters exist only in v4+
-        check_counters(c, telemetry.get("counters"), f"{where}: telemetry", optional)
-    else:
-        c.require("counters" not in telemetry, f"{where}: telemetry has v4 counters in a v3 artifact")
+    c.require(c.is_count(telemetry.get("run_jobs")) and
+              telemetry.get("run_jobs", 0) >= 1,
+              f"{where}: telemetry.run_jobs not a positive count")
+    check_parallel(c, telemetry.get("parallel"), f"{where}: telemetry",
+                   telemetry.get("run_jobs"))
+    check_phases(c, telemetry.get("phases"), f"{where}: telemetry")
+    check_counters(c, telemetry.get("counters"), f"{where}: telemetry")
 
 
 def check_artifact(path):
@@ -304,15 +284,8 @@ def check_artifact(path):
     if not c.require(isinstance(doc, dict), "top level is not an object"):
         return c.problems
     version = doc.get("schema_version")
-    if not c.require(version in (3, 4, 5, 6, 7),
-                     f"schema_version is {version!r}, want 3..7"):
+    if not c.require(version == 7, f"schema_version is {version!r}, want 7"):
         return c.problems
-    v4 = version >= 4  # v5..v7 keep the v4 phases/gauges/counters/omissions
-    v5 = version >= 5
-    v6 = version >= 6
-    v7 = version >= 7
-    phases = PHASES_V4 if v4 else PHASES_V3
-    gauges = (GAUGES_V7 if v7 else GAUGES_V4) if v4 else GAUGES_V3
     c.require(isinstance(doc.get("bench"), str) and doc["bench"],
               "bench name missing")
     if c.require(isinstance(doc.get("git_describe"), str), "git_describe missing"):
@@ -328,9 +301,8 @@ def check_artifact(path):
         c.require(isinstance(scale.get("name"), str), "scale.name missing")
         for key in ("nodes", "topics", "cycles", "events"):
             c.require(c.is_count(scale.get(key)), f"scale.{key} not a count")
-        if v6:
-            c.require("run_jobs" not in scale,
-                      "scale mentions run_jobs (stdout-affecting; telemetry-only)")
+        c.require("run_jobs" not in scale,
+                  "scale mentions run_jobs (stdout-affecting; telemetry-only)")
 
     points = doc.get("points")
     if not c.require(isinstance(points, list) and points, "points missing or empty"):
@@ -344,29 +316,20 @@ def check_artifact(path):
             for key, value in params.items():
                 c.require(isinstance(value, str) or c.is_number(value),
                           f"{where}: param '{key}' is not a scalar")
-            if v6:
-                c.require("run_jobs" not in params,
-                          f"{where}: params mention run_jobs "
-                          "(stdout-affecting; telemetry-only)")
+            c.require("run_jobs" not in params,
+                      f"{where}: params mention run_jobs "
+                      "(stdout-affecting; telemetry-only)")
         metrics = point.get("metrics")
         if c.require(isinstance(metrics, dict), f"{where}: metrics not an object"):
             for key, value in metrics.items():
                 c.require(value is None or c.is_number(value),
                           f"{where}: metric '{key}' is not a number")
-            if v6:
-                c.require("run_jobs" not in metrics,
-                          f"{where}: metrics mention run_jobs "
-                          "(stdout-affecting; telemetry-only)")
-        check_telemetry(c, point.get("telemetry"), phases, where, optional=v4,
-                        v5=v5, v6=v6, v7=v7)
-        if v7:  # distributions omitted when no channel recorded a value
-            check_distributions(c, point.get("distributions"), where,
-                                optional=True)
-        else:
-            c.require("distributions" not in point,
-                      f"{where}: has v7 distributions in a pre-v7 artifact")
-        check_timeseries(c, point.get("timeseries"), phases, gauges, where,
-                         optional=v4)
+            c.require("run_jobs" not in metrics,
+                      f"{where}: metrics mention run_jobs "
+                      "(stdout-affecting; telemetry-only)")
+        check_telemetry(c, point.get("telemetry"), where)
+        check_distributions(c, point.get("distributions"), where)
+        check_timeseries(c, point.get("timeseries"), where)
 
     totals = doc.get("totals")
     if c.require(isinstance(totals, dict), "totals is not an object"):
@@ -375,14 +338,13 @@ def check_artifact(path):
         for key in ("peak_rss_kb", "cycles", "messages", "traces"):
             c.require(c.is_count(totals.get(key)), f"totals.{key} not a count")
         c.require(c.is_number(totals.get("wall_ms")), "totals.wall_ms not a number")
-        if v5:
-            c.require(c.is_count(totals.get("peak_rss_bytes")),
-                      "totals.peak_rss_bytes not a count")
-            c.require(c.is_number(totals.get("cycles_per_second")),
-                      "totals.cycles_per_second not a number")
-        if v6 and c.is_number(totals.get("cycles_per_second")):
-            # v6 redefined the total as the max over points (thread-scaling
-            # sweeps make a paced mean meaningless) — hold the writer to it.
+        c.require(c.is_count(totals.get("peak_rss_bytes")),
+                  "totals.peak_rss_bytes not a count")
+        c.require(c.is_number(totals.get("cycles_per_second")),
+                  "totals.cycles_per_second not a number")
+        if c.is_number(totals.get("cycles_per_second")):
+            # The total is the max over points (thread-scaling sweeps make
+            # a paced mean meaningless) — hold the writer to it.
             rates = [p.get("telemetry", {}).get("cycles_per_second")
                      for p in points if isinstance(p, dict)
                      and isinstance(p.get("telemetry"), dict)]
@@ -393,19 +355,12 @@ def check_artifact(path):
                 c.require(abs(got - expected) <= 1e-9 * max(1.0, abs(expected)),
                           f"totals.cycles_per_second {got!r} != max over "
                           f"points {expected!r}")
-        if v6:
-            for key in ("run_jobs", "parallel"):
-                c.require(key not in totals,
-                          f"totals mention {key} (stdout-affecting; telemetry-only)")
-        if v7:
-            check_distributions(c, totals.get("distributions"), "totals",
-                                optional=True)
-        else:
-            c.require("distributions" not in totals,
-                      "totals has v7 distributions in a pre-v7 artifact")
-        check_phases(c, totals.get("phases"), phases, "totals", optional=v4)
-        if v4:
-            check_counters(c, totals.get("counters"), "totals", optional=True)
+        for key in ("run_jobs", "parallel"):
+            c.require(key not in totals,
+                      f"totals mention {key} (stdout-affecting; telemetry-only)")
+        check_distributions(c, totals.get("distributions"), "totals")
+        check_phases(c, totals.get("phases"), "totals")
+        check_counters(c, totals.get("counters"), "totals")
     return c.problems
 
 
