@@ -1,6 +1,7 @@
 #include "core/vitis_system.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "ids/hash.hpp"
 #include "overlay/small_world.hpp"
@@ -100,8 +101,9 @@ VitisSystem::VitisSystem(VitisConfig config,
   engine_.add_cycle_hook("vitis-maintenance",
                          [this](std::size_t) { cycle_maintenance(); });
   // Each worker applies the installs to the relay tables it owns: a table
-  // receives the records that name it in global order, as a serial drain
-  // would apply them.
+  // receives the records that name it in lane order. A topic's records all
+  // sit in one lane in gateway order, and per-topic order is all a relay
+  // table depends on, so any worker count yields the serial result.
   engine_.add_sharded_stage(
       "relay-refresh", kSaltRelay,
       [this](ids::NodeIndex node, std::size_t, sim::Rng&,
@@ -129,6 +131,7 @@ VitisSystem::VitisSystem(VitisConfig config,
   tman_->set_workers(workers);
   relay_outbox_.configure(workers);
   lookup_ctx_.resize(workers);
+  for (LookupCtx& ctx : lookup_ctx_) ctx.marks.assign(n, RouteMark{});
 
   undirected_.resize(n);
   topic_stamp_.assign(subscriptions_.topic_count(), 0);
@@ -278,13 +281,60 @@ void VitisSystem::cycle_maintenance() {
     // Attributed per cycle, not per node: one election sweep is one phase
     // activation (profiling found it to be the largest unattributed slice
     // of figure-bench wall — see DESIGN.md "Hot path & determinism").
-    // The sweep runs in ascending node order, so relay_requests_ comes out
-    // sorted by (gateway, topic) without a sort.
     const support::ScopedPhase phase(&profiler_, support::Phase::kElection);
     for (const ids::NodeIndex node : engine_.active_nodes()) {
       run_election(node);
     }
+    group_relay_requests();
   }
+}
+
+void VitisSystem::group_relay_requests() {
+  // Counting sort by topic. The sweep ran in ascending node order, so the
+  // stable placement keeps each topic's gateways ascending — the order in
+  // which a serial pass emits the topic's installs, which is all its relay
+  // tables depend on.
+  const std::size_t topics = subscriptions_.topic_count();
+  relay_topic_begin_.assign(topics + 1, 0);
+  for (const RelayRequest& request : relay_requests_) {
+    ++relay_topic_begin_[request.topic];
+  }
+  // After the prefix sum relay_topic_begin_[t] is the end of topic t's
+  // range (and [topics] the total); filling each range from its end, in
+  // reverse sweep order, leaves it at the range's start.
+  std::partial_sum(relay_topic_begin_.begin(), relay_topic_begin_.end(),
+                   relay_topic_begin_.begin());
+  relay_gateways_.resize(relay_requests_.size());
+  for (auto it = relay_requests_.rbegin(); it != relay_requests_.rend();
+       ++it) {
+    relay_gateways_[--relay_topic_begin_[it->topic]] = it->gateway;
+  }
+
+  // One worker walks all of a topic's routes. Handing the topic to the
+  // gateway closest to hash(t) spreads topics evenly over worker slices;
+  // gateways are alive, so the relay-refresh stage activates each of them.
+  relay_walks_.clear();
+  for (std::size_t t = 0; t < topics; ++t) {
+    const std::uint32_t begin = relay_topic_begin_[t];
+    const std::uint32_t end = relay_topic_begin_[t + 1];
+    if (begin == end) continue;
+    const auto topic = static_cast<ids::TopicIndex>(t);
+    const ids::RingId key = ids::topic_ring_id(topic);
+    ids::NodeIndex walker = relay_gateways_[begin];
+    for (std::uint32_t i = begin + 1; i < end; ++i) {
+      const ids::NodeIndex gateway = relay_gateways_[i];
+      if (ids::closer_to(key, arena_.ring_id(gateway),
+                         arena_.ring_id(walker))) {
+        walker = gateway;
+      }
+    }
+    relay_walks_.push_back(RelayRequest{walker, topic});
+  }
+  std::sort(relay_walks_.begin(), relay_walks_.end(),
+            [](const RelayRequest& x, const RelayRequest& y) {
+              return x.gateway != y.gateway ? x.gateway < y.gateway
+                                            : x.topic < y.topic;
+            });
 }
 
 void VitisSystem::refresh_heartbeats(ids::NodeIndex node, std::size_t worker) {
@@ -445,48 +495,80 @@ void VitisSystem::apply_gateway_silence(ids::NodeIndex node, std::size_t pos,
 }
 
 void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
-  // This node's slice of the (gateway, topic)-sorted request list.
-  auto it = std::lower_bound(
-      relay_requests_.begin(), relay_requests_.end(), node,
+  // The topics this node walks (see group_relay_requests).
+  auto walk = std::lower_bound(
+      relay_walks_.begin(), relay_walks_.end(), node,
       [](const RelayRequest& r, ids::NodeIndex n) { return r.gateway < n; });
-  for (; it != relay_requests_.end() && it->gateway == node; ++it) {
-    const ids::TopicIndex topic = it->topic;
-    const support::ScopedPhase phase(&profiler_, support::Phase::kRelay,
-                                     worker);
-    LookupCtx& ctx = lookup_ctx_[worker];
-    {
-      const support::ScopedPhase route(&profiler_, support::Phase::kRouting,
-                                       worker);
-      const overlay::NeighborFn neighbors =
-          [this, &ctx](
-              ids::NodeIndex n) -> std::span<const overlay::RoutingEntry> {
-        ctx.scratch.clear();
-        for (const auto& entry : arena_.rt(n).entries()) {
-          if (engine_.is_alive(entry.node)) ctx.scratch.push_back(entry);
-        }
-        return ctx.scratch;
-      };
-      overlay::greedy_lookup_into(
-          neighbors, [this](ids::NodeIndex n) { return arena_.ring_id(n); },
-          node, ids::topic_ring_id(topic), config_.lookup_hop_budget,
-          ctx.result);
+  if (walk == relay_walks_.end() || walk->gateway != node) return;
+
+  LookupCtx& ctx = lookup_ctx_[worker];
+  const overlay::NeighborFn neighbors =
+      [this, &ctx](ids::NodeIndex n) -> std::span<const overlay::RoutingEntry> {
+    ctx.scratch.clear();
+    for (const auto& entry : arena_.rt(n).entries()) {
+      if (engine_.is_alive(entry.node)) ctx.scratch.push_back(entry);
     }
-    const overlay::LookupResult& result = ctx.result;
-    if (!result.converged || result.path.size() < 2) continue;
-    histograms_.record(support::Channel::kRelayPathLength,
-                       result.path.size() - 1, worker);
-    const std::uint64_t nonce_base =
-        ids::mix64((static_cast<std::uint64_t>(node) << 32) ^ topic);
-    for (std::size_t i = 0; i + 1 < result.path.size(); ++i) {
-      // Setup messages travel hop by hop; a lost hop (after retransmits)
-      // truncates the path there — links before it are still emitted and
-      // will be refreshed or expire through the relay TTL.
-      if (!relay_hop_delivered(result.path[i], result.path[i + 1], nonce_base,
-                               static_cast<std::uint32_t>(i))) {
-        break;
+    return ctx.scratch;
+  };
+  const std::function<ids::RingId(ids::NodeIndex)> ring_id_of =
+      [this](ids::NodeIndex n) { return arena_.ring_id(n); };
+  // Relay-hop admission under a fault plan draws and counts per hop, so a
+  // skipped suffix would change the fault counters: walk in full then.
+  overlay::RemainderFn known_remainder;
+  if (!fault_.active()) {
+    known_remainder = [&ctx](ids::NodeIndex n) -> std::optional<std::size_t> {
+      const RouteMark mark = ctx.marks[n];
+      if (mark.epoch != ctx.epoch) return std::nullopt;
+      return mark.remaining;
+    };
+  }
+
+  for (; walk != relay_walks_.end() && walk->gateway == node; ++walk) {
+    const ids::TopicIndex topic = walk->topic;
+    const ids::RingId target = ids::topic_ring_id(topic);
+    if (++ctx.epoch == 0) {
+      std::fill(ctx.marks.begin(), ctx.marks.end(), RouteMark{});
+      ctx.epoch = 1;
+    }
+    for (std::uint32_t g = relay_topic_begin_[topic];
+         g < relay_topic_begin_[topic + 1]; ++g) {
+      const ids::NodeIndex gateway = relay_gateways_[g];
+      const support::ScopedPhase phase(&profiler_, support::Phase::kRelay,
+                                       worker);
+      {
+        const support::ScopedPhase route(&profiler_, support::Phase::kRouting,
+                                         worker);
+        overlay::greedy_lookup_into(
+            neighbors, ring_id_of, gateway, target, config_.lookup_hop_budget,
+            ctx.result, known_remainder);
       }
-      relay_outbox_.lane(worker).push_back(
-          RelayInstall{topic, result.path[i], result.path[i + 1]});
+      const overlay::LookupResult& result = ctx.result;
+      if (!result.converged || result.hops() == 0) continue;
+      histograms_.record(support::Channel::kRelayPathLength, result.hops(),
+                         worker);
+      const std::vector<ids::NodeIndex>& path = result.path;
+      const std::uint64_t nonce_base =
+          ids::mix64((static_cast<std::uint64_t>(gateway) << 32) ^ topic);
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        // Setup messages travel hop by hop; a lost hop (after retransmits)
+        // truncates the path there — links before it are still emitted and
+        // will be refreshed or expire through the relay TTL.
+        if (!relay_hop_delivered(path[i], path[i + 1], nonce_base,
+                                 static_cast<std::uint32_t>(i))) {
+          break;
+        }
+        relay_outbox_.lane(worker).push_back(
+            RelayInstall{topic, path[i], path[i + 1]});
+      }
+      if (known_remainder == nullptr) continue;
+      // Without a fault plan every install of the route was emitted (the
+      // walked ones above, the remainder by the earlier route), so later
+      // walks may end on its nodes.
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        ctx.marks[path[i]] = RouteMark{
+            ctx.epoch,
+            static_cast<std::uint32_t>(result.hops() - i)};
+      }
     }
   }
 }

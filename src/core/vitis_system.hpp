@@ -250,6 +250,11 @@ class VitisSystem final : public pubsub::PubSubSystem {
   // relay-refresh stage instead of serving them inline.
   void cycle_maintenance();
 
+  // Counting-sort the sweep's relay requests by topic (gateways ascending
+  // within a topic) and hand each topic to the gateway whose ring id is
+  // closest to hash(t), which walks all of the topic's routes.
+  void group_relay_requests();
+
   void rebuild_undirected();
   void check_invariants() const;
 
@@ -257,11 +262,13 @@ class VitisSystem final : public pubsub::PubSubSystem {
   // links. Node-local by construction (runs in parallel).
   void refresh_heartbeats(ids::NodeIndex node, std::size_t worker);
 
-  // Stage body: serve `node`'s relay requests collected by this cycle's
-  // election sweep — greedy lookups over frozen routing state plus
-  // counter-based fault admission — emitting link installs into the
+  // Stage body: walk the relay routes of every topic handed to `node` —
+  // greedy lookups over frozen routing state plus counter-based fault
+  // admission, gateways ascending — emitting link installs into the
   // worker's outbox lane; the stage's sharded merge applies them, each
-  // worker to the relay tables of the nodes it owns.
+  // worker to the relay tables of the nodes it owns. Without a fault plan
+  // a walk ends where it meets an earlier route of the same topic (see
+  // DESIGN.md "Hot path & determinism").
   void refresh_relays(ids::NodeIndex node, std::size_t worker);
 
   // Re-intern a node's (possibly changed) subscription set; when the
@@ -346,9 +353,12 @@ class VitisSystem final : public pubsub::PubSubSystem {
   mutable support::HistogramSet histograms_;
 
   // Relay refresh: the election sweep appends the elected self-gateways'
-  // requests — ascending (gateway, topic) by construction — and the
-  // relay-refresh stage binary-searches its node's slice, emitting link
-  // installs through per-worker lanes.
+  // requests, ascending (gateway, topic) by construction.
+  // group_relay_requests() lays each topic's gateways out contiguously
+  // (ascending) and lists every topic under the gateway that walks it;
+  // the relay-refresh stage binary-searches its node's walks, emitting
+  // link installs through per-worker lanes. A topic's installs therefore
+  // come from one worker, in the order a serial pass would emit them.
   struct RelayRequest {
     ids::NodeIndex gateway;
     ids::TopicIndex topic;
@@ -359,14 +369,29 @@ class VitisSystem final : public pubsub::PubSubSystem {
     ids::NodeIndex b;
   };
   std::vector<RelayRequest> relay_requests_;
+  // Topic t's gateways are relay_gateways_[relay_topic_begin_[t],
+  // relay_topic_begin_[t + 1]).
+  std::vector<ids::NodeIndex> relay_gateways_;
+  std::vector<std::uint32_t> relay_topic_begin_;
+  // (walking gateway, topic), ascending.
+  std::vector<RelayRequest> relay_walks_;
   sim::Outbox<RelayInstall> relay_outbox_;
 
-  // Per-worker greedy-lookup buffers for the relay-refresh stage (the
-  // shared lookup_scratch_/lookup_result_ pair below serves serial
-  // callers only).
+  // Per-worker buffers for the relay-refresh stage (the shared
+  // lookup_scratch_/lookup_result_ pair below serves serial callers only).
+  // `marks` records, per node, the remaining route length of an earlier
+  // fully installed route of the topic being walked; a mark is valid while
+  // its epoch equals `epoch`, which advances once per topic. Scratch, not
+  // protocol state: memory_footprint() leaves it out.
+  struct RouteMark {
+    std::uint32_t epoch = 0;
+    std::uint32_t remaining = 0;
+  };
   struct LookupCtx {
     std::vector<overlay::RoutingEntry> scratch;
     overlay::LookupResult result;
+    std::vector<RouteMark> marks;
+    std::uint32_t epoch = 0;
   };
   mutable std::vector<LookupCtx> lookup_ctx_;
 

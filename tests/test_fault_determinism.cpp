@@ -8,6 +8,11 @@
 //     only consulted when their probability is positive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ids/hash.hpp"
 #include "workload/scenario.hpp"
 
@@ -19,6 +24,20 @@ workload::SyntheticScenario small_scenario(std::uint64_t seed) {
   params.subscriptions.nodes = 160;
   params.subscriptions.topics = 80;
   params.subscriptions.subs_per_node = 12;
+  params.subscriptions.pattern = workload::CorrelationPattern::kRandom;
+  params.events = 40;
+  params.seed = seed;
+  return workload::make_synthetic_scenario(params);
+}
+
+/// Sparse topics (about 15 subscribers each), so a topic's subscribers
+/// form several clusters and the relay refresh walks several gateways'
+/// routes per topic.
+workload::SyntheticScenario many_gateway_scenario(std::uint64_t seed) {
+  workload::SyntheticScenarioParams params;
+  params.subscriptions.nodes = 400;
+  params.subscriptions.topics = 800;
+  params.subscriptions.subs_per_node = 30;
   params.subscriptions.pattern = workload::CorrelationPattern::kRandom;
   params.events = 40;
   params.seed = seed;
@@ -125,30 +144,122 @@ TEST(FaultDeterminism, ZeroPlanIsInert) {
   EXPECT_EQ(zeroed->fault_plan().stats().attempts, 0u);
 }
 
+/// Vitis relay state: every relay table (topic, peer, age, in link order)
+/// and the relay_path_length buckets.
+std::uint64_t relay_digest(const core::VitisSystem& system) {
+  std::uint64_t h = 0x72656c6179ULL;
+  const std::size_t topics = system.subscriptions().topic_count();
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    const auto& relay = system.relay_table(static_cast<ids::NodeIndex>(i));
+    for (std::size_t t = 0; t < topics; ++t) {
+      for (const auto& link : relay.links(static_cast<ids::TopicIndex>(t))) {
+        mix(h, i);
+        mix(h, t);
+        mix(h, link.peer);
+        mix(h, link.age);
+      }
+    }
+  }
+  const support::Histogram lengths =
+      system.distributions()->merged(support::Channel::kRelayPathLength);
+  EXPECT_GT(lengths.count(), 0u);
+  for (std::size_t b = 0; b < support::Histogram::kBucketCount; ++b) {
+    mix(h, lengths.bucket_count(b));
+  }
+  return h;
+}
+
+/// Runs one more cycle and checks its relay refresh against a serial
+/// replay: age every alive node's relay table, then walk each topic's
+/// gateways in ascending order in full over the same frozen routing state
+/// and install every hop of every converged route. The tables must come
+/// out identical, link order included. Returns the number of routes
+/// replayed.
+std::size_t expect_serial_relay_refresh(core::VitisSystem& system) {
+  const std::size_t nodes = system.node_count();
+  const std::size_t topics = system.subscriptions().topic_count();
+  std::vector<core::RelayTable> expected;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    expected.push_back(system.relay_table(static_cast<ids::NodeIndex>(i)));
+  }
+  system.run_cycles(1);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    if (system.is_alive(static_cast<ids::NodeIndex>(i))) {
+      expected[i].age_and_expire(system.config().relay_ttl);
+    }
+  }
+  std::size_t routes = 0;
+  for (std::size_t t = 0; t < topics; ++t) {
+    const auto topic = static_cast<ids::TopicIndex>(t);
+    std::vector<ids::NodeIndex> gateways = system.gateways_of(topic);
+    std::sort(gateways.begin(), gateways.end());
+    routes += gateways.size();
+    for (const ids::NodeIndex gateway : gateways) {
+      const auto route = system.lookup(gateway, ids::topic_ring_id(topic));
+      if (!route.converged) continue;
+      for (std::size_t i = 0; i + 1 < route.path.size(); ++i) {
+        expected[route.path[i]].add_link(topic, route.path[i + 1]);
+        expected[route.path[i + 1]].add_link(topic, route.path[i]);
+      }
+    }
+  }
+  const auto links_of = [](const core::RelayTable& table,
+                           ids::TopicIndex topic) {
+    std::vector<std::pair<ids::NodeIndex, std::uint32_t>> links;
+    for (const auto& link : table.links(topic)) {
+      links.emplace_back(link.peer, link.age);
+    }
+    return links;
+  };
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const auto& actual = system.relay_table(static_cast<ids::NodeIndex>(i));
+    for (std::size_t t = 0; t < topics; ++t) {
+      const auto topic = static_cast<ids::TopicIndex>(t);
+      EXPECT_EQ(links_of(expected[i], topic), links_of(actual, topic))
+          << "node " << i << " topic " << t;
+    }
+  }
+  return routes;
+}
+
 TEST(FaultDeterminism, DormantActivePlanNeverPerturbs) {
   // A plan that is *active* (it has a partition window) but whose window
   // lies far in the future and whose drop/delay are zero makes admission
   // checks on every path — yet draws nothing from any stream. The run must
   // stay byte-identical to a fault-free one: this is the stream-isolation
-  // guarantee, not just the inactivity shortcut.
-  const auto scenario = small_scenario(911);
+  // guarantee, not just the inactivity shortcut. An active plan also makes
+  // the relay refresh walk every route in full, while the plain run ends
+  // each walk where it meets an earlier route of the same topic: relay
+  // tables and path lengths must match too, at any run_jobs, and the last
+  // cycle must equal a serial full-walk replay in ascending gateway order.
+  const auto scenario = many_gateway_scenario(911);
+  const std::size_t topics = scenario.subscriptions.topic_count();
   sim::FaultConfig dormant;
   dormant.partitions.push_back(
       sim::PartitionWindow{1'000'000, 1'000'001, 0x51ULL});
-  auto plain = workload::make_vitis(scenario, core::VitisConfig{}, 911);
-  auto armed = workload::make_vitis(scenario, core::VitisConfig{}, 911);
-  armed->set_fault_plan(dormant);
-  EXPECT_TRUE(armed->fault_plan().active());
-  plain->run_cycles(30);
-  armed->run_cycles(30);
-  publish_alive(*plain, scenario.schedule);
-  publish_alive(*armed, scenario.schedule);
-  EXPECT_EQ(digest(*plain), digest(*armed));
-  const auto& stats = armed->fault_plan().stats();
-  EXPECT_GT(stats.attempts, 0u);  // the layer really was consulted
-  EXPECT_EQ(stats.drops, 0u);
-  EXPECT_EQ(stats.partition_drops, 0u);
-  EXPECT_EQ(stats.delays, 0u);
+  for (const std::size_t run_jobs : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("run_jobs " + std::to_string(run_jobs));
+    core::VitisConfig config;
+    config.run_jobs = run_jobs;
+    auto plain = workload::make_vitis(scenario, config, 911);
+    auto armed = workload::make_vitis(scenario, config, 911);
+    armed->set_fault_plan(dormant);
+    EXPECT_TRUE(armed->fault_plan().active());
+    plain->run_cycles(29);
+    armed->run_cycles(29);
+    // Several gateways per topic, so many walks end on an earlier route.
+    EXPECT_GE(expect_serial_relay_refresh(*plain), 3 * topics);
+    EXPECT_GE(expect_serial_relay_refresh(*armed), 3 * topics);
+    EXPECT_EQ(relay_digest(*plain), relay_digest(*armed));
+    publish_alive(*plain, scenario.schedule);
+    publish_alive(*armed, scenario.schedule);
+    EXPECT_EQ(digest(*plain), digest(*armed));
+    const auto& stats = armed->fault_plan().stats();
+    EXPECT_GT(stats.attempts, 0u);  // the layer really was consulted
+    EXPECT_EQ(stats.drops, 0u);
+    EXPECT_EQ(stats.partition_drops, 0u);
+    EXPECT_EQ(stats.delays, 0u);
+  }
 }
 
 TEST(FaultDeterminism, ExplicitFaultSeedDecouplesFromSystemSeed) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "ids/hash.hpp"
@@ -142,6 +143,90 @@ TEST(GreedyLookup, ChordsShortenPaths) {
                       .hops();
   }
   EXPECT_LT(chord_hops * 3, ring_hops);  // chords cut hops dramatically
+}
+
+TEST(GreedyLookup, KnownRemainderMatchesFullWalk) {
+  // Every origin walks toward one target, in ascending order, each walk
+  // ending where it meets an earlier converged walk. The budget is tight
+  // enough (ring-only overlay) that some routes do not converge.
+  for (const std::size_t chords : {std::size_t{0}, std::size_t{3}}) {
+    StaticOverlay overlay(300, chords, 41);
+    const ids::RingId target = ids::topic_ring_id(9);
+    const std::size_t budget = chords == 0 ? 60 : 256;
+    std::vector<std::optional<std::size_t>> remaining(300);
+    const RemainderFn known = [&](ids::NodeIndex n) { return remaining[n]; };
+    LookupResult early;
+    std::size_t early_exits = 0;
+    std::size_t unconverged = 0;
+    for (ids::NodeIndex origin = 0; origin < 300; ++origin) {
+      const LookupResult full = greedy_lookup(
+          overlay.neighbor_fn(), overlay.id_fn(), origin, target, budget);
+      greedy_lookup_into(overlay.neighbor_fn(), overlay.id_fn(), origin,
+                         target, budget, early, known);
+      ASSERT_LE(early.path.size(), full.path.size()) << "origin " << origin;
+      EXPECT_TRUE(std::equal(early.path.begin(), early.path.end(),
+                             full.path.begin()))
+          << "origin " << origin;
+      EXPECT_EQ(early.converged, full.converged) << "origin " << origin;
+      if (early.owner == ids::kInvalidNode) ++early_exits;
+      if (!full.converged) {
+        ++unconverged;
+        continue;
+      }
+      EXPECT_EQ(early.hops(), full.hops()) << "origin " << origin;
+      // Mark the route's nodes with their remaining length, as the relay
+      // refresh does for a fully installed route.
+      for (std::size_t i = 0; i < early.path.size(); ++i) {
+        remaining[early.path[i]] = early.hops() - i;
+      }
+    }
+    EXPECT_GT(early_exits, 100u) << "chords " << chords;
+    if (chords == 0) {
+      EXPECT_GT(unconverged, 0u);
+    }
+  }
+}
+
+TEST(GreedyLookup, BudgetCoversWalkedHopsPlusRemainder) {
+  // An L-hop route converges with budget L+1 but not with budget L, whether
+  // the walk covers it in full or ends on a node whose remainder is known.
+  StaticOverlay overlay(400, 0, 43);
+  const ids::RingId target = ids::topic_ring_id(5);
+  const LookupResult route =
+      greedy_lookup(overlay.neighbor_fn(), overlay.id_fn(), 0, target, 1000);
+  ASSERT_TRUE(route.converged);
+  const std::size_t hops = route.hops();
+  ASSERT_GE(hops, 4u);
+  std::vector<std::optional<std::size_t>> remaining(400);
+  remaining[route.path[2]] = hops - 2;
+  const RemainderFn known = [&](ids::NodeIndex n) { return remaining[n]; };
+  for (const bool with_callback : {false, true}) {
+    LookupResult result;
+    greedy_lookup_into(overlay.neighbor_fn(), overlay.id_fn(), 0, target,
+                       hops + 1, result, with_callback ? known : nullptr);
+    EXPECT_TRUE(result.converged) << "callback " << with_callback;
+    EXPECT_EQ(result.hops(), hops) << "callback " << with_callback;
+    EXPECT_EQ(result.path.size(), with_callback ? 3u : hops + 1);
+    greedy_lookup_into(overlay.neighbor_fn(), overlay.id_fn(), 0, target,
+                       hops, result, with_callback ? known : nullptr);
+    EXPECT_FALSE(result.converged) << "callback " << with_callback;
+  }
+}
+
+TEST(GreedyLookup, KnownRemainderAtOriginEndsImmediately) {
+  StaticOverlay overlay(100, 2, 47);
+  const RemainderFn known = [](ids::NodeIndex n) -> std::optional<std::size_t> {
+    if (n == 7) return 5;
+    return std::nullopt;
+  };
+  LookupResult result;
+  greedy_lookup_into(overlay.neighbor_fn(), overlay.id_fn(), 7,
+                     ids::topic_ring_id(3), 256, result, known);
+  EXPECT_EQ(result.path, std::vector<ids::NodeIndex>{7});
+  EXPECT_EQ(result.remainder, 5u);
+  EXPECT_EQ(result.hops(), 5u);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.owner, ids::kInvalidNode);
 }
 
 TEST(GreedyLookup, IsolatedNodeOwnsEverything) {

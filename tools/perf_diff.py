@@ -29,8 +29,13 @@ Two comparison planes, matching the schema's determinism contract
   entirely under --deterministic-only (the CI mode: shared runners make
   wall time too noisy to gate on).
 
-git_describe, jobs, run_jobs, RSS and every per-phase/per-stage wall
-measurement are ignored — they legitimately vary between runs.
+Wall mode also names the layer that moved: per bench it prints the
+per-phase wall_ms deltas (telemetry.phases, summed over points) and the
+per-stage span_ms deltas (telemetry.parallel), ranked by absolute size.
+That table is informational and never fails the gate.
+
+git_describe, jobs, run_jobs and RSS are ignored — they legitimately
+vary between runs.
 
 Exit status: 0 clean, 1 on deterministic drift (or wall regression with
 --fail-on-wall), 2 on usage/IO errors.
@@ -184,6 +189,44 @@ def diff_wall(bench, base, cand, tolerance, fail_on_wall):
                    f"tolerance {100.0 * tolerance:.0f}%)")
 
 
+def summed_over_points(doc, block, field):
+    """name -> telemetry[block][name][field] summed over the points."""
+    sums = {}
+    for point in doc.get("points") or []:
+        entries = (point.get("telemetry") or {}).get(block) or {}
+        for name, stats in entries.items():
+            value = stats.get(field) if isinstance(stats, dict) else None
+            if isinstance(value, (int, float)):
+                sums[name] = sums.get(name, 0.0) + value
+    return sums
+
+
+def layer_deltas(base, cand):
+    """(label, baseline ms, candidate ms) per phase wall and stage span,
+    largest absolute delta first."""
+    rows = []
+    for kind, block, field in (("phase", "phases", "wall_ms"),
+                               ("stage", "parallel", "span_ms")):
+        base_ms = summed_over_points(base, block, field)
+        cand_ms = summed_over_points(cand, block, field)
+        for name in sorted(set(base_ms) | set(cand_ms)):
+            rows.append((f"{kind} {name} {field}", base_ms.get(name, 0.0),
+                         cand_ms.get(name, 0.0)))
+    rows.sort(key=lambda row: -abs(row[2] - row[1]))
+    return rows
+
+
+def print_layer_deltas(bench, base, cand):
+    rows = layer_deltas(base, cand)
+    if not rows:
+        return
+    print(f"perf_diff: {bench}: layer wall deltas "
+          "(summed over points, largest first)")
+    for label, base_ms, cand_ms in rows:
+        print(f"  {label:<32} {base_ms:12.1f} -> {cand_ms:12.1f} ms "
+              f"({cand_ms - base_ms:+.1f})")
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Diff two BENCH_*.json artifact trees.")
@@ -227,6 +270,7 @@ def main():
         if not args.deterministic_only:
             diff_wall(bench, base, cand, args.wall_tolerance,
                       args.fail_on_wall)
+            print_layer_deltas(bench, base, cand)
 
     mode = "deterministic-only" if args.deterministic_only else \
         f"deterministic + wall (tolerance {args.wall_tolerance:g})"
