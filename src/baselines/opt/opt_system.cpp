@@ -21,11 +21,11 @@ struct OptSystem::TopicHops : FaultAdmission {
   }
 };
 
-BaselineConfig OptSystem::effective_base(const OptConfig& config) {
-  BaselineConfig base = config.base;
+core::OverlayConfig OptSystem::effective_base(const OptConfig& config) {
+  core::OverlayConfig base = config.base;
   if (config.unbounded) {
-    // Lift the degree bound; BaselineSystem clamps table capacity to the
-    // network size.
+    // Lift the degree bound; the host clamps table capacity to the network
+    // size.
     base.routing_table_size = std::numeric_limits<std::size_t>::max();
   }
   return base;
@@ -33,8 +33,7 @@ BaselineConfig OptSystem::effective_base(const OptConfig& config) {
 
 OptSystem::OptSystem(OptConfig config, pubsub::SubscriptionTable subscriptions,
                      std::uint64_t seed, bool start_online)
-    : BaselineSystem(effective_base(config), std::move(subscriptions), seed,
-                     start_online),
+    : OverlaySystem(effective_base(config), std::move(subscriptions), seed),
       config_(config),
       selector_(config.coverage_target, this->subscriptions()) {
   if (config_.pair_cache_slots > 0 && core::utility_cache_env_enabled()) {
@@ -48,6 +47,7 @@ OptSystem::OptSystem(OptConfig config, pubsub::SubscriptionTable subscriptions,
           this->subscriptions().of(static_cast<ids::NodeIndex>(i)).size(), 0);
     }
   }
+  start(start_online);
 }
 
 void OptSystem::select_neighbors(ids::NodeIndex self,

@@ -10,13 +10,13 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baseline_system.hpp"
 #include "baselines/opt/coverage.hpp"
+#include "core/overlay_system.hpp"
 
 namespace vitis::baselines::opt {
 
 struct OptConfig {
-  BaselineConfig base;
+  core::OverlayConfig base;
 
   /// Minimum neighbors wanted per subscribed topic (SpiderCast k).
   std::size_t coverage_target = 2;
@@ -31,7 +31,7 @@ struct OptConfig {
   std::size_t pair_cache_slots = std::size_t{1} << 18;
 };
 
-class OptSystem final : public BaselineSystem {
+class OptSystem final : public core::OverlaySystem {
  public:
   OptSystem(OptConfig config, pubsub::SubscriptionTable subscriptions,
             std::uint64_t seed, bool start_online = true);
@@ -62,7 +62,7 @@ class OptSystem final : public BaselineSystem {
  private:
   struct TopicHops;  // the dissemination Net (defined in the .cpp)
 
-  static BaselineConfig effective_base(const OptConfig& config);
+  static core::OverlayConfig effective_base(const OptConfig& config);
 
   OptConfig config_;
   CoverageSelector selector_;

@@ -23,11 +23,11 @@ struct RvrSystem::TreeHops : FaultAdmission {
 
 RvrSystem::RvrSystem(RvrConfig config, pubsub::SubscriptionTable subscriptions,
                      std::uint64_t seed, bool start_online)
-    : BaselineSystem(config.base, std::move(subscriptions), seed,
-                     start_online),
+    : OverlaySystem(config.base, std::move(subscriptions), seed),
       config_(config),
       trees_(node_count()) {
   VITIS_CHECK(config_.tree_refresh_interval > 0);
+  start(start_online);
 }
 
 // Subscription-oblivious Symphony selection: ring links first, every
@@ -38,32 +38,16 @@ void RvrSystem::select_neighbors(ids::NodeIndex self,
   const support::ScopedPhase phase(&profiler_mut(),
                                    support::Phase::kRanking);
   const ids::RingId self_id = ring_id(self);
-  std::vector<gossip::Descriptor> buffer(candidates.begin(), candidates.end());
-  std::vector<overlay::RoutingEntry> selected;
-  selected.reserve(base_config().routing_table_size);
-
-  const auto take = [&](std::size_t index, overlay::LinkKind kind) {
-    const gossip::Descriptor& d = buffer[index];
-    selected.push_back(overlay::RoutingEntry{d.node, d.id, kind, 0});
-    buffer.erase(buffer.begin() + static_cast<std::ptrdiff_t>(index));
-  };
-
-  if (const auto succ = overlay::best_successor(buffer, self_id, self)) {
-    take(*succ, overlay::LinkKind::kSuccessor);
-  }
-  if (const auto pred = overlay::best_predecessor(buffer, self_id, self)) {
-    take(*pred, overlay::LinkKind::kPredecessor);
-  }
-  while (selected.size() < base_config().routing_table_size &&
-         !buffer.empty()) {
+  select_ring_links(self, candidates);
+  while (selected_count() < base_config().routing_table_size &&
+         !unselected().empty()) {
     const ids::RingId target = overlay::random_sw_target(
         self_id, std::max<std::size_t>(alive_count(), 2), rng);
-    const auto sw = overlay::closest_to_target(buffer, target, self);
+    const auto sw = overlay::closest_to_target(unselected(), target, self);
     if (!sw.has_value()) break;
-    take(*sw, overlay::LinkKind::kSmallWorld);
+    take_candidate(*sw, overlay::LinkKind::kSmallWorld);
   }
-
-  rt.assign(std::move(selected));
+  install_selection(rt);
 }
 
 void RvrSystem::maintenance_extra() {
@@ -91,21 +75,23 @@ void RvrSystem::maintenance_extra() {
 
 void RvrSystem::refresh_subscription(ids::NodeIndex node,
                                      ids::TopicIndex topic) {
-  auto route = lookup(node, ids::topic_ring_id(topic));
+  const overlay::LookupResult& route =
+      lookup_cached(node, ids::topic_ring_id(topic));
   if (!route.converged) return;
+  std::span<const ids::NodeIndex> path = route.path;
   if (fault_active()) {
     // A Scribe JOIN walks the path hop by hop; a dropped hop truncates the
     // grafted branch there. No retransmit — the baselines stay fragile.
     std::size_t reached = 1;
-    while (reached < route.path.size() &&
-           fault_deliver(route.path[reached - 1], route.path[reached],
+    while (reached < path.size() &&
+           fault_deliver(path[reached - 1], path[reached],
                          sim::MessageKind::kRelay)) {
       ++reached;
     }
     if (reached < 2) return;  // first hop lost: nothing grafted
-    route.path.resize(reached);
+    path = path.first(reached);
   }
-  install_tree_path(route.path, topic, trees_);
+  install_tree_path(path, topic, trees_);
 }
 
 pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
@@ -116,7 +102,8 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
   TreeHops hops{{*this}, *this, topic};
 
   // Scribe publish: route the event to the rendezvous node...
-  const auto route = lookup(publisher, ids::topic_ring_id(topic));
+  const overlay::LookupResult& route =
+      lookup_cached(publisher, ids::topic_ring_id(topic));
   // RVR's analogue of Vitis' relay-path channel: the greedy rendezvous
   // route length per publication (serial publish path, lane 0).
   if (route.path.size() >= 2) {

@@ -9,13 +9,13 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baseline_system.hpp"
 #include "baselines/rvr/multicast_tree.hpp"
+#include "core/overlay_system.hpp"
 
 namespace vitis::baselines::rvr {
 
 struct RvrConfig {
-  BaselineConfig base;
+  core::OverlayConfig base;
 
   /// Subscribers re-route toward the rendezvous every this many cycles
   /// (staggered per (node, topic) so the load spreads evenly). Scribe-style
@@ -27,7 +27,7 @@ struct RvrConfig {
   }
 };
 
-class RvrSystem final : public BaselineSystem {
+class RvrSystem final : public core::OverlaySystem {
  public:
   RvrSystem(RvrConfig config, pubsub::SubscriptionTable subscriptions,
             std::uint64_t seed, bool start_online = true);

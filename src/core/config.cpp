@@ -4,11 +4,25 @@
 
 namespace vitis::core {
 
+void OverlayConfig::validate() const {
+  if (routing_table_size < 2) {
+    throw std::invalid_argument("routing_table_size must be at least 2");
+  }
+  if (view_size == 0) throw std::invalid_argument("view_size must be positive");
+  if (bootstrap_contacts == 0) {
+    throw std::invalid_argument("bootstrap_contacts must be positive");
+  }
+  if (lookup_hop_budget == 0) {
+    throw std::invalid_argument("lookup_hop_budget must be positive");
+  }
+}
+
 void VitisConfig::validate() const {
   if (routing_table_size < 3) {
     throw std::invalid_argument(
         "routing_table_size must be at least 3 (pred + succ + one more)");
   }
+  OverlayConfig::validate();
   if (structural_links < 2) {
     throw std::invalid_argument(
         "structural_links (k) must be at least 2 (predecessor + successor)");
@@ -20,17 +34,8 @@ void VitisConfig::validate() const {
   if (gateway_depth == 0) {
     throw std::invalid_argument("gateway_depth (d) must be positive");
   }
-  if (view_size == 0) {
-    throw std::invalid_argument("view_size must be positive");
-  }
   if (relay_ttl == 0) {
     throw std::invalid_argument("relay_ttl must be positive");
-  }
-  if (lookup_hop_budget == 0) {
-    throw std::invalid_argument("lookup_hop_budget must be positive");
-  }
-  if (bootstrap_contacts == 0) {
-    throw std::invalid_argument("bootstrap_contacts must be positive");
   }
   if (proximity_weight < 0.0) {
     throw std::invalid_argument("proximity_weight must be non-negative");

@@ -1,4 +1,4 @@
-// Vitis system parameters (§III-A and §IV-A of the paper).
+// Overlay and Vitis system parameters (§III-A and §IV-A of the paper).
 #pragma once
 
 #include <cstddef>
@@ -8,19 +8,12 @@
 
 namespace vitis::core {
 
-struct VitisConfig {
+/// The gossip substrate the three systems share (§IV: "to make the three
+/// systems comparable they use the same peer sampling service and overlay
+/// construction protocol"); see core::OverlaySystem.
+struct OverlayConfig {
   /// Routing-table size bound ("the routing table size is set to 15").
   std::size_t routing_table_size = 15;
-
-  /// k — number of structural links: predecessor + successor + (k-2)
-  /// small-world links ("k is set to 3" = pred, succ, one sw-neighbor).
-  /// Trades traffic overhead (small k) against propagation delay (large k).
-  std::size_t structural_links = 3;
-
-  /// d — gateway depth threshold (Algorithm 5): a gateway serves nodes at
-  /// most d cluster-hops away, making gateways-per-cluster proportional to
-  /// the cluster diameter ("d is set to 5").
-  std::uint32_t gateway_depth = 5;
 
   /// Peer-sampling partial-view size (Newscast).
   std::size_t view_size = 20;
@@ -32,24 +25,46 @@ struct VitisConfig {
   /// (Algorithm 6 THRESHOLD); trades failure-detection speed for accuracy.
   std::uint32_t staleness_threshold = 8;
 
-  /// Relay-table entries expire after this many rounds without being
-  /// refreshed by a gateway's lookup.
-  std::uint32_t relay_ttl = 3;
-
-  /// Hop budget for greedy lookups (guards not-yet-converged overlays).
-  std::size_t lookup_hop_budget = 128;
+  /// Number of bootstrap contacts a joining node receives.
+  std::size_t bootstrap_contacts = 5;
 
   /// Cycles a freshly joined node is excluded from expected-delivery
   /// accounting ("hit ratio for a node is calculated 10 seconds after the
   /// node joins", one gossip period here).
   std::size_t join_grace_cycles = 1;
 
-  /// Number of bootstrap contacts a joining node receives.
-  std::size_t bootstrap_contacts = 5;
-
   /// Which peer-sampling service feeds the gossip layers (the paper cites
   /// Newscast and Cyclon interchangeably; Newscast is its evaluation pick).
   gossip::SamplingPolicy sampling = gossip::SamplingPolicy::kNewscast;
+
+  /// Hop budget for greedy lookups (guards not-yet-converged overlays).
+  std::size_t lookup_hop_budget = 128;
+
+  /// Worker threads of the intra-run cycle engine (`--run-jobs`). The
+  /// protocol stages are sharded over contiguous node slices with barriered
+  /// merges, so the simulated output is bit-identical for ANY value — only
+  /// wall time changes. 1 (default) runs stages inline on the calling
+  /// thread without spawning workers.
+  std::size_t run_jobs = 1;
+
+  /// Throws std::invalid_argument on inconsistent settings.
+  void validate() const;
+};
+
+struct VitisConfig : OverlayConfig {
+  /// k — number of structural links: predecessor + successor + (k-2)
+  /// small-world links ("k is set to 3" = pred, succ, one sw-neighbor).
+  /// Trades traffic overhead (small k) against propagation delay (large k).
+  std::size_t structural_links = 3;
+
+  /// d — gateway depth threshold (Algorithm 5): a gateway serves nodes at
+  /// most d cluster-hops away, making gateways-per-cluster proportional to
+  /// the cluster diameter ("d is set to 5").
+  std::uint32_t gateway_depth = 5;
+
+  /// Relay-table entries expire after this many rounds without being
+  /// refreshed by a gateway's lookup.
+  std::uint32_t relay_ttl = 3;
 
   /// Physical-proximity bias of the preference function (§III-A2's
   /// extension: "account for the underlying network topology"). 0 disables;
@@ -74,13 +89,6 @@ struct VitisConfig {
   /// node resets to a self-proposal and temporarily bans the silent
   /// gateway. 0 (default) disables.
   std::uint32_t gateway_silence_limit = 0;
-
-  /// Worker threads of the intra-run cycle engine (`--run-jobs`). The
-  /// protocol stages are sharded over contiguous node slices with barriered
-  /// merges, so the simulated output is bit-identical for ANY value — only
-  /// wall time changes. 1 (default) runs stages inline on the calling
-  /// thread without spawning workers.
-  std::size_t run_jobs = 1;
 
   /// Slot budget for the memoized pairwise-utility cache (rounded up to a
   /// power of two; ~24 bytes/slot). 0 disables the cache, as does the

@@ -6,44 +6,26 @@
 
 namespace vitis::core {
 
-NodeArena::NodeArena(std::size_t node_count, std::size_t rt_capacity)
-    : rt_capacity_(rt_capacity),
-      rt_slab_(std::make_unique<overlay::RoutingEntry[]>(node_count *
-                                                         rt_capacity)),
-      ring_ids_(node_count, 0),
-      join_cycles_(node_count, 0),
-      profiles_(node_count),
+NodeArena::NodeArena(std::size_t node_count)
+    : profiles_(node_count),
       relays_(node_count),
       sub_fingerprints_(node_count, 0),
-      sub_set_ids_(node_count, pubsub::kInvalidSetId) {
-  VITIS_CHECK(rt_capacity > 0);
-  tables_.reserve(node_count);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    tables_.emplace_back(rt_slab_.get() + i * rt_capacity_, rt_capacity_);
-  }
-}
+      sub_set_ids_(node_count, pubsub::kInvalidSetId) {}
 
-void NodeArena::init_node(ids::NodeIndex node, ids::RingId id,
-                          Profile profile) {
+void NodeArena::init_node(ids::NodeIndex node, Profile profile) {
   VITIS_CHECK(node < size());
-  ring_ids_[node] = id;
   profiles_[node] = std::move(profile);
   refresh_scoring(node);
 }
 
-void NodeArena::reset_overlay_state(ids::NodeIndex node) {
-  tables_[node].clear();
+void NodeArena::reset_overlay_state(ids::NodeIndex node, ids::RingId id) {
   relays_[node].clear();
-  profiles_[node].reset_proposals(node, ring_ids_[node]);
+  profiles_[node].reset_proposals(node, id);
 }
 
 std::size_t NodeArena::memory_bytes() const {
   const std::size_t n = size();
-  std::size_t bytes =
-      n * rt_capacity_ * sizeof(overlay::RoutingEntry) +  // slab
-      n * sizeof(ids::RingId) + n * sizeof(std::uint32_t) +
-      n * (sizeof(Profile) + sizeof(overlay::RoutingTable) +
-           sizeof(RelayTable));
+  std::size_t bytes = n * (sizeof(Profile) + sizeof(RelayTable));
   for (std::size_t i = 0; i < n; ++i) {
     bytes += profiles_[i].memory_bytes() + relays_[i].memory_bytes();
   }

@@ -1,16 +1,12 @@
-// Dense-id SoA arena for per-node Vitis protocol state: ring ids, profiles
-// (subscriptions + gateway proposals), bounded routing tables and relay
-// tables, one column per field, all indexed by NodeIndex.
+// Dense-id SoA arena for the per-node state only Vitis keeps: profiles
+// (subscriptions + gateway proposals) and relay tables, one column per
+// field, indexed by NodeIndex. The state every system shares — ring ids,
+// join cycles and the routing-entry slab — lives in core::OverlaySystem.
 //
-// The arena replaces the former array-of-structs VitisNode records. The
-// structure-of-arrays layout matters at scale in two ways:
-//
-//   * routing-table entries live in ONE contiguous N×capacity slab (the
-//     per-node RoutingTable objects are slab handles), so a million tables
-//     cost one allocation and a linear sweep instead of a pointer chase;
-//   * the hot maintenance loops (heartbeats, election, adjacency rebuild)
-//     touch exactly the columns they need — aging every routing entry walks
-//     the slab without pulling profiles or relay state into cache.
+// The structure-of-arrays layout lets the hot maintenance loops touch
+// exactly the columns they need: the election sweep reads profiles without
+// pulling relay state into cache, and heartbeats age relay tables without
+// touching profiles.
 //
 // Dense-id invariants: NodeIndex is assigned once at construction and is
 // stable for the system's lifetime (churn flips liveness, never indices);
@@ -19,49 +15,30 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "core/profile.hpp"
 #include "core/relay.hpp"
 #include "ids/id.hpp"
-#include "overlay/routing_table.hpp"
 
 namespace vitis::core {
 
 class NodeArena {
  public:
-  /// Allocates columns for `node_count` nodes and the shared routing-entry
-  /// slab (`node_count` × `rt_capacity` entries). Profiles start empty;
+  /// Allocates columns for `node_count` nodes. Profiles start empty;
   /// populate each node once via init_node.
-  NodeArena(std::size_t node_count, std::size_t rt_capacity);
+  explicit NodeArena(std::size_t node_count);
 
-  /// Install a node's identity and profile (construction-time only).
-  void init_node(ids::NodeIndex node, ids::RingId id, Profile profile);
+  /// Install a node's profile (construction-time only).
+  void init_node(ids::NodeIndex node, Profile profile);
 
-  [[nodiscard]] std::size_t size() const { return ring_ids_.size(); }
-  [[nodiscard]] std::size_t rt_capacity() const { return rt_capacity_; }
-
-  [[nodiscard]] ids::RingId ring_id(ids::NodeIndex node) const {
-    return ring_ids_[node];
-  }
-  [[nodiscard]] std::span<const ids::RingId> ring_ids() const {
-    return ring_ids_;
-  }
+  [[nodiscard]] std::size_t size() const { return profiles_.size(); }
 
   [[nodiscard]] Profile& profile(ids::NodeIndex node) {
     return profiles_[node];
   }
   [[nodiscard]] const Profile& profile(ids::NodeIndex node) const {
     return profiles_[node];
-  }
-
-  [[nodiscard]] overlay::RoutingTable& rt(ids::NodeIndex node) {
-    return tables_[node];
-  }
-  [[nodiscard]] const overlay::RoutingTable& rt(ids::NodeIndex node) const {
-    return tables_[node];
   }
 
   [[nodiscard]] RelayTable& relay(ids::NodeIndex node) {
@@ -87,33 +64,19 @@ class NodeArena {
     return sub_set_ids_[node];
   }
 
-  [[nodiscard]] std::size_t join_cycle(ids::NodeIndex node) const {
-    return join_cycles_[node];
-  }
-  void set_join_cycle(ids::NodeIndex node, std::size_t cycle) {
-    join_cycles_[node] = static_cast<std::uint32_t>(cycle);
-  }
+  /// Reset volatile state on (re)join or departure: relay links drop, and
+  /// proposals restart from self; subscriptions persist across sessions.
+  void reset_overlay_state(ids::NodeIndex node, ids::RingId id);
 
-  /// Reset volatile overlay state on (re)join or departure; subscriptions
-  /// persist across sessions, proposals restart from self.
-  void reset_overlay_state(ids::NodeIndex node);
-
-  /// Deterministic logical footprint in bytes: the routing-entry slab plus
-  /// the live sizes of every column (never vector::capacity(), whose growth
-  /// policy is implementation-defined). Depends only on (seed, scale).
-  /// The scoring mirror columns are excluded — they duplicate profile
-  /// state, and the footprint counts each logical datum once.
+  /// Deterministic logical footprint in bytes: the live sizes of every
+  /// column (never vector::capacity(), whose growth policy is
+  /// implementation-defined). Depends only on (seed, scale). The scoring
+  /// mirror columns are excluded — they duplicate profile state, and the
+  /// footprint counts each logical datum once.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  std::size_t rt_capacity_;
-  // One contiguous routing-entry slab; tables_ are handles into it (never
-  // reallocated after construction — slab pointers must stay valid).
-  std::unique_ptr<overlay::RoutingEntry[]> rt_slab_;
-  std::vector<ids::RingId> ring_ids_;
-  std::vector<std::uint32_t> join_cycles_;
   std::vector<Profile> profiles_;
-  std::vector<overlay::RoutingTable> tables_;
   std::vector<RelayTable> relays_;
   // Scoring mirror (see refresh_scoring). Derived caches of profile state,
   // so they are excluded from memory_bytes(): the logical footprint already

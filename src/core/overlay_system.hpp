@@ -1,0 +1,371 @@
+// OverlaySystem — the gossip host Vitis, RVR and OPT share. §IV: "to make
+// the three systems comparable they use the same peer sampling service and
+// overlay construction protocol". One instance simulates a whole network's
+// substrate:
+//
+//   * the cycle engine with the peer-sampling, t-man and heartbeats stages
+//     and a per-cycle maintenance hook;
+//   * per-node ring ids, join cycles and bounded routing tables (one
+//     contiguous N×capacity routing-entry slab; the tables are handles);
+//   * the per-cycle undirected adjacency and greedy lookups;
+//   * churn, crashes and the fault plan;
+//   * the flight recorder, profiler, histograms and dissemination loop.
+//
+// A system derives from it and supplies its neighbor-selection policy, its
+// per-cycle maintenance and its dissemination next hops, plus hooks for its
+// own per-node state.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "analysis/graph.hpp"
+#include "analysis/health.hpp"
+#include "core/config.hpp"
+#include "gossip/sampling_service.hpp"
+#include "gossip/tman.hpp"
+#include "overlay/greedy_routing.hpp"
+#include "overlay/routing_table.hpp"
+#include "pubsub/dissemination.hpp"
+#include "pubsub/subscription_registry.hpp"
+#include "pubsub/system.hpp"
+#include "sim/cycle_engine.hpp"
+#include "sim/fault.hpp"
+
+namespace vitis::core {
+
+class OverlaySystem : public pubsub::PubSubSystem {
+ public:
+  // --- PubSubSystem --------------------------------------------------------
+  void run_cycles(std::size_t cycles) override;
+  [[nodiscard]] pubsub::MetricsCollector& metrics() override {
+    return metrics_;
+  }
+  [[nodiscard]] const pubsub::MetricsCollector& metrics() const override {
+    return metrics_;
+  }
+  [[nodiscard]] const pubsub::SubscriptionTable& subscriptions()
+      const override {
+    return subscriptions_;
+  }
+  [[nodiscard]] std::size_t alive_count() const override {
+    return engine_.alive_count();
+  }
+
+  /// Syncs the interning counters (and, via sync_cache_counters, the
+  /// system's pairwise-cache stats) into the profiler before returning it,
+  /// so artifact writers always see current totals.
+  [[nodiscard]] const support::Profiler* profiler() const override;
+
+  /// Syncs the end-of-run channels (per-node message totals) before
+  /// returning the distribution set, mirroring profiler()'s counter sync.
+  [[nodiscard]] const support::HistogramSet* distributions() const override;
+
+  // --- flight recorder (observability) --------------------------------------
+  /// Enable/reconfigure the flight recorder. The engine then samples the
+  /// overlay-health time series on strided cycles; publications trace a
+  /// Bernoulli-sampled subset from the dissemination's own RNG stream
+  /// (never the protocol's rng_, so observation cannot perturb the run).
+  void configure_recorder(const support::RecorderConfig& config) override;
+  [[nodiscard]] const support::Recorder* recorder() const override {
+    return &recorder_;
+  }
+
+  /// Take one time-series sample at the current cycle (and run the
+  /// invariant monitors when configured). The engine calls this on sampled
+  /// cycles; tests call it directly for the allocation audit.
+  void observe_sample();
+
+  // --- churn (§III-D) -------------------------------------------------------
+  /// A joining node starts with an empty routing table and random bootstrap
+  /// contacts; a leaving node's state is dropped, and its peers detect the
+  /// silence through heartbeat ages.
+  void node_join(ids::NodeIndex node);
+  void node_leave(ids::NodeIndex node);
+  [[nodiscard]] bool is_alive(ids::NodeIndex node) const {
+    return engine_.is_alive(node);
+  }
+
+  // --- fault injection (lossy-network model) -------------------------------
+  /// Install (or replace) the deterministic fault plan. All fault draws
+  /// come from the dedicated seed^"fault" stream; a plan with no active
+  /// mechanisms leaves the run byte-identical to a fault-free one. Passing
+  /// a fresh FaultConfig{} heals the network (crashed nodes stay down).
+  void set_fault_plan(const sim::FaultConfig& config);
+  [[nodiscard]] const sim::FaultPlan& fault_plan() const { return fault_; }
+
+  /// Crash-without-leave: the node silently goes offline. Unlike
+  /// node_leave its overlay state and its peers' references survive —
+  /// neighbors must detect the silence through heartbeat staleness.
+  /// Idempotent.
+  void node_crash(ids::NodeIndex node);
+
+  // --- introspection (tests, benches, analysis) ----------------------------
+  [[nodiscard]] const OverlayConfig& base_config() const { return config_; }
+  [[nodiscard]] std::size_t node_count() const { return tables_.size(); }
+  [[nodiscard]] std::size_t cycle() const { return engine_.cycle(); }
+  [[nodiscard]] ids::RingId ring_id(ids::NodeIndex node) const {
+    return ring_ids_[node];
+  }
+  [[nodiscard]] const overlay::RoutingTable& routing_table(
+      ids::NodeIndex node) const {
+    return tables_[node];
+  }
+  [[nodiscard]] const pubsub::SubscriptionRegistry& registry() const {
+    return registry_;
+  }
+
+  /// Greedy lookup from `origin` toward `target` over live routing state.
+  [[nodiscard]] overlay::LookupResult lookup(ids::NodeIndex origin,
+                                             ids::RingId target) const;
+
+  /// Allocation-free lookup into a member result buffer; the reference is
+  /// valid until the next lookup. Serial callers only.
+  const overlay::LookupResult& lookup_cached(ids::NodeIndex origin,
+                                             ids::RingId target) const;
+
+  /// One gossip activation for `node` — a peer-sampling prepare/apply pair
+  /// followed by a T-Man pair, with the same counter-based RNG forks the
+  /// cycle engine would use at the current cycle. Test hook for the
+  /// allocation audit of the steady-state step.
+  void gossip_step(ids::NodeIndex node);
+
+  /// Undirected snapshot of the current overlay (alive nodes only).
+  [[nodiscard]] analysis::Graph overlay_snapshot() const;
+
+  /// Deterministic logical footprint of the per-node protocol state in
+  /// bytes: the routing slab, the per-node columns, the sampling views, the
+  /// undirected adjacency and the dissemination stamps, plus the system's
+  /// own state through extra_memory_bytes(). Live sizes and fixed slab
+  /// capacities only (never vector::capacity()), so it is a pure function
+  /// of (seed, scale) — safe for stdout; the OS-level peak_rss_bytes gauge
+  /// in the bench artifact is the telemetry-side counterpart.
+  [[nodiscard]] std::size_t memory_footprint() const override;
+
+  /// Maintenance throughput over the wall time spent inside run_cycles()
+  /// (telemetry only, never printed to stdout). 0 before the first cycle.
+  [[nodiscard]] double cycles_per_second() const override {
+    return engine_.cycles_per_second();
+  }
+
+  /// Cycle-engine worker count (`--run-jobs`); output is bit-identical for
+  /// any value, so this is telemetry only.
+  [[nodiscard]] std::size_t run_jobs() const override {
+    return engine_.run_jobs();
+  }
+
+  /// Per-stage busy/span accounting of the sharded engine (telemetry).
+  [[nodiscard]] std::vector<support::ParallelPhaseStats> parallel_phases()
+      const override;
+
+ protected:
+  /// Wires the shared substrate: the sampling service, T-Man, and the
+  /// peer-sampling, t-man and heartbeats stages followed by the maintenance
+  /// hook. `fingerprint_of`/`set_id_of` are the live lookups stamped into
+  /// fresh descriptors; without `set_id_of` the host interns each node's
+  /// (static) subscription set once into a dense column, see set_id().
+  /// The system then adds its own stages and calls start().
+  OverlaySystem(const OverlayConfig& config,
+                pubsub::SubscriptionTable subscriptions, std::uint64_t seed,
+                gossip::FingerprintFn fingerprint_of = nullptr,
+                gossip::SetIdFn set_id_of = nullptr);
+
+  /// Last construction step: registers the fault-crashes hook after the
+  /// system's own stages and, with `start_online`, boots every node with
+  /// random bootstrap contacts (otherwise all nodes start offline and join
+  /// through node_join()). Seeding reads the descriptor lookups, so it
+  /// waits until the system's per-node state exists.
+  void start(bool start_online);
+
+  // --- system hooks ----------------------------------------------------------
+  /// Neighbor-selection policy, called from T-Man's serial merge. `rng` is
+  /// the calling exchange's deterministic stream; policies that draw
+  /// (small-world targets) must use it, never a shared member stream.
+  virtual void select_neighbors(
+      ids::NodeIndex self, std::span<const gossip::Descriptor> candidates,
+      overlay::RoutingTable& table, sim::Rng& rng) = 0;
+
+  /// Per-cycle maintenance after the adjacency rebuild, in the serial
+  /// maintenance hook (Vitis' election sweep, RVR's tree refresh).
+  virtual void maintenance_extra() {}
+
+  /// Per-node work of the parallel heartbeats stage after the routing
+  /// table aged (Vitis' relay expiry); node-local writes only.
+  virtual void heartbeat_extra(ids::NodeIndex node, std::size_t worker) {
+    (void)node;
+    (void)worker;
+  }
+
+  /// System-specific invariant monitors per alive node, after the shared
+  /// ring and table-bound checks.
+  virtual void check_node_invariants(ids::NodeIndex node) const {
+    (void)node;
+  }
+
+  /// Hooks for system state on churn. on_join runs before the sampling
+  /// view is seeded, so fresh descriptors see the node's refreshed state.
+  virtual void on_join(ids::NodeIndex node) { (void)node; }
+  virtual void on_leave(ids::NodeIndex node) { (void)node; }
+
+  /// Relay-state size for the kRelayLinks gauge (relay links for Vitis,
+  /// multicast-tree links for RVR; OPT keeps no relay state).
+  [[nodiscard]] virtual std::size_t relay_link_count() const { return 0; }
+
+  /// Publish pairwise-cache counters into `profiler`; the default has none.
+  virtual void sync_cache_counters(support::Profiler& profiler) const {
+    (void)profiler;
+  }
+
+  /// Cumulative pairwise-cache hit fraction for the recorder gauge; NaN
+  /// (JSON null) for systems without a cache.
+  [[nodiscard]] virtual double cache_hit_rate() const;
+
+  /// The system's contribution to memory_footprint(); same live-sizes-only
+  /// contract.
+  [[nodiscard]] virtual std::size_t extra_memory_bytes() const { return 0; }
+
+  // --- neighbor-selection working set ---------------------------------------
+  /// Shared head of the ring-aware policies (Algorithm 4 lines 2-7, RVR's
+  /// Symphony selection): loads `candidates` into the member working set
+  /// and takes the best successor and predecessor. The policy continues
+  /// with take_candidate()/add_candidate() and install_selection(); the
+  /// buffers are members, so selection is allocation-free at steady state.
+  void select_ring_links(ids::NodeIndex self,
+                         std::span<const gossip::Descriptor> candidates);
+  /// Candidates not taken yet.
+  [[nodiscard]] std::span<const gossip::Descriptor> unselected() const {
+    return select_buffer_;
+  }
+  [[nodiscard]] std::size_t selected_count() const { return selected_.size(); }
+  /// Select unselected()[index] as a `kind` link and drop it from the
+  /// candidates.
+  void take_candidate(std::size_t index, overlay::LinkKind kind);
+  /// Select unselected()[index] as a `kind` link, keeping the candidate
+  /// indices stable.
+  void add_candidate(std::size_t index, overlay::LinkKind kind);
+  void install_selection(overlay::RoutingTable& table) const {
+    table.assign(std::span<const overlay::RoutingEntry>(selected_));
+  }
+
+  // --- dissemination -------------------------------------------------------
+  /// Open a publication on the shared forwarding loop: the publisher is
+  /// visited, and alive subscribers past their join grace are expected.
+  [[nodiscard]] pubsub::Dissemination& begin_publish(ids::TopicIndex topic,
+                                                     ids::NodeIndex publisher);
+
+  /// The admission half of a dissemination Net: the fault plan's
+  /// publication drop, and no hop penalty (the baselines take no delay
+  /// accounting; Vitis adds its own).
+  struct FaultAdmission {
+    OverlaySystem& system;
+
+    [[nodiscard]] bool admit(ids::NodeIndex from, ids::NodeIndex to) const {
+      return system.fault_deliver(from, to, sim::MessageKind::kPublication);
+    }
+    [[nodiscard]] std::uint32_t penalty(ids::NodeIndex, ids::NodeIndex) const {
+      return 0;
+    }
+  };
+
+  /// Sorted alive undirected neighbors, rebuilt once per cycle.
+  [[nodiscard]] const std::vector<ids::NodeIndex>& undirected(
+      ids::NodeIndex node) const {
+    return undirected_[node];
+  }
+
+  [[nodiscard]] sim::CycleEngine& engine() { return engine_; }
+  [[nodiscard]] const sim::CycleEngine& engine() const { return engine_; }
+  [[nodiscard]] support::Profiler& profiler_mut() const { return profiler_; }
+  /// Distribution channels; parallel stage bodies record onto their
+  /// worker's lane, serial callers use lane 0.
+  [[nodiscard]] support::HistogramSet& histograms_mut() const {
+    return histograms_;
+  }
+  [[nodiscard]] pubsub::SubscriptionTable& subscriptions_mut() {
+    return subscriptions_;
+  }
+  [[nodiscard]] pubsub::SubscriptionRegistry& registry_mut() {
+    return registry_;
+  }
+  [[nodiscard]] const pubsub::Dissemination& dissemination() const {
+    return dissemination_;
+  }
+
+  /// Canonical id of `node`'s static subscription set, interned once at
+  /// construction (systems constructed without a `set_id_of` lookup only).
+  [[nodiscard]] pubsub::SetId set_id(ids::NodeIndex node) const {
+    return set_ids_[node];
+  }
+
+  // --- fault admission helpers for system dissemination paths -------------
+  [[nodiscard]] bool fault_active() const { return fault_.active(); }
+  [[nodiscard]] bool fault_deliver(ids::NodeIndex from, ids::NodeIndex to,
+                                   sim::MessageKind kind) {
+    return !fault_.active() || fault_.deliver(from, to, kind);
+  }
+
+ private:
+  void cycle_maintenance();
+  void check_invariants() const;
+  void refresh_heartbeats(ids::NodeIndex node, std::size_t worker);
+  void rebuild_undirected();
+
+  [[nodiscard]] std::vector<ids::NodeIndex> random_alive_contacts(
+      std::size_t count, ids::NodeIndex exclude);
+
+  OverlayConfig config_;
+  pubsub::SubscriptionTable subscriptions_;
+  pubsub::SubscriptionRegistry registry_;  // hash-consed subscription sets
+  std::vector<pubsub::SetId> set_ids_;     // see set_id(); else empty
+  sim::CycleEngine engine_;
+  std::vector<ids::RingId> ring_ids_;
+  // One contiguous routing-entry slab shared by all per-node tables (the
+  // RoutingTable objects are handles into it, never reallocated after
+  // construction — slab pointers must stay valid).
+  std::size_t rt_capacity_ = 0;
+  std::unique_ptr<overlay::RoutingEntry[]> rt_slab_;
+  std::vector<overlay::RoutingTable> tables_;
+  std::vector<std::uint32_t> join_cycles_;
+  std::unique_ptr<gossip::SamplingService> sampling_;
+  std::unique_ptr<gossip::TManProtocol> tman_;
+  pubsub::MetricsCollector metrics_;
+  sim::Rng rng_;
+
+  // Flight recorder (off by default; see configure_recorder). Trace
+  // sampling draws from the dissemination's own stream, never rng_.
+  support::Recorder recorder_;
+  analysis::HealthAnalyzer health_;
+  pubsub::Dissemination dissemination_;
+
+  // Fault-injection layer (inactive unless set_fault_plan installs an
+  // effective plan; all its draws come from the seed^"fault" stream).
+  sim::FaultPlan fault_;
+  std::uint64_t fault_seed_ = 0;
+
+  // Per-phase counters/timers (wired into engine_ and the lookup paths);
+  // mutable because profiling const lookups is telemetry, not state.
+  // Parallel stage bodies time onto their own worker lane.
+  mutable support::Profiler profiler_;
+
+  // Distribution channels (always on — recording is a few scalar ops).
+  // Parallel stage bodies record onto their own worker lane; the lanes
+  // merge by bucket sum, so the export is worker-count invariant. Mutable
+  // because distributions() re-derives the node-message channel on read.
+  mutable support::HistogramSet histograms_;
+
+  // Per-cycle undirected adjacency (sorted per node, for binary search).
+  // Rebuilds iterate the engine's activation list and clear only the nodes
+  // touched by the previous rebuild, so quiescent regions cost nothing.
+  std::vector<std::vector<ids::NodeIndex>> undirected_;
+  std::vector<ids::NodeIndex> undirected_touched_;
+
+  // Scratch buffers, reused to keep the hot paths allocation-free.
+  mutable std::vector<overlay::RoutingEntry> lookup_scratch_;
+  mutable overlay::LookupResult lookup_result_;  // lookup_cached() buffer
+  std::vector<gossip::Descriptor> select_buffer_;
+  std::vector<overlay::RoutingEntry> selected_;
+};
+
+}  // namespace vitis::core

@@ -11,13 +11,9 @@ namespace vitis::core {
 
 namespace {
 
-// Stage RNG salts: each parallel stage's per-(node, cycle) forks live in
-// their own namespace of the engine seed. gossip_step() reuses these to
-// reproduce the engine's exact draws.
-constexpr std::uint64_t kSaltSampling = 0x73616d706c65ULL;  // "sample"
-constexpr std::uint64_t kSaltTman = 0x746d616eULL;          // "tman"
-constexpr std::uint64_t kSaltHeartbeat = 0x6862656174ULL;   // "hbeat"
-constexpr std::uint64_t kSaltRelay = 0x72656c6179ULL;       // "relay"
+// RNG salt of the relay-refresh stage's per-(node, cycle) forks (the
+// host's stages use their own).
+constexpr std::uint64_t kSaltRelay = 0x72656c6179ULL;  // "relay"
 
 }  // namespace
 
@@ -25,86 +21,39 @@ VitisSystem::VitisSystem(VitisConfig config,
                          pubsub::SubscriptionTable subscriptions,
                          std::vector<double> rates, std::uint64_t seed,
                          bool start_online)
-    : config_(config),
-      subscriptions_(std::move(subscriptions)),
+    : OverlaySystem(
+          config, std::move(subscriptions), seed,
+          [this](ids::NodeIndex node) {
+            return arena_.profile(node).subscriptions().fingerprint();
+          },
+          [this](ids::NodeIndex node) {
+            return arena_.profile(node).set_id();
+          }),
+      config_(config),
       utility_(rates),
-      engine_(subscriptions_.node_count(), seed ^ 0x656e67696e65ULL,
-              config.run_jobs),
-      arena_(subscriptions_.node_count(), config.routing_table_size),
-      metrics_(subscriptions_.node_count()),
-      rng_(seed),
-      dissemination_(subscriptions_.node_count(), subscriptions_, metrics_,
-                     recorder_, seed ^ 0x7472616365ULL),
-      fault_seed_(seed) {
+      arena_(node_count()) {
   config_.validate();
-  VITIS_CHECK(rates.size() == subscriptions_.topic_count());
+  VITIS_CHECK(rates.size() == this->subscriptions().topic_count());
 
   if (config_.utility_cache_slots > 0 && utility_cache_env_enabled()) {
     utility_cache_.reset(config_.utility_cache_slots);
     utility_.set_cache(&utility_cache_);
   }
 
-  const std::size_t n = subscriptions_.node_count();
+  const std::size_t n = node_count();
   for (std::size_t i = 0; i < n; ++i) {
     const auto node = static_cast<ids::NodeIndex>(i);
-    const ids::RingId ring = ids::node_ring_id(node);
-    Profile profile(subscriptions_.of(node));
-    profile.reset_proposals(node, ring);
-    profile.set_set_id(registry_.intern(profile.subscriptions()));
-    arena_.init_node(node, ring, std::move(profile));
+    Profile profile(this->subscriptions().of(node));
+    profile.reset_proposals(node, ring_id(node));
+    profile.set_set_id(registry_mut().intern(profile.subscriptions()));
+    arena_.init_node(node, std::move(profile));
   }
 
-  const auto is_alive = [this](ids::NodeIndex node) {
-    return engine_.is_alive(node);
-  };
-  sampling_ = gossip::make_sampling_service(
-      config_.sampling, arena_.ring_ids(), config_.view_size, is_alive,
-      ids::mix64(seed ^ 0x73616d70ULL),
-      [this](ids::NodeIndex node) {
-        return arena_.profile(node).subscriptions().fingerprint();
-      },
-      [this](ids::NodeIndex node) {
-        return arena_.profile(node).set_id();
-      });
-  tman_ = std::make_unique<gossip::TManProtocol>(
-      [this](ids::NodeIndex node) -> overlay::RoutingTable& {
-        return arena_.rt(node);
-      },
-      *sampling_, is_alive,
-      [this](ids::NodeIndex self,
-             std::span<const gossip::Descriptor> candidates,
-             overlay::RoutingTable& table, sim::Rng& rng) {
-        select_neighbors(self, candidates, table, rng);
-      },
-      gossip::TManProtocol::Config{config_.sample_size},
-      ids::mix64(seed ^ 0x746d616eULL));
-
-  engine_.set_profiler(&profiler_);
-  engine_.set_histograms(&histograms_);
-  metrics_.set_histograms(&histograms_);
-  engine_.add_stage(
-      "peer-sampling", kSaltSampling,
-      [this](ids::NodeIndex node, std::size_t, sim::Rng& rng,
-             std::size_t worker) { sampling_->prepare(node, rng, worker); },
-      [this](std::size_t cycle) { sampling_->apply(cycle); },
-      support::Phase::kSampling);
-  engine_.add_stage(
-      "t-man", kSaltTman,
-      [this](ids::NodeIndex node, std::size_t, sim::Rng& rng,
-             std::size_t worker) { tman_->prepare(node, rng, worker); },
-      [this](std::size_t cycle) { tman_->apply(cycle); },
-      support::Phase::kTman);
-  engine_.add_stage(
-      "heartbeats", kSaltHeartbeat,
-      [this](ids::NodeIndex node, std::size_t, sim::Rng&,
-             std::size_t worker) { refresh_heartbeats(node, worker); });
-  engine_.add_cycle_hook("vitis-maintenance",
-                         [this](std::size_t) { cycle_maintenance(); });
   // Each worker applies the installs to the relay tables it owns: a table
   // receives the records that name it in lane order. A topic's records all
   // sit in one lane in gateway order, and per-topic order is all a relay
   // table depends on, so any worker count yields the serial result.
-  engine_.add_sharded_stage(
+  engine().add_sharded_stage(
       "relay-refresh", kSaltRelay,
       [this](ids::NodeIndex node, std::size_t, sim::Rng&,
              std::size_t worker) { refresh_relays(node, worker); },
@@ -119,25 +68,15 @@ VitisSystem::VitisSystem(VitisConfig config,
         });
       },
       [this](std::size_t) { relay_outbox_.clear(); });
-  // Registered unconditionally so plan installation never reorders hooks;
-  // for_due_crashes is a no-op while the plan is inactive.
-  engine_.add_cycle_hook("fault-crashes", [this](std::size_t cycle) {
-    fault_.for_due_crashes(cycle,
-                           [this](ids::NodeIndex node) { node_crash(node); });
-  });
 
-  const std::size_t workers = engine_.run_jobs();
-  sampling_->set_workers(workers);
-  tman_->set_workers(workers);
+  const std::size_t workers = run_jobs();
   relay_outbox_.configure(workers);
   lookup_ctx_.resize(workers);
   for (LookupCtx& ctx : lookup_ctx_) ctx.marks.assign(n, RouteMark{});
 
-  undirected_.resize(n);
-  topic_stamp_.assign(subscriptions_.topic_count(), 0);
-  topic_pos_.assign(subscriptions_.topic_count(), 0);
-  select_buffer_.reserve(64);
-  selected_.reserve(config_.routing_table_size);
+  const std::size_t topics = this->subscriptions().topic_count();
+  topic_stamp_.assign(topics, 0);
+  topic_pos_.assign(topics, 0);
   ranked_.reserve(64);
   if (config_.gateway_silence_limit > 0) {
     silence_.resize(n);
@@ -148,41 +87,8 @@ VitisSystem::VitisSystem(VitisConfig config,
     }
   }
 
-  if (start_online) {
-    for (std::size_t i = 0; i < n; ++i) {
-      engine_.set_alive(static_cast<ids::NodeIndex>(i), true);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto node = static_cast<ids::NodeIndex>(i);
-      const auto contacts =
-          random_alive_contacts(config_.bootstrap_contacts, node);
-      sampling_->init_node(node, contacts);
-    }
-  }
+  start(start_online);
 }
-
-std::vector<ids::NodeIndex> VitisSystem::random_alive_contacts(
-    std::size_t count, ids::NodeIndex exclude) {
-  std::vector<ids::NodeIndex> contacts;
-  const std::size_t n = arena_.size();
-  if (engine_.alive_count() == 0) return contacts;
-  // Rejection sampling: the alive fraction is high in every scenario we
-  // simulate, so a bounded number of draws suffices.
-  const std::size_t max_draws = 20 * count + 100;
-  for (std::size_t draw = 0; draw < max_draws && contacts.size() < count;
-       ++draw) {
-    const auto candidate = static_cast<ids::NodeIndex>(rng_.index(n));
-    if (candidate == exclude || !engine_.is_alive(candidate)) continue;
-    if (std::find(contacts.begin(), contacts.end(), candidate) !=
-        contacts.end()) {
-      continue;
-    }
-    contacts.push_back(candidate);
-  }
-  return contacts;
-}
-
-void VitisSystem::run_cycles(std::size_t cycles) { engine_.run(cycles); }
 
 // ---------------------------------------------------------------------------
 // Algorithm 4: selectNeighbors.
@@ -190,53 +96,40 @@ void VitisSystem::run_cycles(std::size_t cycles) { engine_.run(cycles); }
 void VitisSystem::select_neighbors(
     ids::NodeIndex self, std::span<const gossip::Descriptor> candidates,
     overlay::RoutingTable& table, sim::Rng& rng) {
-  const support::ScopedPhase phase(&profiler_, support::Phase::kRanking);
-  const ids::RingId self_id = arena_.ring_id(self);
-  std::vector<gossip::Descriptor>& buffer = select_buffer_;
-  buffer.assign(candidates.begin(), candidates.end());
-  std::vector<overlay::RoutingEntry>& selected = selected_;
-  selected.clear();
-
-  const auto take = [&](std::size_t index, overlay::LinkKind kind) {
-    const gossip::Descriptor& d = buffer[index];
-    selected.push_back(overlay::RoutingEntry{d.node, d.id, kind, 0});
-    buffer.erase(buffer.begin() + static_cast<std::ptrdiff_t>(index));
-  };
+  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRanking);
+  const ids::RingId self_id = ring_id(self);
 
   // Lines 2-7: ring neighbors first (lookup consistency depends on them).
-  if (const auto succ = overlay::best_successor(buffer, self_id, self)) {
-    take(*succ, overlay::LinkKind::kSuccessor);
-  }
-  if (const auto pred = overlay::best_predecessor(buffer, self_id, self)) {
-    take(*pred, overlay::LinkKind::kPredecessor);
-  }
+  select_ring_links(self, candidates);
 
   // Lines 8-10: small-world links at random harmonic distances.
   const std::size_t sw_links = config_.structural_links - 2;
-  for (std::size_t i = 0; i < sw_links && !buffer.empty(); ++i) {
+  for (std::size_t i = 0; i < sw_links && !unselected().empty(); ++i) {
     const ids::RingId target = overlay::random_sw_target(
-        self_id, std::max<std::size_t>(engine_.alive_count(), 2), rng);
-    if (const auto sw = overlay::closest_to_target(buffer, target, self)) {
-      take(*sw, overlay::LinkKind::kSmallWorld);
+        self_id, std::max<std::size_t>(alive_count(), 2), rng);
+    if (const auto sw = overlay::closest_to_target(unselected(), target,
+                                                   self)) {
+      take_candidate(*sw, overlay::LinkKind::kSmallWorld);
     }
   }
 
   // Lines 11-16: rank the rest by the preference function, keep the top.
   // One prepare() amortizes this node's side of every Jaccard merge and
   // arms the fingerprint prefilter (bit-identical scores either way).
-  // The remaining buffer streams into the batch kernel as an SoA pool —
+  // The remaining candidates stream into the batch kernel as an SoA pool —
   // fingerprints and SetIds come from the arena's contiguous scoring
   // columns (the *live* profile values, never a descriptor's snapshot, so
   // a stale snapshot cannot mis-rank and the pairwise memo keys stay
   // canonical). score_all runs the SIMD prefilter and memo-prefetch
   // passes, then scores in pool order — bit-identical to the former
   // per-candidate loop (see core/batch_score.hpp).
+  const std::span<const gossip::Descriptor> pool = unselected();
   const pubsub::SubscriptionSet& my_subs = arena_.profile(self).subscriptions();
   const bool use_proximity =
       config_.proximity_weight > 0.0 && !coordinates_.empty();
   utility_.prepare(my_subs, arena_.profile(self).set_id());
   batch_.clear();
-  for (const gossip::Descriptor& d : buffer) {
+  for (const gossip::Descriptor& d : pool) {
     batch_.add(d.node, &arena_.profile(d.node).subscriptions(),
                arena_.sub_fingerprint(d.node), arena_.sub_set_id(d.node));
   }
@@ -249,7 +142,7 @@ void VitisSystem::select_neighbors(
     for (std::size_t i = 0; i < scores.size(); ++i) {
       if (scores[i] > 0.0) {
         const double normalized =
-            sim::latency_ms(coordinates_[self], coordinates_[buffer[i].node]) /
+            sim::latency_ms(coordinates_[self], coordinates_[pool[i].node]) /
             sim::kMaxLatencyMs;
         scores[i] /= 1.0 + config_.proximity_weight * normalized;
       }
@@ -263,30 +156,25 @@ void VitisSystem::select_neighbors(
   rank_top_k(batch_.scores(), batch_.nodes(), tie_salt,
              config_.friend_links(), ranked_);
   for (const auto& [score, index] : ranked_) {
-    const gossip::Descriptor& d = buffer[index];
-    selected.push_back(
-        overlay::RoutingEntry{d.node, d.id, overlay::LinkKind::kFriend, 0});
+    add_candidate(index, overlay::LinkKind::kFriend);
   }
 
-  table.assign(std::span<const overlay::RoutingEntry>(selected));
+  install_selection(table);
 }
 
 // ---------------------------------------------------------------------------
-// Per-cycle maintenance: heartbeats, gateway election, relay refresh.
+// Per-cycle maintenance: relay aging, gateway election, relay refresh.
 // ---------------------------------------------------------------------------
-void VitisSystem::cycle_maintenance() {
-  rebuild_undirected();
+void VitisSystem::maintenance_extra() {
   relay_requests_.clear();
-  {
-    // Attributed per cycle, not per node: one election sweep is one phase
-    // activation (profiling found it to be the largest unattributed slice
-    // of figure-bench wall — see DESIGN.md "Hot path & determinism").
-    const support::ScopedPhase phase(&profiler_, support::Phase::kElection);
-    for (const ids::NodeIndex node : engine_.active_nodes()) {
-      run_election(node);
-    }
-    group_relay_requests();
+  // Attributed per cycle, not per node: one election sweep is one phase
+  // activation (profiling found it to be the largest unattributed slice
+  // of figure-bench wall — see DESIGN.md "Hot path & determinism").
+  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kElection);
+  for (const ids::NodeIndex node : engine().active_nodes()) {
+    run_election(node);
   }
+  group_relay_requests();
 }
 
 void VitisSystem::group_relay_requests() {
@@ -294,7 +182,7 @@ void VitisSystem::group_relay_requests() {
   // stable placement keeps each topic's gateways ascending — the order in
   // which a serial pass emits the topic's installs, which is all its relay
   // tables depend on.
-  const std::size_t topics = subscriptions_.topic_count();
+  const std::size_t topics = subscriptions().topic_count();
   relay_topic_begin_.assign(topics + 1, 0);
   for (const RelayRequest& request : relay_requests_) {
     ++relay_topic_begin_[request.topic];
@@ -323,8 +211,7 @@ void VitisSystem::group_relay_requests() {
     ids::NodeIndex walker = relay_gateways_[begin];
     for (std::uint32_t i = begin + 1; i < end; ++i) {
       const ids::NodeIndex gateway = relay_gateways_[i];
-      if (ids::closer_to(key, arena_.ring_id(gateway),
-                         arena_.ring_id(walker))) {
+      if (ids::closer_to(key, ring_id(gateway), ring_id(walker))) {
         walker = gateway;
       }
     }
@@ -337,50 +224,10 @@ void VitisSystem::group_relay_requests() {
             });
 }
 
-void VitisSystem::refresh_heartbeats(ids::NodeIndex node, std::size_t worker) {
-  overlay::RoutingTable& rt = arena_.rt(node);
-  rt.increment_ages();
-  for (const auto& entry : rt.entries()) {
-    if (engine_.is_alive(entry.node)) rt.mark_fresh(entry.node);
-  }
-  (void)rt.drop_older_than(config_.staleness_threshold);
-  histograms_.record(support::Channel::kRoutingTableSize, rt.entries().size(),
-                     worker);
-  {
-    const support::ScopedPhase phase(&profiler_, support::Phase::kRelay,
-                                     worker);
-    arena_.relay(node).age_and_expire(config_.relay_ttl);
-  }
-}
-
-void VitisSystem::rebuild_undirected() {
-  // Clear only the adjacency lists the previous rebuild populated; clearing
-  // all N vectors would reintroduce the O(N) per-cycle sweep the engine's
-  // activation list removed. The active list is ascending, so edges are
-  // appended in the same order as the historical full scan.
-  for (const ids::NodeIndex node : undirected_touched_) {
-    undirected_[node].clear();
-  }
-  undirected_touched_.clear();
-  const auto adjacency = [this](ids::NodeIndex node)
-      -> std::vector<ids::NodeIndex>& {
-    std::vector<ids::NodeIndex>& list = undirected_[node];
-    if (list.empty()) undirected_touched_.push_back(node);
-    return list;
-  };
-  for (const ids::NodeIndex node : engine_.active_nodes()) {
-    for (const auto& entry : arena_.rt(node).entries()) {
-      if (entry.node == node || !engine_.is_alive(entry.node)) continue;
-      adjacency(node).push_back(entry.node);
-      adjacency(entry.node).push_back(node);
-    }
-  }
-  for (const ids::NodeIndex node : undirected_touched_) {
-    std::vector<ids::NodeIndex>& neighbors = undirected_[node];
-    std::sort(neighbors.begin(), neighbors.end());
-    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                    neighbors.end());
-  }
+void VitisSystem::heartbeat_extra(ids::NodeIndex node, std::size_t worker) {
+  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRelay,
+                                   worker);
+  arena_.relay(node).age_and_expire(config_.relay_ttl);
 }
 
 void VitisSystem::run_election(ids::NodeIndex node) {
@@ -408,7 +255,7 @@ void VitisSystem::run_election(ids::NodeIndex node) {
     topic_pos_[my_topics[i]] = i;
   }
 
-  const auto& my_neighbors = undirected_[node];
+  const auto& my_neighbors = undirected(node);
   for (const ids::NodeIndex neighbor : my_neighbors) {
     const Profile& their_profile = arena_.profile(neighbor);
     const auto their_topics = their_profile.subscriptions().topics();
@@ -447,7 +294,7 @@ void VitisSystem::run_election(ids::NodeIndex node) {
 
   for (std::size_t i = 0; i < my_topics.size(); ++i) {
     const ids::TopicIndex topic = my_topics[i];
-    const ElectionInput input{node, arena_.ring_id(node),
+    const ElectionInput input{node, ring_id(node),
                               ids::topic_ring_id(topic),
                               config_.gateway_depth};
     const GatewayProposal previous = my_profile.proposal_at(i);
@@ -490,8 +337,8 @@ void VitisSystem::apply_gateway_silence(ids::NodeIndex node, std::size_t pos,
   ts.silent = 0;
   ts.banned = current.gateway;
   ts.ban_ttl = 2 * config_.gateway_silence_limit;
-  profile.set_proposal(
-      topic, GatewayProposal{node, arena_.ring_id(node), node, 0});
+  profile.set_proposal(topic,
+                       GatewayProposal{node, ring_id(node), node, 0});
 }
 
 void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
@@ -505,17 +352,17 @@ void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
   const overlay::NeighborFn neighbors =
       [this, &ctx](ids::NodeIndex n) -> std::span<const overlay::RoutingEntry> {
     ctx.scratch.clear();
-    for (const auto& entry : arena_.rt(n).entries()) {
-      if (engine_.is_alive(entry.node)) ctx.scratch.push_back(entry);
+    for (const auto& entry : routing_table(n).entries()) {
+      if (is_alive(entry.node)) ctx.scratch.push_back(entry);
     }
     return ctx.scratch;
   };
   const std::function<ids::RingId(ids::NodeIndex)> ring_id_of =
-      [this](ids::NodeIndex n) { return arena_.ring_id(n); };
+      [this](ids::NodeIndex n) { return ring_id(n); };
   // Relay-hop admission under a fault plan draws and counts per hop, so a
   // skipped suffix would change the fault counters: walk in full then.
   overlay::RemainderFn known_remainder;
-  if (!fault_.active()) {
+  if (!fault_active()) {
     known_remainder = [&ctx](ids::NodeIndex n) -> std::optional<std::size_t> {
       const RouteMark mark = ctx.marks[n];
       if (mark.epoch != ctx.epoch) return std::nullopt;
@@ -533,19 +380,19 @@ void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
     for (std::uint32_t g = relay_topic_begin_[topic];
          g < relay_topic_begin_[topic + 1]; ++g) {
       const ids::NodeIndex gateway = relay_gateways_[g];
-      const support::ScopedPhase phase(&profiler_, support::Phase::kRelay,
-                                       worker);
+      const support::ScopedPhase phase(&profiler_mut(),
+                                       support::Phase::kRelay, worker);
       {
-        const support::ScopedPhase route(&profiler_, support::Phase::kRouting,
-                                         worker);
+        const support::ScopedPhase route(&profiler_mut(),
+                                         support::Phase::kRouting, worker);
         overlay::greedy_lookup_into(
             neighbors, ring_id_of, gateway, target, config_.lookup_hop_budget,
             ctx.result, known_remainder);
       }
       const overlay::LookupResult& result = ctx.result;
       if (!result.converged || result.hops() == 0) continue;
-      histograms_.record(support::Channel::kRelayPathLength, result.hops(),
-                         worker);
+      histograms_mut().record(support::Channel::kRelayPathLength,
+                              result.hops(), worker);
       const std::vector<ids::NodeIndex>& path = result.path;
       const std::uint64_t nonce_base =
           ids::mix64((static_cast<std::uint64_t>(gateway) << 32) ^ topic);
@@ -576,7 +423,7 @@ void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
 bool VitisSystem::relay_hop_delivered(ids::NodeIndex src, ids::NodeIndex dst,
                                       std::uint64_t nonce_base,
                                       std::uint32_t hop) const {
-  if (!fault_.active()) return true;
+  if (!fault_active()) return true;
   // Bounded retransmit-with-backoff, abstracted to attempts within the
   // cycle (real backoff timing has no meaning at cycle granularity; the
   // bound is what matters for the drop-survival probability). Explicit
@@ -584,165 +431,51 @@ bool VitisSystem::relay_hop_delivered(ids::NodeIndex src, ids::NodeIndex dst,
   // 64 bounds attempts-per-hop, far above any sane relay_retransmit.
   const std::uint32_t attempts = 1 + config_.relay_retransmit;
   for (std::uint32_t a = 0; a < attempts; ++a) {
-    if (fault_.deliver(src, dst, sim::MessageKind::kRelay,
-                       nonce_base + std::uint64_t{hop} * 64 + a)) {
+    if (fault_plan().deliver(src, dst, sim::MessageKind::kRelay,
+                             nonce_base + std::uint64_t{hop} * 64 + a)) {
       return true;
     }
   }
   return false;
 }
 
-overlay::LookupResult VitisSystem::lookup(ids::NodeIndex origin,
-                                          ids::RingId target) const {
-  return lookup_cached(origin, target);  // copy out of the member buffer
-}
-
-const overlay::LookupResult& VitisSystem::lookup_cached(
-    ids::NodeIndex origin, ids::RingId target) const {
-  const support::ScopedPhase phase(&profiler_, support::Phase::kRouting);
-  const overlay::NeighborFn neighbors =
-      [this](ids::NodeIndex node) -> std::span<const overlay::RoutingEntry> {
-    lookup_scratch_.clear();
-    for (const auto& entry : arena_.rt(node).entries()) {
-      if (engine_.is_alive(entry.node)) lookup_scratch_.push_back(entry);
-    }
-    return lookup_scratch_;
-  };
-  overlay::greedy_lookup_into(
-      neighbors, [this](ids::NodeIndex n) { return arena_.ring_id(n); },
-      origin, target, config_.lookup_hop_budget, lookup_result_);
-  return lookup_result_;
-}
-
-void VitisSystem::gossip_step(ids::NodeIndex node) {
-  VITIS_CHECK(engine_.is_alive(node));
-  // Mirror one engine activation: the same counter-based forks the stages
-  // would produce for this node at the current cycle, with the merge run
-  // immediately after (a one-node stage is its own barrier).
-  sim::Rng sampling_rng =
-      sim::Rng::at(engine_.seed(), kSaltSampling, node, engine_.cycle());
-  sampling_->prepare(node, sampling_rng, 0);
-  sampling_->apply(engine_.cycle());
-  sim::Rng tman_rng =
-      sim::Rng::at(engine_.seed(), kSaltTman, node, engine_.cycle());
-  tman_->prepare(node, tman_rng, 0);
-  tman_->apply(engine_.cycle());
-}
-
-std::vector<support::ParallelPhaseStats> VitisSystem::parallel_phases() const {
-  std::vector<support::ParallelPhaseStats> phases;
-  for (const auto& timing : engine_.stage_timings()) {
-    support::ParallelPhaseStats stage{
-        timing.name, static_cast<double>(timing.busy_ns) / 1e6,
-        static_cast<double>(timing.span_ns) / 1e6, {}};
-    stage.worker_busy_ms.reserve(timing.worker_busy_ns.size());
-    for (const std::uint64_t busy : timing.worker_busy_ns) {
-      stage.worker_busy_ms.push_back(static_cast<double>(busy) / 1e6);
-    }
-    phases.push_back(std::move(stage));
+// ---------------------------------------------------------------------------
+// Host hooks: invariants, gauges, counters, footprint.
+// ---------------------------------------------------------------------------
+void VitisSystem::check_node_invariants(ids::NodeIndex node) const {
+  const Profile& profile = arena_.profile(node);
+  const auto topics = profile.subscriptions().topics();
+  for (std::size_t t = 0; t < topics.size(); ++t) {
+    VITIS_CHECK(analysis::gateway_depth_bounded(profile.proposal_at(t).hops,
+                                                config_.gateway_depth));
   }
-  return phases;
 }
 
-const support::Profiler* VitisSystem::profiler() const {
+std::size_t VitisSystem::relay_link_count() const {
+  std::size_t links = 0;
+  for (const ids::NodeIndex node : engine().active_nodes()) {
+    links += arena_.relay(node).link_count();
+  }
+  return links;
+}
+
+void VitisSystem::sync_cache_counters(support::Profiler& profiler) const {
   const UtilityCacheStats& cache = utility_cache_.stats();
-  profiler_.set_counter(support::Counter::kUtilityCacheHits, cache.hits);
-  profiler_.set_counter(support::Counter::kUtilityCacheMisses, cache.misses);
-  profiler_.set_counter(support::Counter::kUtilityCacheEvictions,
-                        cache.evictions);
-  profiler_.set_counter(support::Counter::kUtilityCacheInvalidations,
-                        cache.invalidations);
-  profiler_.set_counter(support::Counter::kInternedSets, registry_.size());
-  profiler_.set_counter(support::Counter::kInternCalls,
-                        registry_.intern_calls());
-  return &profiler_;
+  profiler.set_counter(support::Counter::kUtilityCacheHits, cache.hits);
+  profiler.set_counter(support::Counter::kUtilityCacheMisses, cache.misses);
+  profiler.set_counter(support::Counter::kUtilityCacheEvictions,
+                       cache.evictions);
+  profiler.set_counter(support::Counter::kUtilityCacheInvalidations,
+                       cache.invalidations);
 }
 
-const support::HistogramSet* VitisSystem::distributions() const {
-  // Node message totals are cumulative state, not a stream of events —
-  // re-derive the channel on each export (idempotent, like the counter
-  // sync in profiler()). Nodes that saw no traffic are omitted.
-  histograms_.reset_channel(support::Channel::kNodeMessages);
-  for (const pubsub::NodeTraffic& traffic : metrics_.traffic()) {
-    if (traffic.total() == 0) continue;
-    histograms_.record(support::Channel::kNodeMessages, traffic.total());
-  }
-  return &histograms_;
+double VitisSystem::cache_hit_rate() const {
+  return utility_cache_.stats().hit_rate();
 }
 
-// ---------------------------------------------------------------------------
-// Flight recorder (observability).
-// ---------------------------------------------------------------------------
-void VitisSystem::configure_recorder(const support::RecorderConfig& config) {
-  recorder_.configure(config);
-  if (!recorder_.enabled()) {
-    engine_.set_observer(nullptr, nullptr);
-    return;
-  }
-  if (!health_.attached()) health_.attach(arena_.ring_ids());
-  engine_.set_observer(&recorder_, [this](std::size_t) { observe_sample(); });
-}
-
-void VitisSystem::observe_sample() {
-  if (!recorder_.enabled()) return;
-  support::TimeSeriesSample* sample = recorder_.begin_sample(engine_.cycle());
-  if (sample != nullptr) {
-    const auto is_alive = [this](ids::NodeIndex node) {
-      return engine_.is_alive(node);
-    };
-    const auto table_of =
-        [this](ids::NodeIndex node) -> const overlay::RoutingTable& {
-      return arena_.rt(node);
-    };
-    const auto slot = [&](support::Gauge gauge) -> double& {
-      return sample->gauges[static_cast<std::size_t>(gauge)];
-    };
-    slot(support::Gauge::kAliveNodes) =
-        static_cast<double>(engine_.alive_count());
-    slot(support::Gauge::kMeanClustersPerTopic) =
-        health_.mean_clusters_per_topic(undirected_, subscriptions_, is_alive);
-    std::uint64_t relay_links = 0;
-    for (const ids::NodeIndex node : engine_.active_nodes()) {
-      relay_links += arena_.relay(node).link_count();
-    }
-    slot(support::Gauge::kRelayLinks) = static_cast<double>(relay_links);
-    slot(support::Gauge::kRingConsistency) =
-        health_.ring_consistency(is_alive, table_of);
-    analysis::view_ages(arena_.size(), is_alive, table_of,
-                        slot(support::Gauge::kMeanViewAge),
-                        slot(support::Gauge::kMaxViewAge));
-    recorder_.window_gauges(
-        support::WindowCounters{metrics_.expected_total(),
-                                metrics_.delivered_total(),
-                                metrics_.uninterested_messages(),
-                                metrics_.total_messages()},
-        slot(support::Gauge::kWindowHitRatio),
-        slot(support::Gauge::kWindowOverheadPct));
-    slot(support::Gauge::kUtilityCacheHitRate) =
-        utility_cache_.stats().hit_rate();
-    slot(support::Gauge::kShardImbalance) =
-        engine_.canonical_shard_imbalance();
-    for (std::size_t p = 0; p < support::kPhaseCount; ++p) {
-      sample->phase_calls[p] =
-          profiler_.stats(static_cast<support::Phase>(p)).calls;
-    }
-  }
-  if (recorder_.invariants_enabled()) check_invariants();
-}
-
-void VitisSystem::check_invariants() const {
-  for (const ids::NodeIndex node : engine_.active_nodes()) {
-    const overlay::RoutingTable& rt = arena_.rt(node);
-    const Profile& profile = arena_.profile(node);
-    VITIS_CHECK(analysis::table_within_bounds(node, rt));
-    VITIS_CHECK(analysis::successor_is_clockwise_closest(arena_.ring_id(node),
-                                                         rt.entries()));
-    const auto topics = profile.subscriptions().topics();
-    for (std::size_t t = 0; t < topics.size(); ++t) {
-      VITIS_CHECK(analysis::gateway_depth_bounded(profile.proposal_at(t).hops,
-                                                  config_.gateway_depth));
-    }
-  }
+std::size_t VitisSystem::extra_memory_bytes() const {
+  return arena_.memory_bytes() + topic_stamp_.size() * sizeof(std::uint32_t) +
+         topic_pos_.size() * sizeof(std::size_t);
 }
 
 // ---------------------------------------------------------------------------
@@ -750,66 +483,57 @@ void VitisSystem::check_invariants() const {
 // ---------------------------------------------------------------------------
 // Vitis forwards to subscribed overlay neighbours and along the topic's
 // live relay links, in ascending node order; a fault plan drops and delays.
-struct VitisSystem::Hops {
-  VitisSystem& system;
+struct VitisSystem::Hops : FaultAdmission {
+  VitisSystem& vitis;
   ids::TopicIndex topic;
 
   template <typename Fn>
   void for_each_next(ids::NodeIndex node, Fn&& fn) {
-    std::vector<ids::NodeIndex>& targets = system.targets_;
+    std::vector<ids::NodeIndex>& targets = vitis.targets_;
     targets.clear();
-    for (const ids::NodeIndex y : system.undirected_[node]) {
-      if (system.subscriptions_.subscribes(y, topic)) targets.push_back(y);
+    for (const ids::NodeIndex y : vitis.undirected(node)) {
+      if (vitis.subscriptions().subscribes(y, topic)) targets.push_back(y);
     }
-    for (const auto& link : system.arena_.relay(node).links(topic)) {
-      if (system.engine_.is_alive(link.peer)) targets.push_back(link.peer);
+    for (const auto& link : vitis.arena_.relay(node).links(topic)) {
+      if (vitis.is_alive(link.peer)) targets.push_back(link.peer);
     }
     std::sort(targets.begin(), targets.end());
     targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
     for (const ids::NodeIndex y : targets) fn(y);
   }
-  [[nodiscard]] bool admit(ids::NodeIndex from, ids::NodeIndex to) const {
-    return !system.fault_.active() ||
-           system.fault_.deliver(from, to, sim::MessageKind::kPublication);
-  }
+  // Unlike the baselines, Vitis charges the fault plan's delay hops.
   [[nodiscard]] std::uint32_t penalty(ids::NodeIndex from,
                                       ids::NodeIndex to) const {
-    return system.fault_.active() ? system.fault_.hop_penalty(from, to) : 0;
+    return vitis.fault_active() ? vitis.fault_plan().hop_penalty(from, to)
+                                : 0;
   }
   // Installed coordinates give each link its latency; without them every
   // link takes 1 ms.
   [[nodiscard]] double latency(ids::NodeIndex a, ids::NodeIndex b) const {
-    return system.coordinates_.empty()
+    return vitis.coordinates_.empty()
                ? 1.0
-               : 1.0 + sim::latency_ms(system.coordinates_[a],
-                                       system.coordinates_[b]);
+               : 1.0 + sim::latency_ms(vitis.coordinates_[a],
+                                       vitis.coordinates_[b]);
   }
 };
 
 template <pubsub::QueuePolicy P>
 pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
                                                      ids::NodeIndex publisher) {
-  const support::ScopedPhase phase(&profiler_, support::Phase::kDelivery);
-  VITIS_CHECK(topic < subscriptions_.topic_count());
-  VITIS_CHECK(engine_.is_alive(publisher));
-
-  pubsub::Dissemination& flood = dissemination_;
-  flood.begin(topic, publisher, [this](ids::NodeIndex s) {
-    // A freshly joined node is not yet expected to receive events.
-    return engine_.is_alive(s) &&
-           arena_.join_cycle(s) + config_.join_grace_cycles <= engine_.cycle();
-  });
-  Hops hops{*this, topic};
+  const support::ScopedPhase phase(&profiler_mut(),
+                                   support::Phase::kDelivery);
+  pubsub::Dissemination& flood = begin_publish(topic, publisher);
+  Hops hops{{*this}, *this, topic};
   flood.seed<P>(publisher);
 
   // A publisher outside any cluster of the topic (not subscribed, not a
   // relay) hands the event to the rendezvous node by greedy routing first.
-  if (!subscriptions_.subscribes(publisher, topic) &&
+  if (!subscriptions().subscribes(publisher, topic) &&
       !arena_.relay(publisher).is_relay_for(topic)) {
     const ids::RingId target = ids::topic_ring_id(topic);
     auto route = lookup(publisher, target);
     std::uint32_t fallbacks_left =
-        fault_.active() ? config_.route_fallback_limit : 0;
+        fault_active() ? config_.route_fallback_limit : 0;
     std::size_t i = 1;
     while (i < route.path.size()) {
       const ids::NodeIndex from = route.path[i - 1];
@@ -821,8 +545,8 @@ pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
         if (fallbacks_left == 0) break;
         --fallbacks_left;
         const auto succ =
-            arena_.rt(from).first_of(overlay::LinkKind::kSuccessor);
-        if (!succ.has_value() || !engine_.is_alive(succ->node)) break;
+            routing_table(from).first_of(overlay::LinkKind::kSuccessor);
+        if (!succ.has_value() || !is_alive(succ->node)) break;
         const ids::NodeIndex detour = succ->node;
         if (!hops.admit(from, detour)) break;
         flood.route_hop<P>(hops, from, detour);
@@ -847,45 +571,15 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
 // ---------------------------------------------------------------------------
 // Churn (§III-D).
 // ---------------------------------------------------------------------------
-void VitisSystem::node_join(ids::NodeIndex node) {
-  VITIS_CHECK(node < arena_.size());
-  if (engine_.is_alive(node)) return;
-  engine_.set_alive(node, true);
-  arena_.reset_overlay_state(node);
-  arena_.set_join_cycle(node, engine_.cycle());
+void VitisSystem::on_join(ids::NodeIndex node) {
+  arena_.reset_overlay_state(node, ring_id(node));
   // A rejoining node may come back with a different subscription set (its
   // profile can be mutated while offline); refresh its canonical id.
   refresh_set_id(node);
-  const auto contacts = random_alive_contacts(config_.bootstrap_contacts, node);
-  sampling_->init_node(node, contacts);
 }
 
-void VitisSystem::node_leave(ids::NodeIndex node) {
-  VITIS_CHECK(node < arena_.size());
-  if (!engine_.is_alive(node)) return;
-  engine_.set_alive(node, false);
-  arena_.reset_overlay_state(node);
-  sampling_->remove_node(node);
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection (lossy-network model).
-// ---------------------------------------------------------------------------
-void VitisSystem::set_fault_plan(const sim::FaultConfig& config) {
-  fault_.configure(config, fault_seed_, &engine_);
-  // The gossip layers only pay the admission branch while a plan is live.
-  sim::FaultPlan* plan = fault_.active() ? &fault_ : nullptr;
-  sampling_->set_fault_plan(plan);
-  tman_->set_fault_plan(plan);
-}
-
-void VitisSystem::node_crash(ids::NodeIndex node) {
-  VITIS_CHECK(node < arena_.size());
-  if (!engine_.is_alive(node)) return;  // idempotent, like node_leave
-  // Only the alive bit flips: the node's routing/relay/profile state and
-  // every reference its peers hold survive. Heartbeat staleness, relay
-  // TTLs and re-election are what repair the damage.
-  engine_.set_alive(node, false);
+void VitisSystem::on_leave(ids::NodeIndex node) {
+  arena_.reset_overlay_state(node, ring_id(node));
 }
 
 // ---------------------------------------------------------------------------
@@ -895,8 +589,8 @@ TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
                                                     ids::NodeIndex publisher) {
   TimedDisseminationReport timed;
   timed.base = disseminate<pubsub::QueuePolicy::kTimed>(topic, publisher);
-  timed.delay_ms_sum = dissemination_.delay_ms_sum();
-  timed.max_delay_ms = dissemination_.max_delay_ms();
+  timed.delay_ms_sum = dissemination().delay_ms_sum();
+  timed.max_delay_ms = dissemination().max_delay_ms();
   return timed;
 }
 
@@ -904,7 +598,7 @@ TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
 // Physical proximity extension (§III-A2).
 // ---------------------------------------------------------------------------
 void VitisSystem::set_coordinates(std::vector<sim::Coordinate> coordinates) {
-  VITIS_CHECK(coordinates.size() == arena_.size());
+  VITIS_CHECK(coordinates.size() == node_count());
   coordinates_ = std::move(coordinates);
 }
 
@@ -912,8 +606,8 @@ double VitisSystem::mean_friend_latency_ms() const {
   if (coordinates_.empty()) return 0.0;
   double sum = 0.0;
   std::size_t links = 0;
-  for (const ids::NodeIndex node : engine_.active_nodes()) {
-    for (const auto& entry : arena_.rt(node).entries()) {
+  for (const ids::NodeIndex node : engine().active_nodes()) {
+    for (const auto& entry : routing_table(node).entries()) {
       if (entry.kind != overlay::LinkKind::kFriend) continue;
       sum += sim::latency_ms(coordinates_[node], coordinates_[entry.node]);
       ++links;
@@ -926,18 +620,17 @@ double VitisSystem::mean_friend_latency_ms() const {
 // Dynamic subscriptions (§III).
 // ---------------------------------------------------------------------------
 bool VitisSystem::subscribe(ids::NodeIndex node, ids::TopicIndex topic) {
-  VITIS_CHECK(node < arena_.size());
-  if (!subscriptions_.subscribe(node, topic)) return false;
-  const bool added =
-      arena_.profile(node).add_topic(topic, node, arena_.ring_id(node));
+  VITIS_CHECK(node < node_count());
+  if (!subscriptions_mut().subscribe(node, topic)) return false;
+  const bool added = arena_.profile(node).add_topic(topic, node, ring_id(node));
   VITIS_CHECK(added);
   refresh_set_id(node);
   return true;
 }
 
 bool VitisSystem::unsubscribe(ids::NodeIndex node, ids::TopicIndex topic) {
-  VITIS_CHECK(node < arena_.size());
-  if (!subscriptions_.unsubscribe(node, topic)) return false;
+  VITIS_CHECK(node < node_count());
+  if (!subscriptions_mut().unsubscribe(node, topic)) return false;
   const bool removed = arena_.profile(node).remove_topic(topic);
   VITIS_CHECK(removed);
   refresh_set_id(node);
@@ -951,7 +644,7 @@ void VitisSystem::refresh_set_id(ids::NodeIndex node) {
     // bookkeeping fresh rather than remapping counters.
     silence_[node].assign(profile.subscriptions().size(), TopicSilence{});
   }
-  const pubsub::SetId id = registry_.intern(profile.subscriptions());
+  const pubsub::SetId id = registry_mut().intern(profile.subscriptions());
   if (id != profile.set_id()) {
     profile.set_set_id(id);
     // Canonical ids make stale cache entries unreachable rather than wrong,
@@ -974,8 +667,8 @@ bool VitisSystem::is_gateway(ids::NodeIndex node, ids::TopicIndex topic) const {
 std::vector<ids::NodeIndex> VitisSystem::gateways_of(
     ids::TopicIndex topic) const {
   std::vector<ids::NodeIndex> gateways;
-  for (const ids::NodeIndex node : subscriptions_.subscribers(topic)) {
-    if (engine_.is_alive(node) && is_gateway(node, topic)) {
+  for (const ids::NodeIndex node : subscriptions().subscribers(topic)) {
+    if (is_alive(node) && is_gateway(node, topic)) {
       gateways.push_back(node);
     }
   }
@@ -985,38 +678,13 @@ std::vector<ids::NodeIndex> VitisSystem::gateways_of(
 ids::NodeIndex VitisSystem::global_rendezvous(ids::TopicIndex topic) const {
   const ids::RingId target = ids::topic_ring_id(topic);
   ids::NodeIndex best = ids::kInvalidNode;
-  for (const ids::NodeIndex node : engine_.active_nodes()) {
+  for (const ids::NodeIndex node : engine().active_nodes()) {
     if (best == ids::kInvalidNode ||
-        ids::closer_to(target, arena_.ring_id(node), arena_.ring_id(best))) {
+        ids::closer_to(target, ring_id(node), ring_id(best))) {
       best = node;
     }
   }
   return best;
-}
-
-analysis::Graph VitisSystem::overlay_snapshot() const {
-  analysis::Graph graph(arena_.size());
-  for (const ids::NodeIndex node : engine_.active_nodes()) {
-    for (const auto& entry : arena_.rt(node).entries()) {
-      if (entry.node != node && engine_.is_alive(entry.node)) {
-        graph.add_edge(node, entry.node);
-      }
-    }
-  }
-  return graph;
-}
-
-std::size_t VitisSystem::memory_footprint() const {
-  std::size_t adjacency_links = 0;
-  for (const ids::NodeIndex node : undirected_touched_) {
-    adjacency_links += undirected_[node].size();
-  }
-  return arena_.memory_bytes() + sampling_->memory_bytes() +
-         undirected_.size() * sizeof(std::vector<ids::NodeIndex>) +
-         adjacency_links * sizeof(ids::NodeIndex) +
-         dissemination_.memory_bytes() +
-         topic_stamp_.size() * sizeof(std::uint32_t) +
-         topic_pos_.size() * sizeof(std::size_t);
 }
 
 }  // namespace vitis::core

@@ -8,8 +8,8 @@
 //
 // Storage is dual-mode: a table either owns its fixed-capacity entry buffer
 // (standalone construction, used by tests and small tools) or is a handle
-// into an externally owned slab (core::NodeArena / BaselineSystem allocate
-// one contiguous N×capacity RoutingEntry slab and hand each node a slice),
+// into an externally owned slab (core::OverlaySystem allocates one
+// contiguous N×capacity RoutingEntry slab and hands each node a slice),
 // so a million node tables cost one allocation instead of a million. The
 // API and semantics are identical in both modes; capacity is fixed for the
 // table's lifetime either way.

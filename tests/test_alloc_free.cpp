@@ -14,6 +14,7 @@
 #include <new>
 
 #include "baselines/opt/opt_system.hpp"
+#include "baselines/rvr/rvr_system.hpp"
 #include "core/batch_score.hpp"
 #include "core/utility.hpp"
 #include "core/vitis_system.hpp"
@@ -222,6 +223,38 @@ TEST(AllocationAudit, ArenaSteadyStateMaintenanceCycleIsAllocationFree) {
 
   // The deterministic footprint gauge is itself allocation-free (the
   // capacity bench calls it per sweep point).
+  const std::uint64_t gauge_before = g_allocations;
+  const std::size_t footprint = system->memory_footprint();
+  EXPECT_EQ(g_allocations - gauge_before, 0u);
+  EXPECT_GT(footprint, 0u);
+}
+
+TEST(AllocationAudit, RvrSteadyStateMaintenanceCycleIsAllocationFree) {
+  // RVR's twin of the audit above, on the same scenario and budget: its
+  // Symphony selection runs on the host's selection scratch, and the
+  // staggered tree refresh routes through the host's buffered lookup, so a
+  // steady-state cycle allocates only on rare capacity growth.
+  workload::SyntheticScenarioParams params;
+  params.subscriptions.nodes = 400;
+  params.subscriptions.topics = 200;
+  params.subscriptions.subs_per_node = 20;
+  params.subscriptions.pattern = workload::CorrelationPattern::kLowCorrelation;
+  params.events = 8;
+  params.seed = 4321;
+  const auto scenario = workload::make_synthetic_scenario(params);
+  auto system =
+      workload::make_rvr(scenario, baselines::rvr::RvrConfig{}, 4321);
+  system->run_cycles(48);
+
+  const std::uint64_t before = g_allocations;
+  constexpr std::size_t kCycles = 4;
+  system->run_cycles(kCycles);
+  const std::uint64_t during = g_allocations - before;
+  const std::uint64_t budget = system->node_count() * kCycles / 10;
+  EXPECT_LT(during, budget)
+      << during << " heap allocations in " << kCycles
+      << " steady-state RVR maintenance cycles (budget " << budget << ")";
+
   const std::uint64_t gauge_before = g_allocations;
   const std::size_t footprint = system->memory_footprint();
   EXPECT_EQ(g_allocations - gauge_before, 0u);
