@@ -95,34 +95,38 @@ class HealthAnalyzer {
     const std::size_t topic_count = subscriptions.topic_count();
     for (std::size_t t = 0; t < topic_count; ++t) {
       const auto topic = static_cast<ids::TopicIndex>(t);
-      if (++epoch_ == 0) {
+      // Two stamps per topic: an alive subscriber is first marked a
+      // member, then reached once a BFS takes it into a cluster.
+      if (epoch_ > UINT32_MAX - 2) {  // wrap-around: reset the stamps once
         std::fill(stamp_.begin(), stamp_.end(), 0U);
-        epoch_ = 1;
+        epoch_ = 0;
       }
-      std::size_t clusters = 0;
+      const std::uint32_t member = ++epoch_;
+      const std::uint32_t reached = ++epoch_;
       bool any_alive = false;
       for (const ids::NodeIndex s : subscriptions.subscribers(topic)) {
         if (!is_alive(s)) continue;
+        stamp_[s] = member;
         any_alive = true;
-        if (stamp_[s] == epoch_) continue;
+      }
+      if (!any_alive) continue;
+      std::size_t clusters = 0;
+      for (const ids::NodeIndex s : subscriptions.subscribers(topic)) {
+        if (stamp_[s] != member) continue;  // dead, or in a cluster already
         ++clusters;
-        stamp_[s] = epoch_;
+        stamp_[s] = reached;
         queue_.clear();
         queue_.push_back(s);
         for (std::size_t head = 0; head < queue_.size(); ++head) {
           for (const ids::NodeIndex nb : adjacency[queue_[head]]) {
-            if (stamp_[nb] == epoch_) continue;
-            if (!subscriptions.subscribes(nb, topic)) continue;
-            if (!is_alive(nb)) continue;
-            stamp_[nb] = epoch_;
+            if (stamp_[nb] != member) continue;
+            stamp_[nb] = reached;
             queue_.push_back(nb);
           }
         }
       }
-      if (any_alive) {
-        ++topics_counted;
-        cluster_total += clusters;
-      }
+      ++topics_counted;
+      cluster_total += clusters;
     }
     return topics_counted == 0 ? 0.0
                                : static_cast<double>(cluster_total) /
@@ -163,7 +167,7 @@ class HealthAnalyzer {
 
  private:
   std::vector<ids::RingId> ring_ids_;
-  std::vector<std::uint32_t> stamp_;       // per-node BFS epoch stamps
+  std::vector<std::uint32_t> stamp_;       // per-node member/reached stamps
   std::vector<ids::NodeIndex> queue_;      // BFS frontier
   std::vector<ids::NodeIndex> ring_order_; // alive nodes in ring order
   std::uint32_t epoch_ = 0;

@@ -11,12 +11,12 @@ namespace vitis::baselines::opt {
 // connectivity guarantee).
 struct OptSystem::TopicHops : FaultAdmission {
   const OptSystem& opt;
-  ids::TopicIndex topic;
+  const pubsub::Dissemination& flood;
 
   template <typename Fn>
   void for_each_next(ids::NodeIndex node, Fn&& fn) const {
     for (const ids::NodeIndex y : opt.undirected(node)) {
-      if (opt.subscriptions().subscribes(y, topic)) fn(y);
+      if (flood.interested(y)) fn(y);
     }
   }
 };
@@ -102,7 +102,7 @@ pubsub::DisseminationReport OptSystem::publish(ids::TopicIndex topic,
   const support::ScopedPhase phase(&profiler_mut(),
                                    support::Phase::kDelivery);
   pubsub::Dissemination& flood = begin_publish(topic, publisher);
-  TopicHops hops{{*this}, *this, topic};
+  TopicHops hops{{*this}, *this, flood};
   flood.seed<pubsub::QueuePolicy::kFifo>(publisher);
   flood.flood<pubsub::QueuePolicy::kFifo>(hops);
   return flood.finish();

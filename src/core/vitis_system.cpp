@@ -485,21 +485,27 @@ std::size_t VitisSystem::extra_memory_bytes() const {
 // live relay links, in ascending node order; a fault plan drops and delays.
 struct VitisSystem::Hops : FaultAdmission {
   VitisSystem& vitis;
+  const pubsub::Dissemination& flood;
   ids::TopicIndex topic;
 
   template <typename Fn>
   void for_each_next(ids::NodeIndex node, Fn&& fn) {
-    std::vector<ids::NodeIndex>& targets = vitis.targets_;
-    targets.clear();
-    for (const ids::NodeIndex y : vitis.undirected(node)) {
-      if (vitis.subscriptions().subscribes(y, topic)) targets.push_back(y);
-    }
+    // The few live relay peers, sorted, merged into the ascending neighbour
+    // list; a peer that is also a subscribed neighbour is sent to once.
+    std::vector<ids::NodeIndex>& relays = vitis.relay_peers_;
+    relays.clear();
     for (const auto& link : vitis.arena_.relay(node).links(topic)) {
-      if (vitis.is_alive(link.peer)) targets.push_back(link.peer);
+      if (vitis.is_alive(link.peer)) relays.push_back(link.peer);
     }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    for (const ids::NodeIndex y : targets) fn(y);
+    std::sort(relays.begin(), relays.end());
+    auto relay = relays.begin();
+    for (const ids::NodeIndex y : vitis.undirected(node)) {
+      if (!flood.interested(y)) continue;
+      for (; relay != relays.end() && *relay < y; ++relay) fn(*relay);
+      if (relay != relays.end() && *relay == y) ++relay;
+      fn(y);
+    }
+    for (; relay != relays.end(); ++relay) fn(*relay);
   }
   // Unlike the baselines, Vitis charges the fault plan's delay hops.
   [[nodiscard]] std::uint32_t penalty(ids::NodeIndex from,
@@ -523,12 +529,12 @@ pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
   const support::ScopedPhase phase(&profiler_mut(),
                                    support::Phase::kDelivery);
   pubsub::Dissemination& flood = begin_publish(topic, publisher);
-  Hops hops{{*this}, *this, topic};
+  Hops hops{{*this}, *this, flood, topic};
   flood.seed<P>(publisher);
 
   // A publisher outside any cluster of the topic (not subscribed, not a
   // relay) hands the event to the rendezvous node by greedy routing first.
-  if (!subscriptions().subscribes(publisher, topic) &&
+  if (!flood.interested(publisher) &&
       !arena_.relay(publisher).is_relay_for(topic)) {
     const ids::RingId target = ids::topic_ring_id(topic);
     auto route = lookup(publisher, target);

@@ -260,8 +260,9 @@ class VitisSystem final : public OverlaySystem {
   std::vector<std::uint32_t> topic_stamp_;
   std::vector<std::size_t> topic_pos_;
   std::uint32_t topic_epoch_ = 0;
-  // Next-hop merge buffer of the dissemination (Hops::for_each_next).
-  std::vector<ids::NodeIndex> targets_;
+  // Sorted live relay peers of one dissemination visit
+  // (Hops::for_each_next).
+  std::vector<ids::NodeIndex> relay_peers_;
 };
 
 }  // namespace vitis::core

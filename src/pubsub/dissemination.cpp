@@ -12,7 +12,7 @@ Dissemination::Dissemination(std::size_t node_count,
       recorder_(recorder),
       trace_rng_(trace_seed),
       visit_(node_count, 0),
-      expected_(node_count, 0) {
+      mark_(node_count, 0) {
   fifo_.reserve(64);
 }
 

@@ -4,9 +4,10 @@
 // the event forwards it to its next hops, after an optional greedy handoff
 // toward the topic's rendezvous node. Only the next-hop set, the handoff and
 // the fault hop penalty belong to a system; this module owns the rest — the
-// visit/expected stamps, the per-transmission accounting (message count,
-// route trace, delivery, delay channel), the report — and the one
-// forwarding loop, whose only parameter is the queue policy:
+// per-publication marks (visited, interested, expected), the
+// per-transmission accounting (message count, route trace, delivery, delay
+// channel), the report — and the one forwarding loop, whose only parameter
+// is the queue policy:
 //
 //   * kFifo (hop-count model): a node is visited when the first
 //     transmission to it is sent. FIFO pops in send order, so the first
@@ -21,6 +22,10 @@
 //   bool admit(ids::NodeIndex from, ids::NodeIndex to);    // fault drop
 //   std::uint32_t penalty(ids::NodeIndex from, ids::NodeIndex to);
 //   double latency(ids::NodeIndex from, ids::NodeIndex to);  // kTimed only
+//
+// Next hops that filter by topic membership ask the loop's
+// interested(node): an O(1) read of the mark begin() sets on every
+// subscriber, the same answer as SubscriptionTable::subscribes.
 //
 // The loop is a template over the Net, so the per-transmission path stays
 // monomorphic and inlined: no std::function and no virtual call per message.
@@ -49,15 +54,16 @@ class Dissemination {
                 MetricsCollector& metrics, support::Recorder& recorder,
                 std::uint64_t trace_seed);
 
-  /// Open a publication: fresh stamps, the publisher visited, and every
-  /// subscriber other than the publisher for which `eligible(s)` holds
-  /// marked expected. Decides whether this publication is traced.
+  /// Open a publication: fresh stamps, the publisher visited, every
+  /// subscriber of `topic` marked interested, and those other than the
+  /// publisher for which `eligible(s)` holds also marked expected. Decides
+  /// whether this publication is traced.
   template <typename Eligible>
   void begin(ids::TopicIndex topic, ids::NodeIndex publisher,
              Eligible&& eligible) {
-    if (++stamp_ == 0) {  // wrap-around: reset the arrays once
+    if (++stamp_ > kMaxStamp) {  // wrap-around: reset the arrays once
       std::fill(visit_.begin(), visit_.end(), 0);
-      std::fill(expected_.begin(), expected_.end(), 0);
+      std::fill(mark_.begin(), mark_.end(), 0);
       stamp_ = 1;
     }
     report_ = DisseminationReport{};
@@ -74,11 +80,16 @@ class Dissemination {
     if (traced_) recorder_.begin_trace(publish_count_, topic, publisher);
     ++publish_count_;
     for (const ids::NodeIndex s : subscriptions_.subscribers(topic)) {
-      if (s == publisher || !eligible(s)) continue;
-      expected_[s] = stamp_;
-      ++report_.expected;
+      const bool expected = s != publisher && eligible(s);
+      mark_[s] = (stamp_ << 1) | static_cast<std::uint32_t>(expected);
+      report_.expected += expected;
     }
     visit_[publisher] = stamp_;
+  }
+
+  /// Whether `node` subscribes to the open publication's topic.
+  [[nodiscard]] bool interested(ids::NodeIndex node) const {
+    return (mark_[node] >> 1) == stamp_;
   }
 
   /// Queue `node`, which already holds the event, as a flood source.
@@ -151,7 +162,7 @@ class Dissemination {
 
   /// Bytes of the two per-node stamp arrays (memory_footprint's share).
   [[nodiscard]] std::size_t memory_bytes() const {
-    return (visit_.size() + expected_.size()) * sizeof(std::uint32_t);
+    return (visit_.size() + mark_.size()) * sizeof(std::uint32_t);
   }
 
  private:
@@ -184,13 +195,13 @@ class Dissemination {
   template <QueuePolicy P>
   bool receive(ids::NodeIndex from, ids::NodeIndex to, std::uint32_t hop,
                double time, bool route) {
-    const bool interested = subscriptions_.subscribes(to, report_.topic);
-    metrics_.on_message(to, interested);
+    const bool member = interested(to);
+    metrics_.on_message(to, member);
     ++report_.messages;
-    if (traced_) recorder_.add_hop(from, to, hop, interested, route);
+    if (traced_) recorder_.add_hop(from, to, hop, member, route);
     if (visit_[to] == stamp_) return false;
     visit_[to] = stamp_;
-    if (expected_[to] == stamp_) {
+    if (mark_[to] == ((stamp_ << 1) | 1)) {
       ++report_.delivered;
       report_.delay_sum += hop;
       report_.max_delay = std::max<std::size_t>(report_.max_delay, hop);
@@ -209,8 +220,13 @@ class Dissemination {
   sim::Rng trace_rng_;
   std::uint64_t publish_count_ = 0;
 
+  // Per-node marks of the open publication, valid when they carry stamp_:
+  // visit_ holds stamp_ once the node held the event; mark_ holds
+  // stamp_·2 for every subscriber of the topic, | 1 when it is expected.
+  // The doubled mark leaves stamps 31 bits.
+  static constexpr std::uint32_t kMaxStamp = UINT32_MAX >> 1;
   std::vector<std::uint32_t> visit_;
-  std::vector<std::uint32_t> expected_;
+  std::vector<std::uint32_t> mark_;
   std::uint32_t stamp_ = 0;
 
   DisseminationReport report_;

@@ -415,6 +415,18 @@ TEST(AllocationAudit, VitisTimedPublishIsAllocationFree) {
       });
 }
 
+TEST(AllocationAudit, RvrPublishIsAllocationFree) {
+  // RVR's rendezvous route comes from the host's buffered lookup, so its
+  // publications stay off the heap as well.
+  const auto scenario = publish_audit_scenario();
+  auto system = workload::make_rvr(scenario, baselines::rvr::RvrConfig{}, 2468);
+  system->run_cycles(30);
+  expect_steady_publish_allocation_free(
+      scenario, [&](ids::TopicIndex topic, ids::NodeIndex publisher) {
+        return system->publish(topic, publisher).delivered;
+      });
+}
+
 TEST(AllocationAudit, OptPublishIsAllocationFree) {
   const auto scenario = publish_audit_scenario();
   auto system = workload::make_opt(scenario, baselines::opt::OptConfig{}, 2468);

@@ -167,6 +167,57 @@ TEST(HealthGauges, MeanClustersSkipsDeadNodesAndEmptyTopics) {
   EXPECT_DOUBLE_EQ(none, 0.0);
 }
 
+TEST(HealthGauges, MeanClustersDoNotBridgeThroughNonSubscribers) {
+  // Subscribers 0 and 1 of topic 0 meet only through node 2, which does
+  // not subscribe: two clusters.
+  pubsub::SubscriptionTable subs(
+      {pubsub::SubscriptionSet({0}), pubsub::SubscriptionSet({0}),
+       pubsub::SubscriptionSet()},
+      /*topic_count=*/1);
+  std::vector<std::vector<ids::NodeIndex>> adjacency{{2}, {2}, {0, 1}};
+
+  HealthAnalyzer analyzer;
+  analyzer.attach(std::vector<ids::RingId>{10, 20, 30});
+  EXPECT_DOUBLE_EQ(analyzer.mean_clusters_per_topic(
+                       adjacency, subs, [](ids::NodeIndex) { return true; }),
+                   2.0);
+}
+
+TEST(HealthGauges, MeanClustersDoNotBridgeThroughDeadSubscribers) {
+  // The bridge subscribes too, but it is dead: two clusters; alive, one.
+  pubsub::SubscriptionTable subs(
+      {pubsub::SubscriptionSet({0}), pubsub::SubscriptionSet({0}),
+       pubsub::SubscriptionSet({0})},
+      /*topic_count=*/1);
+  std::vector<std::vector<ids::NodeIndex>> adjacency{{2}, {2}, {0, 1}};
+
+  HealthAnalyzer analyzer;
+  analyzer.attach(std::vector<ids::RingId>{10, 20, 30});
+  EXPECT_DOUBLE_EQ(analyzer.mean_clusters_per_topic(
+                       adjacency, subs, [](ids::NodeIndex n) { return n != 2; }),
+                   2.0);
+  EXPECT_DOUBLE_EQ(analyzer.mean_clusters_per_topic(
+                       adjacency, subs, [](ids::NodeIndex) { return true; }),
+                   1.0);
+}
+
+TEST(HealthGauges, MeanClustersKeepTopicsApartInOneCall) {
+  // Topic 0's chain 0-1-2 is one cluster and reaches node 1. Topic 1 has
+  // subscribers 0 and 2 only: node 1, reached for topic 0, must not join
+  // them, so topic 1 has two clusters. Mean 1.5.
+  pubsub::SubscriptionTable subs(
+      {pubsub::SubscriptionSet({0, 1}), pubsub::SubscriptionSet({0}),
+       pubsub::SubscriptionSet({0, 1})},
+      /*topic_count=*/2);
+  std::vector<std::vector<ids::NodeIndex>> adjacency{{1}, {0, 2}, {1}};
+
+  HealthAnalyzer analyzer;
+  analyzer.attach(std::vector<ids::RingId>{10, 20, 30});
+  EXPECT_DOUBLE_EQ(analyzer.mean_clusters_per_topic(
+                       adjacency, subs, [](ids::NodeIndex) { return true; }),
+                   1.5);
+}
+
 // --- HealthAnalyzer::ring_consistency ----------------------------------------
 
 TEST(HealthGauges, RingConsistencyCountsCorrectSuccessors) {

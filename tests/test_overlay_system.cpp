@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "baselines/opt/opt_system.hpp"
 #include "baselines/rvr/rvr_system.hpp"
@@ -121,6 +122,56 @@ TYPED_TEST(OverlaySystem, JoinGraceExcludesFreshNodes) {
   system->run_cycles(6);
   const auto later = system->publish(topic, subscribers[0]);
   EXPECT_GT(later.expected, 0u);
+}
+
+// Every received message is interested traffic exactly when its receiver
+// subscribes to the topic, whether or not the receiver is expected: the
+// publisher, a subscriber inside its join grace and a crashed subscriber
+// still in this cycle's adjacency all count as interested.
+TYPED_TEST(OverlaySystem, InterestFollowsSubscriptionNotExpectation) {
+  const auto scenario = scenario_for(17);
+  typename Traits<TypeParam>::Config config;
+  Traits<TypeParam>::overlay(config).join_grace_cycles = 3;
+  auto system = Traits<TypeParam>::make(scenario, config, 17);
+  system->run_cycles(20);
+
+  const ids::TopicIndex topic = 3;
+  const auto subscribers = system->subscriptions().subscribers(topic);
+  ASSERT_GT(subscribers.size(), 3u);
+  const ids::NodeIndex publisher = subscribers[0];
+  const ids::NodeIndex grace = subscribers[1];
+  const ids::NodeIndex crashed = subscribers[2];
+  system->node_leave(grace);
+  system->node_join(grace);
+  system->run_cycles(1);  // grace joins the adjacency, still in its grace
+  system->node_crash(crashed);
+
+  const auto expect_interest_matches_subscription = [&](const char* mode) {
+    const auto& traffic = system->metrics().traffic();
+    for (ids::NodeIndex n = 0; n < traffic.size(); ++n) {
+      const bool subscribes = system->subscriptions().subscribes(n, topic);
+      if (traffic[n].interested > 0) {
+        EXPECT_TRUE(subscribes) << mode << ": node " << n;
+      }
+      if (traffic[n].uninterested > 0) {
+        EXPECT_FALSE(subscribes) << mode << ": node " << n;
+      }
+    }
+    EXPECT_GT(traffic[publisher].total() + traffic[grace].total(), 0u)
+        << mode << ": neither the publisher nor the grace node received";
+  };
+
+  system->metrics().reset();
+  const auto report = system->publish(topic, publisher);
+  EXPECT_GT(report.delivered, 0u);
+  expect_interest_matches_subscription("publish");
+
+  if constexpr (std::is_same_v<TypeParam, core::VitisSystem>) {
+    system->metrics().reset();
+    const auto timed = system->publish_timed(topic, publisher);
+    EXPECT_GT(timed.base.delivered, 0u);
+    expect_interest_matches_subscription("publish_timed");
+  }
 }
 
 TYPED_TEST(OverlaySystem, OverlaySnapshotExcludesDeadNodes) {
