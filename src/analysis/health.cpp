@@ -1,5 +1,7 @@
 #include "analysis/health.hpp"
 
+#include <numeric>
+
 namespace vitis::analysis {
 
 bool successor_is_clockwise_closest(
@@ -33,12 +35,16 @@ bool table_within_bounds(ids::NodeIndex self,
 }
 
 void HealthAnalyzer::attach(std::span<const ids::RingId> ring_ids) {
-  ring_ids_.assign(ring_ids.begin(), ring_ids.end());
-  stamp_.assign(ring_ids_.size(), 0U);
+  stamp_.assign(ring_ids.size(), 0U);
   queue_.clear();
-  queue_.reserve(ring_ids_.size());
-  ring_order_.clear();
-  ring_order_.reserve(ring_ids_.size());
+  queue_.reserve(ring_ids.size());
+  ring_order_.resize(ring_ids.size());
+  std::iota(ring_order_.begin(), ring_order_.end(), ids::NodeIndex{0});
+  std::sort(ring_order_.begin(), ring_order_.end(),
+            [&ring_ids](ids::NodeIndex a, ids::NodeIndex b) {
+              if (ring_ids[a] != ring_ids[b]) return ring_ids[a] < ring_ids[b];
+              return a < b;
+            });
   epoch_ = 0;
 }
 

@@ -79,7 +79,7 @@ class HealthAnalyzer {
   /// Pre-size scratch for a universe of ring ids (indexed by NodeIndex).
   void attach(std::span<const ids::RingId> ring_ids);
 
-  [[nodiscard]] bool attached() const { return !ring_ids_.empty(); }
+  [[nodiscard]] bool attached() const { return !ring_order_.empty(); }
 
   /// Mean cluster count per topic with >= 1 alive subscriber ("a cluster
   /// for topic t is a maximally connected subgraph of the nodes interested
@@ -139,37 +139,37 @@ class HealthAnalyzer {
   template <typename AliveFn, typename TableFn>
   [[nodiscard]] double ring_consistency(AliveFn&& is_alive,
                                         TableFn&& table_of) {
-    ring_order_.clear();
-    for (std::size_t i = 0; i < ring_ids_.size(); ++i) {
-      const auto node = static_cast<ids::NodeIndex>(i);
-      if (is_alive(node)) ring_order_.push_back(node);
-    }
-    if (ring_order_.size() < 2) return 1.0;
-    std::sort(ring_order_.begin(), ring_order_.end(),
-              [this](ids::NodeIndex a, ids::NodeIndex b) {
-                if (ring_ids_[a] != ring_ids_[b]) {
-                  return ring_ids_[a] < ring_ids_[b];
-                }
-                return a < b;
-              });
-    std::size_t consistent = 0;
-    for (std::size_t pos = 0; pos < ring_order_.size(); ++pos) {
-      const ids::NodeIndex node = ring_order_[pos];
-      const ids::NodeIndex truth =
-          ring_order_[(pos + 1) % ring_order_.size()];
+    const auto points_at = [&](ids::NodeIndex node, ids::NodeIndex truth) {
       const auto entry =
           table_of(node).first_of(overlay::LinkKind::kSuccessor);
-      if (entry.has_value() && entry->node == truth) ++consistent;
+      return entry.has_value() && entry->node == truth;
+    };
+    // Ring order never changes, so it was sorted once in attach(): walk it,
+    // skipping dead nodes, and each alive node's truth is the next alive
+    // one, wrapping around to the first.
+    std::size_t alive = 0;
+    std::size_t consistent = 0;
+    ids::NodeIndex first = ids::kInvalidNode;
+    ids::NodeIndex previous = ids::kInvalidNode;
+    for (const ids::NodeIndex node : ring_order_) {
+      if (!is_alive(node)) continue;
+      if (previous == ids::kInvalidNode) {
+        first = node;
+      } else if (points_at(previous, node)) {
+        ++consistent;
+      }
+      previous = node;
+      ++alive;
     }
-    return static_cast<double>(consistent) /
-           static_cast<double>(ring_order_.size());
+    if (alive < 2) return 1.0;
+    if (points_at(previous, first)) ++consistent;
+    return static_cast<double>(consistent) / static_cast<double>(alive);
   }
 
  private:
-  std::vector<ids::RingId> ring_ids_;
   std::vector<std::uint32_t> stamp_;       // per-node member/reached stamps
   std::vector<ids::NodeIndex> queue_;      // BFS frontier
-  std::vector<ids::NodeIndex> ring_order_; // alive nodes in ring order
+  std::vector<ids::NodeIndex> ring_order_; // all nodes by (ring id, index)
   std::uint32_t epoch_ = 0;
 };
 

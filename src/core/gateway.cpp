@@ -7,36 +7,10 @@ namespace vitis::core {
 GatewayProposal elect_gateway(const ElectionInput& input,
                               std::span<const NeighborProposal> neighbors) {
   VITIS_DCHECK(input.self != ids::kInvalidNode);
-
-  // Line 3: initProposal(self, self, 0).
-  GatewayProposal prop{input.self, input.self_id, input.self, 0};
-
+  GatewayProposal prop = self_proposal(input);
   for (const NeighborProposal& n : neighbors) {
-    const GatewayProposal& candidate = n.proposal;
-    if (candidate.gateway == ids::kInvalidNode) continue;
-
-    // Line 7 loop avoidance: accept only proposals that either came along
-    // their own path (the neighbor is the proposal's parent) or whose parent
-    // is outside our neighborhood; and never proposals pointing back at us.
-    const bool admissible =
-        candidate.parent == n.neighbor || !n.parent_in_rt;
-    if (!admissible || candidate.parent == input.self) continue;
-
-    // Lines 8-12: adopt a strictly closer gateway within the depth budget.
-    if (ids::closer_to(input.topic_hash, candidate.gateway_id,
-                       prop.gateway_id) &&
-        candidate.hops + 1 < input.depth_threshold) {
-      prop = GatewayProposal{candidate.gateway, candidate.gateway_id,
-                             n.neighbor, candidate.hops + 1};
-      continue;
-    }
-
-    // Lines 13-15: same gateway via a shorter path.
-    if (candidate.gateway == prop.gateway &&
-        candidate.hops + 1 < prop.hops) {
-      prop = GatewayProposal{candidate.gateway, candidate.gateway_id,
-                             n.neighbor, candidate.hops + 1};
-    }
+    consider_proposal(input, prop, n.neighbor, n.proposal,
+                      [&n](ids::NodeIndex) { return n.parent_in_rt; });
   }
   return prop;
 }

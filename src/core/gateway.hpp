@@ -10,8 +10,10 @@
 // and, for equal gateways, the shorter path. A node whose final proposal
 // names itself is a gateway and must request a relay path.
 //
-// The election is a pure function here so it can be property-tested in
-// isolation; VitisSystem feeds it live neighbor state.
+// The rule is one step, consider_proposal(), and an election is a left fold
+// of it over the candidates in order. elect_gateway() folds a buffered list
+// so the rule can be property-tested in isolation; VitisSystem folds each
+// neighbor's proposal into a running one as its scan reaches it.
 #pragma once
 
 #include <span>
@@ -37,7 +39,48 @@ struct ElectionInput {
   std::uint32_t depth_threshold = 5;  // d
 };
 
-/// Runs one election round; returns the node's new proposal for the topic.
+/// Line 3: initProposal(self, self, 0), where every election starts.
+[[nodiscard]] inline GatewayProposal self_proposal(const ElectionInput& input) {
+  return GatewayProposal{input.self, input.self_id, input.self, 0};
+}
+
+/// Algorithm 5 lines 6-15 for one candidate: folds `candidate`, heard from
+/// `neighbor`, into the running proposal `current`, which changes exactly
+/// when the candidate is adopted. `in_scope(parent)` is the line-7 test (is
+/// the parent one of our neighbors?). The tests are pure, so they run
+/// cheapest first: in_scope is consulted only for a candidate that would
+/// improve `current` and whose parent is not the neighbor itself.
+template <typename InScope>
+void consider_proposal(const ElectionInput& input, GatewayProposal& current,
+                       ids::NodeIndex neighbor,
+                       const GatewayProposal& candidate, InScope&& in_scope) {
+  // Never an uninitialized proposal, never one pointing back at us (a
+  // routing loop).
+  if (candidate.gateway == ids::kInvalidNode ||
+      candidate.parent == input.self) {
+    return;
+  }
+  // Lines 13-15: the same gateway via a shorter path. Lines 8-12: a strictly
+  // closer gateway within the depth budget; closer_to(h, a, a) is false, so
+  // an equal id needs no distance computation.
+  const bool shorter = candidate.gateway == current.gateway &&
+                       candidate.hops + 1 < current.hops;
+  const bool closer = !shorter &&
+                      candidate.hops + 1 < input.depth_threshold &&
+                      candidate.gateway_id != current.gateway_id &&
+                      ids::closer_to(input.topic_hash, candidate.gateway_id,
+                                     current.gateway_id);
+  if (!shorter && !closer) return;
+  // Line 7 loop avoidance: accept only proposals that either came along
+  // their own path (the neighbor is the proposal's parent) or whose parent
+  // is outside our neighborhood.
+  if (candidate.parent != neighbor && in_scope(candidate.parent)) return;
+  current = GatewayProposal{candidate.gateway, candidate.gateway_id, neighbor,
+                            candidate.hops + 1};
+}
+
+/// Runs one election round over buffered candidates, in order; returns the
+/// node's new proposal for the topic.
 [[nodiscard]] GatewayProposal elect_gateway(
     const ElectionInput& input, std::span<const NeighborProposal> neighbors);
 

@@ -28,7 +28,7 @@ void Profile::set_proposal(ids::TopicIndex topic,
                            const GatewayProposal& proposal) {
   const auto position = topic_position(topic);
   VITIS_CHECK(position.has_value());
-  proposals_[*position] = proposal;
+  set_proposal_at(*position, proposal);
 }
 
 bool Profile::add_topic(ids::TopicIndex topic, ids::NodeIndex self,
@@ -58,11 +58,6 @@ void Profile::reset_proposals(ids::NodeIndex self, ids::RingId self_id) {
   for (auto& p : proposals_) {
     p = GatewayProposal{self, self_id, self, 0};
   }
-}
-
-const GatewayProposal& Profile::proposal_at(std::size_t position) const {
-  VITIS_DCHECK(position < proposals_.size());
-  return proposals_[position];
 }
 
 }  // namespace vitis::core

@@ -11,6 +11,7 @@
 #include "ids/id.hpp"
 #include "pubsub/subscription.hpp"
 #include "pubsub/subscription_registry.hpp"
+#include "support/check.hpp"
 
 namespace vitis::core {
 
@@ -61,7 +62,17 @@ class Profile {
       ids::TopicIndex topic) const;
 
   /// Proposal at a known position (bounds-checked in debug builds).
-  [[nodiscard]] const GatewayProposal& proposal_at(std::size_t position) const;
+  [[nodiscard]] const GatewayProposal& proposal_at(std::size_t position) const {
+    VITIS_DCHECK(position < proposals_.size());
+    return proposals_[position];
+  }
+
+  /// Store the proposal at a known position (bounds-checked in debug
+  /// builds).
+  void set_proposal_at(std::size_t position, const GatewayProposal& proposal) {
+    VITIS_DCHECK(position < proposals_.size());
+    proposals_[position] = proposal;
+  }
 
   /// Canonical id of the subscription set in the owning system's
   /// SubscriptionRegistry. kInvalidSetId until interned; the owner must

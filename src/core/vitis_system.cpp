@@ -77,6 +77,7 @@ VitisSystem::VitisSystem(VitisConfig config,
   const std::size_t topics = this->subscriptions().topic_count();
   topic_stamp_.assign(topics, 0);
   topic_pos_.assign(topics, 0);
+  neighbor_mark_.assign(n, 0);
   ranked_.reserve(64);
   if (config_.gateway_silence_limit > 0) {
     silence_.resize(n);
@@ -235,30 +236,37 @@ void VitisSystem::run_election(ids::NodeIndex node) {
   const auto my_topics = my_profile.subscriptions().topics();
   if (my_topics.empty()) return;
 
-  if (election_scratch_.size() < my_topics.size()) {
-    election_scratch_.resize(my_topics.size());
-  }
-  for (std::size_t i = 0; i < my_topics.size(); ++i) {
-    election_scratch_[i].clear();
-  }
-
-  // Stamp the positions of this node's topics once, then scan each
-  // neighbor's (sorted) topic list with O(1) membership tests. Common
-  // topics surface in the same ascending order as the former two-pointer
-  // merge, so the per-topic proposal lists are byte-identical.
+  // Stamp the positions of this node's topics and the node's neighbors
+  // once: a neighbor's (sorted) topic list is then scanned with O(1)
+  // membership tests, and the line-7 scope test is one compare.
   if (++topic_epoch_ == 0) {
     std::fill(topic_stamp_.begin(), topic_stamp_.end(), 0U);
+    std::fill(neighbor_mark_.begin(), neighbor_mark_.end(), 0U);
     topic_epoch_ = 1;
   }
+  const std::uint32_t epoch = topic_epoch_;
+  const ids::RingId self_id = ring_id(node);
+  if (ballots_.size() < my_topics.size()) ballots_.resize(my_topics.size());
   for (std::size_t i = 0; i < my_topics.size(); ++i) {
-    topic_stamp_[my_topics[i]] = topic_epoch_;
+    topic_stamp_[my_topics[i]] = epoch;
     topic_pos_[my_topics[i]] = i;
+    ballots_[i] = Ballot{ids::topic_ring_id(my_topics[i]),
+                         GatewayProposal{node, self_id, node, 0}};
   }
-
   const auto& my_neighbors = undirected(node);
   for (const ids::NodeIndex neighbor : my_neighbors) {
+    neighbor_mark_[neighbor] = epoch;
+  }
+  const auto in_scope = [this, epoch](ids::NodeIndex parent) {
+    return neighbor_mark_[parent] == epoch;
+  };
+
+  // Fold each neighbor's proposal for a shared topic into that topic's
+  // running proposal as the scan reaches it: each election is a left fold
+  // over its candidates, neighbors ascending (see DESIGN.md "One pass per
+  // election").
+  for (const ids::NodeIndex neighbor : my_neighbors) {
     const Profile& their_profile = arena_.profile(neighbor);
-    const auto their_topics = their_profile.subscriptions().topics();
     // Cheap whole-profile screen first: disjoint fingerprints prove this
     // neighbor shares no topic with us.
     if (pubsub::fingerprints_disjoint(
@@ -266,10 +274,20 @@ void VitisSystem::run_election(ids::NodeIndex node) {
             their_profile.subscriptions().fingerprint())) {
       continue;
     }
+    const auto their_topics = their_profile.subscriptions().topics();
+    if (shared_pos_.size() < their_topics.size()) {
+      shared_pos_.resize(their_topics.size());
+    }
+    // Positions of the shared topics, collected without branches.
+    std::size_t shared = 0;
     for (std::size_t b = 0; b < their_topics.size(); ++b) {
-      if (topic_stamp_[their_topics[b]] != topic_epoch_) continue;
+      shared_pos_[shared] = static_cast<std::uint32_t>(b);
+      shared += topic_stamp_[their_topics[b]] == epoch ? 1 : 0;
+    }
+    for (std::size_t k = 0; k < shared; ++k) {
+      const std::size_t b = shared_pos_[k];
       const std::size_t a = topic_pos_[their_topics[b]];
-      const GatewayProposal& prop = their_profile.proposal_at(b);
+      const GatewayProposal& candidate = their_profile.proposal_at(b);
       if (!silence_.empty()) {
         TopicSilence& ts = silence_[node][a];
         if (ts.banned != ids::kInvalidNode) {
@@ -278,42 +296,34 @@ void VitisSystem::run_election(ids::NodeIndex node) {
             // demonstrably back; lift the ban immediately.
             ts.banned = ids::kInvalidNode;
             ts.ban_ttl = 0;
-          } else if (prop.gateway == ts.banned) {
+          } else if (candidate.gateway == ts.banned) {
             continue;  // suppressed echo of the silent gateway
           }
         }
       }
-      const bool parent_in_rt =
-          prop.parent == node ||
-          std::binary_search(my_neighbors.begin(), my_neighbors.end(),
-                             prop.parent);
-      election_scratch_[a].push_back(
-          NeighborProposal{neighbor, prop, parent_in_rt});
+      Ballot& ballot = ballots_[a];
+      consider_proposal(
+          ElectionInput{node, self_id, ballot.topic_hash,
+                        config_.gateway_depth},
+          ballot.proposal, neighbor, candidate, in_scope);
     }
   }
 
   for (std::size_t i = 0; i < my_topics.size(); ++i) {
-    const ids::TopicIndex topic = my_topics[i];
-    const ElectionInput input{node, ring_id(node),
-                              ids::topic_ring_id(topic),
-                              config_.gateway_depth};
     const GatewayProposal previous = my_profile.proposal_at(i);
-    const GatewayProposal result =
-        elect_gateway(input, election_scratch_[i]);
-    my_profile.set_proposal(topic, result);
+    my_profile.set_proposal_at(i, ballots_[i].proposal);
     if (config_.gateway_silence_limit > 0) {
-      apply_gateway_silence(node, i, topic, previous);
+      apply_gateway_silence(node, i, previous);
     }
     if (is_self_gateway(node, my_profile.proposal_at(i))) {
       // Algorithm 5 lines 20-22, deferred: the relay-refresh stage serves
       // the requests after the sweep (lookups over stable routing state).
-      relay_requests_.push_back(RelayRequest{node, topic});
+      relay_requests_.push_back(RelayRequest{node, my_topics[i]});
     }
   }
 }
 
 void VitisSystem::apply_gateway_silence(ids::NodeIndex node, std::size_t pos,
-                                        ids::TopicIndex topic,
                                         const GatewayProposal& previous) {
   Profile& profile = arena_.profile(node);
   TopicSilence& ts = silence_[node][pos];
@@ -337,8 +347,7 @@ void VitisSystem::apply_gateway_silence(ids::NodeIndex node, std::size_t pos,
   ts.silent = 0;
   ts.banned = current.gateway;
   ts.ban_ttl = 2 * config_.gateway_silence_limit;
-  profile.set_proposal(topic,
-                       GatewayProposal{node, ring_id(node), node, 0});
+  profile.set_proposal_at(pos, GatewayProposal{node, ring_id(node), node, 0});
 }
 
 void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {

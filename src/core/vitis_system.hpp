@@ -181,7 +181,6 @@ class VitisSystem final : public OverlaySystem {
   /// and, at the configured limit, resets to a self-proposal and bans the
   /// silent gateway for a few rounds.
   void apply_gateway_silence(ids::NodeIndex node, std::size_t pos,
-                             ids::TopicIndex topic,
                              const GatewayProposal& previous);
 
   VitisConfig config_;
@@ -247,7 +246,6 @@ class VitisSystem final : public OverlaySystem {
   mutable std::vector<LookupCtx> lookup_ctx_;
 
   // Scratch buffers, reused to keep the hot paths allocation-free.
-  std::vector<std::vector<NeighborProposal>> election_scratch_;
   // Algorithm 4's ranking working set (the host holds the candidates and
   // the selection). batch_ owns the SoA candidate pool the SIMD scoring
   // passes stream over; ranked_ receives rank_top_k's (score, pool index)
@@ -260,6 +258,18 @@ class VitisSystem final : public OverlaySystem {
   std::vector<std::uint32_t> topic_stamp_;
   std::vector<std::size_t> topic_pos_;
   std::uint32_t topic_epoch_ = 0;
+  // The sweep's scratch, which memory_footprint() leaves out: one running
+  // proposal per own topic position, the positions of one neighbor's
+  // shared topics, and a mark of this node's neighbors (the line-7 scope
+  // test) valid while it equals topic_epoch_. The first two grow only to
+  // the largest topic count.
+  struct Ballot {
+    ids::RingId topic_hash = 0;
+    GatewayProposal proposal;
+  };
+  std::vector<Ballot> ballots_;
+  std::vector<std::uint32_t> shared_pos_;
+  std::vector<std::uint32_t> neighbor_mark_;
   // Sorted live relay peers of one dissemination visit
   // (Hops::for_each_next).
   std::vector<ids::NodeIndex> relay_peers_;

@@ -3,6 +3,7 @@
 // are checked against hand-built overlays with known answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/health.hpp"
@@ -242,6 +243,62 @@ TEST(HealthGauges, RingConsistencyCountsCorrectSuccessors) {
   const double after_death = analyzer.ring_consistency(
       [](ids::NodeIndex n) { return n != 1; }, table_of);
   EXPECT_DOUBLE_EQ(after_death, 0.0);
+}
+
+TEST(HealthGauges, RingConsistencyFollowsTheAliveSetBetweenCalls) {
+  // Ring ids out of index order, with a tie (nodes 1 and 4 share id 50;
+  // the lower index comes first). Ring order: 3 (5), 2 (20), 1 (50),
+  // 4 (50), 5 (70), 0 (90). Each node points at its ring successor, except
+  // node 5, which skips node 0.
+  const std::vector<ids::RingId> ids{90, 50, 20, 5, 50, 70};
+  const std::vector<ids::NodeIndex> successor{3, 4, 1, 2, 5, 3};
+  std::vector<RoutingTable> tables;
+  for (std::size_t n = 0; n < ids.size(); ++n) {
+    tables.emplace_back(4);
+    ASSERT_TRUE(tables[n].add(
+        entry(successor[n], ids[successor[n]], LinkKind::kSuccessor)));
+  }
+  const auto table_of = [&](ids::NodeIndex n) -> const RoutingTable& {
+    return tables[n];
+  };
+  // The gauge from scratch: sort the alive nodes, compare each successor.
+  const auto expected = [&](const std::vector<bool>& alive) {
+    std::vector<ids::NodeIndex> ring;
+    for (ids::NodeIndex n = 0; n < ids.size(); ++n) {
+      if (alive[n]) ring.push_back(n);
+    }
+    if (ring.size() < 2) return 1.0;
+    std::sort(ring.begin(), ring.end(), [&](ids::NodeIndex a, ids::NodeIndex b) {
+      return ids[a] != ids[b] ? ids[a] < ids[b] : a < b;
+    });
+    std::size_t consistent = 0;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      if (successor[ring[i]] == ring[(i + 1) % ring.size()]) ++consistent;
+    }
+    return static_cast<double>(consistent) / static_cast<double>(ring.size());
+  };
+
+  HealthAnalyzer analyzer;
+  analyzer.attach(ids);
+  const std::vector<std::vector<bool>> samples{
+      {true, true, true, true, true, true},     // 5/6: node 5 skips node 0
+      {false, true, true, true, true, true},    // node 0 dead: 5/5
+      {false, true, true, false, true, true},   // node 3 dead too: 3/4
+      {true, true, true, true, true, true},     // both back: 5/6
+      {true, false, false, false, false, true},  // two alive: 0/2
+      {false, false, false, false, true, false},  // one alive: trivially 1
+      {true, true, false, true, false, true},   // only node 0 wraps: 1/4
+  };
+  const std::vector<double> hand{5.0 / 6.0, 1.0, 0.75, 5.0 / 6.0,
+                                 0.0,       1.0, 0.25};
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const std::vector<bool>& alive = samples[s];
+    const double consistency = analyzer.ring_consistency(
+        [&](ids::NodeIndex n) { return static_cast<bool>(alive[n]); },
+        table_of);
+    EXPECT_DOUBLE_EQ(consistency, expected(alive)) << "sample " << s;
+    EXPECT_DOUBLE_EQ(consistency, hand[s]) << "sample " << s;
+  }
 }
 
 TEST(HealthGauges, RingConsistencyTrivialBelowTwoNodes) {

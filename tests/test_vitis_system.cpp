@@ -7,6 +7,7 @@
 #include "core/vitis_system.hpp"
 #include "ids/hash.hpp"
 #include "workload/scenario.hpp"
+#include "workload/twitter.hpp"
 
 namespace vitis::core {
 namespace {
@@ -315,6 +316,136 @@ TEST(VitisSystem, MoreFriendsLowerOverheadOnCorrelatedWorkload) {
   const auto sa = workload::run_measurement(*a, 35, scenario.schedule);
   const auto sb = workload::run_measurement(*b, 35, scenario.schedule);
   EXPECT_LT(sb.traffic_overhead_pct, sa.traffic_overhead_pct);
+}
+
+// Crashes the node most proposals name as their gateway, snapshots every
+// profile, runs one cycle, and replays that cycle's election sweep as
+// collect-then-elect: per node, ascending, buffer every neighbor's proposal
+// for each shared topic, elect each topic with elect_gateway(), and write
+// the results back before the next node reads them. Every (node, topic)
+// proposal must match the system's.
+void expect_sweep_matches_replay(VitisSystem& system) {
+  const std::size_t n = system.node_count();
+  std::vector<std::size_t> named(n, 0);
+  for (ids::NodeIndex node = 0; node < n; ++node) {
+    const Profile& profile = system.profile(node);
+    for (std::size_t i = 0; i < profile.subscriptions().size(); ++i) {
+      const ids::NodeIndex gateway = profile.proposal_at(i).gateway;
+      if (gateway != node) ++named[gateway];
+    }
+  }
+  const auto crashed = static_cast<ids::NodeIndex>(
+      std::max_element(named.begin(), named.end()) - named.begin());
+  ASSERT_GT(named[crashed], 0u);
+  system.node_leave(crashed);
+
+  std::vector<Profile> replay;
+  for (ids::NodeIndex node = 0; node < n; ++node) {
+    replay.push_back(system.profile(node));
+  }
+  system.run_cycles(1);
+
+  // The adjacency the sweep read: the cycle's routing tables over live
+  // nodes, symmetrized. Only the relay-refresh stage runs after the sweep,
+  // and it leaves routing tables alone.
+  std::vector<std::vector<ids::NodeIndex>> adjacency(n);
+  for (ids::NodeIndex node = 0; node < n; ++node) {
+    if (!system.is_alive(node)) continue;
+    for (const auto& entry : system.routing_table(node).entries()) {
+      if (entry.node == node || !system.is_alive(entry.node)) continue;
+      adjacency[node].push_back(entry.node);
+      adjacency[entry.node].push_back(node);
+    }
+  }
+  for (auto& neighbors : adjacency) {
+    std::sort(neighbors.begin(), neighbors.end());
+    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
+                    neighbors.end());
+  }
+
+  std::size_t changed = 0;
+  for (ids::NodeIndex node = 0; node < n; ++node) {
+    if (!system.is_alive(node)) continue;
+    Profile& mine = replay[node];
+    const auto my_topics = mine.subscriptions().topics();
+    std::vector<std::vector<NeighborProposal>> candidates(my_topics.size());
+    const auto& my_neighbors = adjacency[node];
+    for (const ids::NodeIndex neighbor : my_neighbors) {
+      const Profile& theirs = replay[neighbor];
+      const auto their_topics = theirs.subscriptions().topics();
+      std::size_t a = 0;
+      std::size_t b = 0;
+      while (a < my_topics.size() && b < their_topics.size()) {
+        if (my_topics[a] < their_topics[b]) {
+          ++a;
+        } else if (their_topics[b] < my_topics[a]) {
+          ++b;
+        } else {
+          const GatewayProposal& proposal = theirs.proposal_at(b);
+          const bool parent_in_rt =
+              proposal.parent == node ||
+              std::binary_search(my_neighbors.begin(), my_neighbors.end(),
+                                 proposal.parent);
+          candidates[a].push_back(
+              NeighborProposal{neighbor, proposal, parent_in_rt});
+          ++a;
+          ++b;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < my_topics.size(); ++i) {
+      const ElectionInput input{node, system.ring_id(node),
+                                ids::topic_ring_id(my_topics[i]),
+                                system.config().gateway_depth};
+      const GatewayProposal elected = elect_gateway(input, candidates[i]);
+      if (elected != mine.proposal_at(i)) ++changed;
+      mine.set_proposal(my_topics[i], elected);
+    }
+  }
+
+  std::size_t compared = 0;
+  std::size_t remote = 0;
+  for (ids::NodeIndex node = 0; node < n; ++node) {
+    const Profile& profile = system.profile(node);
+    ASSERT_EQ(profile.subscriptions().size(),
+              replay[node].subscriptions().size());
+    for (std::size_t i = 0; i < profile.subscriptions().size(); ++i) {
+      ASSERT_EQ(profile.proposal_at(i), replay[node].proposal_at(i))
+          << "node " << node << " topic "
+          << profile.subscriptions().topics()[i];
+      ++compared;
+      if (profile.proposal_at(i).gateway != node) ++remote;
+    }
+  }
+  // The cycle must have moved proposals, and most must have come from a
+  // neighbor, or the replay proves little.
+  EXPECT_GT(changed, 0u);
+  EXPECT_GT(remote, compared / 2);
+}
+
+TEST(VitisSystem, ElectionSweepMatchesBufferedReplayOnUniformTable) {
+  auto scenario =
+      small_scenario(workload::CorrelationPattern::kRandom, 19, 300, 100);
+  VitisConfig config;
+  config.routing_table_size = 12;
+  auto system = workload::make_vitis(scenario, config, 19);
+  system->run_cycles(8);
+  expect_sweep_matches_replay(*system);
+}
+
+TEST(VitisSystem, ElectionSweepMatchesBufferedReplayOnTwitterTable) {
+  // Heavy-tailed subscriptions: hubs share many topics with most of their
+  // neighbors, so each election folds long candidate lists.
+  sim::Rng rng(23);
+  workload::TwitterModelParams params;
+  params.users = 400;
+  params.min_out = 6;
+  params.max_out = 120;
+  const auto table = workload::make_twitter_subscriptions(params, rng);
+  VitisSystem system(VitisConfig{}, table,
+                     std::vector<double>(table.topic_count(), 1.0), 23);
+  system.run_cycles(8);
+  expect_sweep_matches_replay(system);
 }
 
 }  // namespace
