@@ -29,33 +29,15 @@ void CoverageSelector::prefilter_pool(
 }
 
 std::vector<std::uint32_t> CoverageSelector::shared_positions(
-    const pubsub::SubscriptionSet& my_subs, pubsub::SetId my_id,
-    const pubsub::SubscriptionSet& other, pubsub::SetId other_id,
-    bool disjoint) const {
+    const pubsub::SubscriptionSet& my_subs,
+    const pubsub::SubscriptionSet& other, bool disjoint) const {
   std::vector<std::uint32_t> positions;
-  // Disjoint fingerprints prove an empty intersection — the verdict now
-  // arrives precomputed from the pool's SIMD pass — so those pairs never
-  // touch the memo.
+  // Disjoint fingerprints prove an empty intersection; the verdict arrives
+  // precomputed from the pool's SIMD pass.
   VITIS_DCHECK(disjoint == pubsub::fingerprints_disjoint(
                                my_subs.fingerprint(), other.fingerprint()));
   if (disjoint) {
     return positions;
-  }
-  // The memo stores the shared-topic count; a remembered zero proves the
-  // pair disjoint and skips the merge. Non-zero hits still merge — the
-  // caller needs the positions — so the memo only ever removes work whose
-  // result is known to be empty.
-  const bool cacheable = cache_ != nullptr && cache_->enabled() &&
-                         my_id != pubsub::kInvalidSetId &&
-                         other_id != pubsub::kInvalidSetId;
-  bool memoize = false;
-  if (cacheable) {
-    double cached = 0.0;
-    if (cache_->lookup(my_id, other_id, cached)) {
-      if (cached == 0.0) return positions;
-    } else {
-      memoize = true;
-    }
   }
   const auto mine = my_subs.topics();
   const auto theirs = other.topics();
@@ -72,16 +54,13 @@ std::vector<std::uint32_t> CoverageSelector::shared_positions(
       ++b;
     }
   }
-  if (memoize) {
-    cache_->insert(my_id, other_id, static_cast<double>(positions.size()));
-  }
   return positions;
 }
 
 std::vector<overlay::RoutingEntry> CoverageSelector::select_bounded(
     const pubsub::SubscriptionSet& my_subs,
-    std::span<const gossip::Descriptor> candidates, std::size_t capacity,
-    pubsub::SetId my_set_id) const {
+    std::span<const gossip::Descriptor> candidates,
+    std::size_t capacity) const {
   struct Scored {
     const gossip::Descriptor* descriptor;
     std::vector<std::uint32_t> shared;
@@ -92,9 +71,8 @@ std::vector<overlay::RoutingEntry> CoverageSelector::select_bounded(
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const auto& d = candidates[i];
-    scored.push_back(Scored{&d, shared_positions(my_subs, my_set_id,
+    scored.push_back(Scored{&d, shared_positions(my_subs,
                                                  subscriptions_->of(d.node),
-                                                 d.set_id,
                                                  rejects_[i] != 0)});
   }
 
@@ -159,16 +137,15 @@ std::vector<overlay::RoutingEntry> CoverageSelector::select_additional(
     const pubsub::SubscriptionSet& my_subs,
     std::span<const gossip::Descriptor> candidates,
     const overlay::RoutingTable& current,
-    std::vector<std::uint8_t>& coverage, pubsub::SetId my_set_id) const {
+    std::vector<std::uint8_t>& coverage) const {
   VITIS_CHECK(coverage.size() == my_subs.size());
   prefilter_pool(my_subs.fingerprint(), candidates);
   std::vector<overlay::RoutingEntry> additions;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const auto& d = candidates[i];
     if (current.contains(d.node)) continue;
-    const auto shared =
-        shared_positions(my_subs, my_set_id, subscriptions_->of(d.node),
-                         d.set_id, rejects_[i] != 0);
+    const auto shared = shared_positions(my_subs, subscriptions_->of(d.node),
+                                         rejects_[i] != 0);
     std::size_t gain = 0;
     for (const std::uint32_t pos : shared) {
       if (coverage[pos] < target_) ++gain;

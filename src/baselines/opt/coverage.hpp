@@ -9,23 +9,17 @@
 // once when subscriptions correlate — SpiderCast's core idea). Remaining
 // slots are filled by interest similarity.
 //
-// The similarity merge reuses the same core::PairUtilityCache machinery as
-// Vitis' ranking (set_cache + interned SetIds): the cache memoizes the
-// shared-topic *count* of a set pair, and a remembered count of zero lets
-// disjoint pairs — the overwhelming majority under uncorrelated workloads —
-// skip the merge entirely. Non-zero pairs still merge (positions are
-// needed, not just the count), so results are bit-identical with the cache
-// on, off, or cold.
+// Candidates' subscription sets are read live from the system's table; one
+// SIMD fingerprint pass over the pool proves most disjoint pairs empty
+// before any merge.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "core/utility.hpp"
 #include "gossip/descriptor.hpp"
 #include "overlay/routing_table.hpp"
 #include "pubsub/subscription.hpp"
-#include "pubsub/subscription_registry.hpp"
 
 namespace vitis::baselines::opt {
 
@@ -35,18 +29,12 @@ class CoverageSelector {
   CoverageSelector(std::size_t coverage_target,
                    const pubsub::SubscriptionTable& subscriptions);
 
-  /// Attach a shared-count memo (not owned; nullptr detaches). The cache
-  /// instance must be dedicated to this selector — its values are shared
-  /// counts, not utilities.
-  void set_cache(core::PairUtilityCache* cache) { cache_ = cache; }
-
   /// Bounded-degree selection: rebuild a table of at most `capacity`
-  /// entries from the candidate buffer. `my_set_id` (optional) keys the
-  /// shared-count memo; candidates contribute their descriptor snapshot id.
+  /// entries from the candidate buffer.
   [[nodiscard]] std::vector<overlay::RoutingEntry> select_bounded(
       const pubsub::SubscriptionSet& my_subs,
-      std::span<const gossip::Descriptor> candidates, std::size_t capacity,
-      pubsub::SetId my_set_id = pubsub::kInvalidSetId) const;
+      std::span<const gossip::Descriptor> candidates,
+      std::size_t capacity) const;
 
   /// Unbounded-degree selection: given the coverage already provided by the
   /// current table (per-topic counts aligned with `my_subs`), return the
@@ -56,8 +44,7 @@ class CoverageSelector {
       const pubsub::SubscriptionSet& my_subs,
       std::span<const gossip::Descriptor> candidates,
       const overlay::RoutingTable& current,
-      std::vector<std::uint8_t>& coverage,
-      pubsub::SetId my_set_id = pubsub::kInvalidSetId) const;
+      std::vector<std::uint8_t>& coverage) const;
 
   [[nodiscard]] std::size_t coverage_target() const { return target_; }
 
@@ -66,12 +53,10 @@ class CoverageSelector {
   /// `disjoint` is the candidate's precomputed fingerprint-prefilter
   /// verdict (one SIMD disjoint_mask pass over the pool, see
   /// prefilter_pool); it must equal fingerprints_disjoint of the two live
-  /// sets, and short-circuits the merge and the memo exactly as the
-  /// former inline fingerprint test did.
+  /// sets, and short-circuits the merge.
   [[nodiscard]] std::vector<std::uint32_t> shared_positions(
-      const pubsub::SubscriptionSet& my_subs, pubsub::SetId my_id,
-      const pubsub::SubscriptionSet& other, pubsub::SetId other_id,
-      bool disjoint) const;
+      const pubsub::SubscriptionSet& my_subs,
+      const pubsub::SubscriptionSet& other, bool disjoint) const;
 
   /// Fill rejects_ with the prefilter verdict of every candidate against
   /// `my_fingerprint`, streaming the candidates' live subscription
@@ -81,7 +66,6 @@ class CoverageSelector {
 
   std::size_t target_;
   const pubsub::SubscriptionTable* subscriptions_;
-  core::PairUtilityCache* cache_ = nullptr;  // not owned
   // prefilter_pool columns; mutable scratch because selection is logically
   // const and runs in the serial select callback (never a parallel stage).
   mutable std::vector<std::uint64_t> pool_fingerprints_;

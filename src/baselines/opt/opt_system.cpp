@@ -36,10 +36,6 @@ OptSystem::OptSystem(OptConfig config, pubsub::SubscriptionTable subscriptions,
     : OverlaySystem(effective_base(config), std::move(subscriptions), seed),
       config_(config),
       selector_(config.coverage_target, this->subscriptions()) {
-  if (config_.pair_cache_slots > 0 && core::utility_cache_env_enabled()) {
-    coverage_cache_.reset(config_.pair_cache_slots);
-    selector_.set_cache(&coverage_cache_);
-  }
   if (config_.unbounded) {
     coverage_.resize(node_count());
     for (std::size_t i = 0; i < node_count(); ++i) {
@@ -59,30 +55,14 @@ void OptSystem::select_neighbors(ids::NodeIndex self,
   const auto& my_subs = subscriptions().of(self);
   if (config_.unbounded) {
     // Additive: keep every existing link, add what coverage still needs.
-    for (const auto& entry :
-         selector_.select_additional(my_subs, candidates, rt,
-                                     coverage_[self], set_id(self))) {
+    for (const auto& entry : selector_.select_additional(
+             my_subs, candidates, rt, coverage_[self])) {
       (void)rt.add(entry);
     }
     return;
   }
   rt.assign(selector_.select_bounded(my_subs, candidates,
-                                     base_config().routing_table_size,
-                                     set_id(self)));
-}
-
-void OptSystem::sync_cache_counters(support::Profiler& profiler) const {
-  const core::UtilityCacheStats& stats = coverage_cache_.stats();
-  profiler.set_counter(support::Counter::kUtilityCacheHits, stats.hits);
-  profiler.set_counter(support::Counter::kUtilityCacheMisses, stats.misses);
-  profiler.set_counter(support::Counter::kUtilityCacheEvictions,
-                       stats.evictions);
-  profiler.set_counter(support::Counter::kUtilityCacheInvalidations,
-                       stats.invalidations);
-}
-
-double OptSystem::cache_hit_rate() const {
-  return coverage_cache_.stats().hit_rate();
+                                     base_config().routing_table_size));
 }
 
 void OptSystem::on_join(ids::NodeIndex node) {

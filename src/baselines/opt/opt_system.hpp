@@ -24,11 +24,6 @@ struct OptConfig {
   /// Unbounded variant: the degree bound is lifted (routing tables grow to
   /// whatever coverage demands, Fig. 11).
   bool unbounded = false;
-
-  /// Slot budget for the coverage-similarity memo (shared-count cache over
-  /// interned SetId pairs; see CoverageSelector). 0 disables, as does
-  /// VITIS_UTILITY_CACHE=off; selection is bit-identical either way.
-  std::size_t pair_cache_slots = std::size_t{1} << 18;
 };
 
 class OptSystem final : public core::OverlaySystem {
@@ -56,8 +51,6 @@ class OptSystem final : public core::OverlaySystem {
                         overlay::RoutingTable& rt, sim::Rng& rng) override;
   void on_join(ids::NodeIndex node) override;
   void on_leave(ids::NodeIndex node) override;
-  void sync_cache_counters(support::Profiler& profiler) const override;
-  [[nodiscard]] double cache_hit_rate() const override;
 
  private:
   struct TopicHops;  // the dissemination Net (defined in the .cpp)
@@ -66,9 +59,6 @@ class OptSystem final : public core::OverlaySystem {
 
   OptConfig config_;
   CoverageSelector selector_;
-  /// Shared-count memo for the selector (dedicated instance: its values
-  /// are shared-topic counts, not Eq.-1 utilities).
-  core::PairUtilityCache coverage_cache_;
   /// Unbounded mode: per-node per-subscribed-topic coverage counters,
   /// aligned with each node's sorted subscription list.
   std::vector<std::vector<std::uint8_t>> coverage_;

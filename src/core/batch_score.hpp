@@ -1,13 +1,12 @@
 // Batched utility scoring over a contiguous candidate pool.
 //
 // Ranking (Vitis' Algorithm 4 and the OPT coverage selector) evaluates one
-// prepared set against many candidates. The per-candidate path walks the
-// arena's Profile column — one pointer chase per fingerprint — and decides
-// prefilter, memo probe, and merge one candidate at a time. BatchScorer
-// instead mirrors the pool into structure-of-arrays columns (fingerprints,
-// SetIds; the same layout discipline as core::NodeArena) so the three
-// integer-exact decisions run as SIMD passes over the whole pool
-// (support/simd.hpp):
+// prepared set against many candidates. The per-candidate path chases one
+// subscription-set pointer per fingerprint and decides prefilter, memo
+// probe, and merge one candidate at a time. BatchScorer instead lays the
+// pool out as structure-of-arrays columns (fingerprints, SetIds; the same
+// layout discipline as core::NodeArena) so the three integer-exact
+// decisions run as SIMD passes over the whole pool (support/simd.hpp):
 //
 //   1. one disjoint_mask pass computes every prefilter verdict (4
 //      fingerprints per AVX2 step);
@@ -49,8 +48,7 @@ class BatchScorer {
   }
 
   /// Append one candidate. `fingerprint`/`set_id` must be the live values
-  /// of `*set` (callers stream them from NodeArena's scoring columns; the
-  /// DCHECK pins the mirror to the profile).
+  /// of `*set` (the DCHECK pins the fingerprint to the set).
   void add(ids::NodeIndex node, const pubsub::SubscriptionSet* set,
            std::uint64_t fingerprint, pubsub::SetId set_id) {
     VITIS_DCHECK(set != nullptr);

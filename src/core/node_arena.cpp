@@ -7,15 +7,11 @@
 namespace vitis::core {
 
 NodeArena::NodeArena(std::size_t node_count)
-    : profiles_(node_count),
-      relays_(node_count),
-      sub_fingerprints_(node_count, 0),
-      sub_set_ids_(node_count, pubsub::kInvalidSetId) {}
+    : profiles_(node_count), relays_(node_count) {}
 
 void NodeArena::init_node(ids::NodeIndex node, Profile profile) {
   VITIS_CHECK(node < size());
   profiles_[node] = std::move(profile);
-  refresh_scoring(node);
 }
 
 void NodeArena::reset_overlay_state(ids::NodeIndex node, ids::RingId id) {

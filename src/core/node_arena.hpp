@@ -1,17 +1,16 @@
 // Dense-id SoA arena for the per-node state only Vitis keeps: profiles
-// (subscriptions + gateway proposals) and relay tables, one column per
-// field, indexed by NodeIndex. The state every system shares — ring ids,
-// join cycles and the routing-entry slab — lives in core::OverlaySystem.
+// (gateway proposals) and relay tables, one column per field, indexed by
+// NodeIndex. The state every system shares — ring ids, join cycles, the
+// routing-entry slab and each node's subscriptions and their interned
+// SetId — lives in core::OverlaySystem.
 //
 // The structure-of-arrays layout lets the hot maintenance loops touch
 // exactly the columns they need: the election sweep reads profiles without
 // pulling relay state into cache, and heartbeats age relay tables without
 // touching profiles.
 //
-// Dense-id invariants: NodeIndex is assigned once at construction and is
-// stable for the system's lifetime (churn flips liveness, never indices);
-// a node's interned SetId lives in its profile column and is refreshed by
-// the owner on subscription change or churn rejoin.
+// Dense-id invariant: NodeIndex is assigned once at construction and is
+// stable for the system's lifetime (churn flips liveness, never indices).
 #pragma once
 
 #include <cstdint>
@@ -48,41 +47,18 @@ class NodeArena {
     return relays_[node];
   }
 
-  /// Contiguous scoring mirror of the profile column: each node's live
-  /// subscription fingerprint and interned SetId, kept in dense arrays so
-  /// core::BatchScorer streams candidate pools without a Profile pointer
-  /// chase per lane. Refreshed by the profile owner whenever the
-  /// subscription set or its canonical id changes.
-  void refresh_scoring(ids::NodeIndex node) {
-    sub_fingerprints_[node] = profiles_[node].subscriptions().fingerprint();
-    sub_set_ids_[node] = profiles_[node].set_id();
-  }
-  [[nodiscard]] std::uint64_t sub_fingerprint(ids::NodeIndex node) const {
-    return sub_fingerprints_[node];
-  }
-  [[nodiscard]] pubsub::SetId sub_set_id(ids::NodeIndex node) const {
-    return sub_set_ids_[node];
-  }
-
   /// Reset volatile state on (re)join or departure: relay links drop, and
-  /// proposals restart from self; subscriptions persist across sessions.
+  /// proposals restart from self.
   void reset_overlay_state(ids::NodeIndex node, ids::RingId id);
 
   /// Deterministic logical footprint in bytes: the live sizes of every
   /// column (never vector::capacity(), whose growth policy is
-  /// implementation-defined). Depends only on (seed, scale). The scoring
-  /// mirror columns are excluded — they duplicate profile state, and the
-  /// footprint counts each logical datum once.
+  /// implementation-defined). Depends only on (seed, scale).
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
   std::vector<Profile> profiles_;
   std::vector<RelayTable> relays_;
-  // Scoring mirror (see refresh_scoring). Derived caches of profile state,
-  // so they are excluded from memory_bytes(): the logical footprint already
-  // counts the profiles they duplicate.
-  std::vector<std::uint64_t> sub_fingerprints_;
-  std::vector<pubsub::SetId> sub_set_ids_;
 };
 
 }  // namespace vitis::core

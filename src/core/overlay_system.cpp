@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/utility.hpp"
 #include "ids/hash.hpp"
 #include "overlay/small_world.hpp"
 #include "support/check.hpp"
@@ -22,9 +23,7 @@ constexpr std::uint64_t kSaltHeartbeat = 0x6862656174ULL;   // "hbeat"
 
 OverlaySystem::OverlaySystem(const OverlayConfig& config,
                              pubsub::SubscriptionTable subscriptions,
-                             std::uint64_t seed,
-                             gossip::FingerprintFn fingerprint_of,
-                             gossip::SetIdFn set_id_of)
+                             std::uint64_t seed)
     : config_(config),
       subscriptions_(std::move(subscriptions)),
       engine_(subscriptions_.node_count(), seed ^ 0x656e67696e65ULL,
@@ -54,15 +53,10 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
   select_buffer_.reserve(64);
   selected_.reserve(rt_capacity_);
 
-  if (set_id_of == nullptr) {
-    // Static subscription sets: one interning pass suffices, and fresh
-    // descriptors snapshot the canonical id.
-    set_ids_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      set_ids_[i] =
-          registry_.intern(subscriptions_.of(static_cast<ids::NodeIndex>(i)));
-    }
-    set_id_of = [this](ids::NodeIndex node) { return set_ids_[node]; };
+  set_ids_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    set_ids_[i] =
+        registry_.intern(subscriptions_.of(static_cast<ids::NodeIndex>(i)));
   }
 
   const auto is_alive = [this](ids::NodeIndex node) {
@@ -70,8 +64,7 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
   };
   sampling_ = gossip::make_sampling_service(
       config_.sampling, ring_ids_, config_.view_size, is_alive,
-      ids::mix64(seed ^ 0x73616d70ULL), std::move(fingerprint_of),
-      std::move(set_id_of));
+      ids::mix64(seed ^ 0x73616d70ULL));
   tman_ = std::make_unique<gossip::TManProtocol>(
       [this](ids::NodeIndex node) -> overlay::RoutingTable& {
         return tables_[node];
@@ -138,7 +131,16 @@ const support::Profiler* OverlaySystem::profiler() const {
   profiler_.set_counter(support::Counter::kInternedSets, registry_.size());
   profiler_.set_counter(support::Counter::kInternCalls,
                         registry_.intern_calls());
-  sync_cache_counters(profiler_);
+  if (const PairUtilityCache* cache = pair_cache()) {
+    const UtilityCacheStats& stats = cache->stats();
+    profiler_.set_counter(support::Counter::kUtilityCacheHits, stats.hits);
+    profiler_.set_counter(support::Counter::kUtilityCacheMisses,
+                          stats.misses);
+    profiler_.set_counter(support::Counter::kUtilityCacheEvictions,
+                          stats.evictions);
+    profiler_.set_counter(support::Counter::kUtilityCacheInvalidations,
+                          stats.invalidations);
+  }
   return &profiler_;
 }
 
@@ -154,8 +156,11 @@ const support::HistogramSet* OverlaySystem::distributions() const {
   return &histograms_;
 }
 
-double OverlaySystem::cache_hit_rate() const {
-  return std::numeric_limits<double>::quiet_NaN();
+bool OverlaySystem::refresh_set_id(ids::NodeIndex node) {
+  const pubsub::SetId id = registry_.intern(subscriptions_.of(node));
+  if (id == set_ids_[node]) return false;
+  set_ids_[node] = id;
+  return true;
 }
 
 std::vector<ids::NodeIndex> OverlaySystem::random_alive_contacts(
@@ -336,8 +341,8 @@ std::size_t OverlaySystem::memory_footprint() const {
   const std::size_t n = tables_.size();
   return n * rt_capacity_ * sizeof(overlay::RoutingEntry) +
          n * (sizeof(overlay::RoutingTable) + sizeof(ids::RingId) +
-              sizeof(std::uint32_t)) +
-         set_ids_.size() * sizeof(pubsub::SetId) + sampling_->memory_bytes() +
+              sizeof(std::uint32_t) + sizeof(pubsub::SetId)) +
+         sampling_->memory_bytes() +
          undirected_.size() * sizeof(std::vector<ids::NodeIndex>) +
          adjacency_links * sizeof(ids::NodeIndex) +
          dissemination_.memory_bytes() + extra_memory_bytes();
@@ -400,7 +405,10 @@ void OverlaySystem::observe_sample() {
                                 metrics_.total_messages()},
         slot(support::Gauge::kWindowHitRatio),
         slot(support::Gauge::kWindowOverheadPct));
-    slot(support::Gauge::kUtilityCacheHitRate) = cache_hit_rate();
+    const PairUtilityCache* cache = pair_cache();
+    slot(support::Gauge::kUtilityCacheHitRate) =
+        cache != nullptr ? cache->stats().hit_rate()
+                         : std::numeric_limits<double>::quiet_NaN();
     slot(support::Gauge::kShardImbalance) =
         engine_.canonical_shard_imbalance();
     for (std::size_t p = 0; p < support::kPhaseCount; ++p) {

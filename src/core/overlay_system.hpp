@@ -7,6 +7,8 @@
 //     and a per-cycle maintenance hook;
 //   * per-node ring ids, join cycles and bounded routing tables (one
 //     contiguous N×capacity routing-entry slab; the tables are handles);
+//   * the one copy of each node's subscriptions: the subscription table
+//     plus each node's interned SetId;
 //   * the per-cycle undirected adjacency and greedy lookups;
 //   * churn, crashes and the fault plan;
 //   * the flight recorder, profiler, histograms and dissemination loop.
@@ -36,6 +38,8 @@
 
 namespace vitis::core {
 
+class PairUtilityCache;
+
 class OverlaySystem : public pubsub::PubSubSystem {
  public:
   // --- PubSubSystem --------------------------------------------------------
@@ -54,9 +58,9 @@ class OverlaySystem : public pubsub::PubSubSystem {
     return engine_.alive_count();
   }
 
-  /// Syncs the interning counters (and, via sync_cache_counters, the
-  /// system's pairwise-cache stats) into the profiler before returning it,
-  /// so artifact writers always see current totals.
+  /// Syncs the interning counters (and the pair_cache() stats, if any)
+  /// into the profiler before returning it, so artifact writers always see
+  /// current totals.
   [[nodiscard]] const support::Profiler* profiler() const override;
 
   /// Syncs the end-of-run channels (per-node message totals) before
@@ -117,6 +121,12 @@ class OverlaySystem : public pubsub::PubSubSystem {
     return registry_;
   }
 
+  /// Canonical id of `node`'s subscription set in registry(): every node is
+  /// interned at construction, and refresh_set_id() re-interns one.
+  [[nodiscard]] pubsub::SetId set_id(ids::NodeIndex node) const {
+    return set_ids_[node];
+  }
+
   /// Greedy lookup from `origin` toward `target` over live routing state.
   [[nodiscard]] overlay::LookupResult lookup(ids::NodeIndex origin,
                                              ids::RingId target) const;
@@ -163,20 +173,15 @@ class OverlaySystem : public pubsub::PubSubSystem {
  protected:
   /// Wires the shared substrate: the sampling service, T-Man, and the
   /// peer-sampling, t-man and heartbeats stages followed by the maintenance
-  /// hook. `fingerprint_of`/`set_id_of` are the live lookups stamped into
-  /// fresh descriptors; without `set_id_of` the host interns each node's
-  /// (static) subscription set once into a dense column, see set_id().
-  /// The system then adds its own stages and calls start().
+  /// hook, and interns every node's subscription set (see set_id()). The
+  /// system then adds its own stages and calls start().
   OverlaySystem(const OverlayConfig& config,
-                pubsub::SubscriptionTable subscriptions, std::uint64_t seed,
-                gossip::FingerprintFn fingerprint_of = nullptr,
-                gossip::SetIdFn set_id_of = nullptr);
+                pubsub::SubscriptionTable subscriptions, std::uint64_t seed);
 
   /// Last construction step: registers the fault-crashes hook after the
   /// system's own stages and, with `start_online`, boots every node with
   /// random bootstrap contacts (otherwise all nodes start offline and join
-  /// through node_join()). Seeding reads the descriptor lookups, so it
-  /// waits until the system's per-node state exists.
+  /// through node_join()).
   void start(bool start_online);
 
   // --- system hooks ----------------------------------------------------------
@@ -205,7 +210,7 @@ class OverlaySystem : public pubsub::PubSubSystem {
   }
 
   /// Hooks for system state on churn. on_join runs before the sampling
-  /// view is seeded, so fresh descriptors see the node's refreshed state.
+  /// view is seeded.
   virtual void on_join(ids::NodeIndex node) { (void)node; }
   virtual void on_leave(ids::NodeIndex node) { (void)node; }
 
@@ -213,14 +218,12 @@ class OverlaySystem : public pubsub::PubSubSystem {
   /// multicast-tree links for RVR; OPT keeps no relay state).
   [[nodiscard]] virtual std::size_t relay_link_count() const { return 0; }
 
-  /// Publish pairwise-cache counters into `profiler`; the default has none.
-  virtual void sync_cache_counters(support::Profiler& profiler) const {
-    (void)profiler;
+  /// The system's pairwise-score memo, whose stats feed the utility-cache
+  /// counters and hit-rate gauge; nullptr (the default) leaves the counters
+  /// at zero and the gauge NaN (JSON null).
+  [[nodiscard]] virtual const PairUtilityCache* pair_cache() const {
+    return nullptr;
   }
-
-  /// Cumulative pairwise-cache hit fraction for the recorder gauge; NaN
-  /// (JSON null) for systems without a cache.
-  [[nodiscard]] virtual double cache_hit_rate() const;
 
   /// The system's contribution to memory_footprint(); same live-sizes-only
   /// contract.
@@ -286,17 +289,11 @@ class OverlaySystem : public pubsub::PubSubSystem {
   [[nodiscard]] pubsub::SubscriptionTable& subscriptions_mut() {
     return subscriptions_;
   }
-  [[nodiscard]] pubsub::SubscriptionRegistry& registry_mut() {
-    return registry_;
-  }
+  /// Re-intern `node`'s subscription set after subscriptions_mut() changed
+  /// it; returns whether its SetId changed.
+  bool refresh_set_id(ids::NodeIndex node);
   [[nodiscard]] const pubsub::Dissemination& dissemination() const {
     return dissemination_;
-  }
-
-  /// Canonical id of `node`'s static subscription set, interned once at
-  /// construction (systems constructed without a `set_id_of` lookup only).
-  [[nodiscard]] pubsub::SetId set_id(ids::NodeIndex node) const {
-    return set_ids_[node];
   }
 
   // --- fault admission helpers for system dissemination paths -------------
@@ -318,7 +315,7 @@ class OverlaySystem : public pubsub::PubSubSystem {
   OverlayConfig config_;
   pubsub::SubscriptionTable subscriptions_;
   pubsub::SubscriptionRegistry registry_;  // hash-consed subscription sets
-  std::vector<pubsub::SetId> set_ids_;     // see set_id(); else empty
+  std::vector<pubsub::SetId> set_ids_;     // see set_id()
   sim::CycleEngine engine_;
   std::vector<ids::RingId> ring_ids_;
   // One contiguous routing-entry slab shared by all per-node tables (the

@@ -42,14 +42,6 @@ void PairUtilityCache::reset(std::size_t min_slots) {
   mask_ = size - 1;
 }
 
-void PairUtilityCache::prefetch(pubsub::SetId a, pubsub::SetId b) const {
-  if (!enabled()) return;
-  const std::uint64_t start = ids::mix64(pair_key(a, b)) & mask_;
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(&slots_[start], /*rw=*/0, /*locality=*/1);
-#endif
-}
-
 void PairUtilityCache::prefetch_batch(
     pubsub::SetId a, std::span<const pubsub::SetId> bs,
     std::span<const std::uint8_t> skip,
@@ -203,20 +195,6 @@ double UtilityFunction::score(const pubsub::SubscriptionSet& b,
     return fresh;
   }
   return score_fresh(b);
-}
-
-void UtilityFunction::prefetch(const pubsub::SubscriptionSet& b,
-                               pubsub::SetId b_id) const {
-  if (all_ones_ || cache_ == nullptr || !cache_->enabled() ||
-      prepared_id_ == pubsub::kInvalidSetId ||
-      b_id == pubsub::kInvalidSetId) {
-    return;  // mirrors score(): these pairs never probe
-  }
-  if (prefilter_enabled_ &&
-      pubsub::fingerprints_disjoint(prepared_fp_, b.fingerprint())) {
-    return;  // score() will never probe this pair
-  }
-  cache_->prefetch(prepared_id_, b_id);
 }
 
 double UtilityFunction::score_fresh(const pubsub::SubscriptionSet& b) const {

@@ -90,18 +90,14 @@ class PairUtilityCache {
   /// valid. Never allocates.
   [[nodiscard]] bool lookup(pubsub::SetId a, pubsub::SetId b, double& value);
 
-  /// Hint the probe-start slot of {a, b} into cache ahead of lookup().
-  /// Ranking issues one pass of prefetches over its candidate pool before
+  /// Hint the probe-start slots of {a, bs[i]} into cache ahead of lookup(),
+  /// for every candidate whose skip[i] is 0 and whose id is valid,
+  /// computing all the probe hashes in one SIMD mix64 pass first
+  /// (support::simd). Ranking calls it once over its candidate pool before
   /// scoring, so the table probes overlap instead of serializing on memory
-  /// latency. Pure perf hint: no stats, no state change.
-  void prefetch(pubsub::SetId a, pubsub::SetId b) const;
-
-  /// Batched prefetch: hint the probe-start slots of {a, bs[i]} for every
-  /// candidate whose skip[i] is 0 and whose id is valid, computing all the
-  /// probe hashes in one SIMD mix64 pass first (support::simd). Same
-  /// contract as prefetch(): pure perf hint, no stats, no state change.
-  /// `key_scratch` is caller-owned reusable storage (core::BatchScorer
-  /// passes a member, keeping ranking allocation-free at steady state).
+  /// latency. Pure perf hint: no stats, no state change. `key_scratch` is
+  /// caller-owned reusable storage (core::BatchScorer passes a member,
+  /// keeping ranking allocation-free at steady state).
   void prefetch_batch(pubsub::SetId a, std::span<const pubsub::SetId> bs,
                       std::span<const std::uint8_t> skip,
                       std::vector<std::uint64_t>& key_scratch) const;
@@ -175,11 +171,6 @@ class UtilityFunction {
   [[nodiscard]] double score(const pubsub::SubscriptionSet& b,
                              pubsub::SetId b_id = pubsub::kInvalidSetId) const;
 
-  /// Prefetch the memo slot score(b, b_id) would probe, applying the same
-  /// prefilter gate (disjoint pairs never probe, so nothing to warm). Call
-  /// once per candidate before a scoring pass; a no-op without a cache.
-  void prefetch(const pubsub::SubscriptionSet& b, pubsub::SetId b_id) const;
-
   /// Batched scoring entry (core::BatchScorer): identical to score(b, b_id)
   /// bit for bit and counter for counter, except the prefilter verdict was
   /// already computed — by one SIMD disjoint_mask pass over the pool's
@@ -194,7 +185,7 @@ class UtilityFunction {
   /// True when score() would consult the memo for valid candidate ids:
   /// skewed rates, a cache attached and enabled, and a prepared() set with
   /// a valid SetId. Lets the batch kernel decide once per pool whether to
-  /// issue the prefetch pass.
+  /// run the prefetch_batch pass.
   [[nodiscard]] bool memo_engaged() const {
     return !all_ones_ && cache_ != nullptr && cache_->enabled() &&
            prepared_id_ != pubsub::kInvalidSetId;

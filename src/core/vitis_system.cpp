@@ -21,14 +21,7 @@ VitisSystem::VitisSystem(VitisConfig config,
                          pubsub::SubscriptionTable subscriptions,
                          std::vector<double> rates, std::uint64_t seed,
                          bool start_online)
-    : OverlaySystem(
-          config, std::move(subscriptions), seed,
-          [this](ids::NodeIndex node) {
-            return arena_.profile(node).subscriptions().fingerprint();
-          },
-          [this](ids::NodeIndex node) {
-            return arena_.profile(node).set_id();
-          }),
+    : OverlaySystem(config, std::move(subscriptions), seed),
       config_(config),
       utility_(rates),
       arena_(node_count()) {
@@ -43,9 +36,8 @@ VitisSystem::VitisSystem(VitisConfig config,
   const std::size_t n = node_count();
   for (std::size_t i = 0; i < n; ++i) {
     const auto node = static_cast<ids::NodeIndex>(i);
-    Profile profile(this->subscriptions().of(node));
+    Profile profile(this->subscriptions().of(node).size());
     profile.reset_proposals(node, ring_id(node));
-    profile.set_set_id(registry_mut().intern(profile.subscriptions()));
     arena_.init_node(node, std::move(profile));
   }
 
@@ -82,9 +74,8 @@ VitisSystem::VitisSystem(VitisConfig config,
   if (config_.gateway_silence_limit > 0) {
     silence_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      silence_[i].assign(
-          arena_.profile(static_cast<ids::NodeIndex>(i)).subscriptions().size(),
-          TopicSilence{});
+      silence_[i].assign(arena_.profile(static_cast<ids::NodeIndex>(i)).size(),
+                         TopicSilence{});
     }
   }
 
@@ -117,22 +108,20 @@ void VitisSystem::select_neighbors(
   // Lines 11-16: rank the rest by the preference function, keep the top.
   // One prepare() amortizes this node's side of every Jaccard merge and
   // arms the fingerprint prefilter (bit-identical scores either way).
-  // The remaining candidates stream into the batch kernel as an SoA pool —
-  // fingerprints and SetIds come from the arena's contiguous scoring
-  // columns (the *live* profile values, never a descriptor's snapshot, so
-  // a stale snapshot cannot mis-rank and the pairwise memo keys stay
-  // canonical). score_all runs the SIMD prefilter and memo-prefetch
-  // passes, then scores in pool order — bit-identical to the former
-  // per-candidate loop (see core/batch_score.hpp).
+  // The remaining candidates stream into the batch kernel as an SoA pool
+  // of their live subscription sets and SetIds, read from the host (the one
+  // copy, so the pairwise memo keys stay canonical). score_all runs the
+  // SIMD prefilter and memo-prefetch passes, then scores in pool order —
+  // bit-identical to the former per-candidate loop (see
+  // core/batch_score.hpp).
   const std::span<const gossip::Descriptor> pool = unselected();
-  const pubsub::SubscriptionSet& my_subs = arena_.profile(self).subscriptions();
   const bool use_proximity =
       config_.proximity_weight > 0.0 && !coordinates_.empty();
-  utility_.prepare(my_subs, arena_.profile(self).set_id());
+  utility_.prepare(subscriptions().of(self), set_id(self));
   batch_.clear();
   for (const gossip::Descriptor& d : pool) {
-    batch_.add(d.node, &arena_.profile(d.node).subscriptions(),
-               arena_.sub_fingerprint(d.node), arena_.sub_set_id(d.node));
+    const pubsub::SubscriptionSet& subs = subscriptions().of(d.node);
+    batch_.add(d.node, &subs, subs.fingerprint(), set_id(d.node));
   }
   batch_.score_all(utility_);
   // With coordinates installed and proximity_weight > 0, physically distant
@@ -232,8 +221,8 @@ void VitisSystem::heartbeat_extra(ids::NodeIndex node, std::size_t worker) {
 }
 
 void VitisSystem::run_election(ids::NodeIndex node) {
-  Profile& my_profile = arena_.profile(node);
-  const auto my_topics = my_profile.subscriptions().topics();
+  const pubsub::SubscriptionSet& my_subs = subscriptions().of(node);
+  const auto my_topics = my_subs.topics();
   if (my_topics.empty()) return;
 
   // Stamp the positions of this node's topics and the node's neighbors
@@ -266,15 +255,15 @@ void VitisSystem::run_election(ids::NodeIndex node) {
   // over its candidates, neighbors ascending (see DESIGN.md "One pass per
   // election").
   for (const ids::NodeIndex neighbor : my_neighbors) {
-    const Profile& their_profile = arena_.profile(neighbor);
-    // Cheap whole-profile screen first: disjoint fingerprints prove this
+    const pubsub::SubscriptionSet& their_subs = subscriptions().of(neighbor);
+    // Cheap whole-set screen first: disjoint fingerprints prove this
     // neighbor shares no topic with us.
-    if (pubsub::fingerprints_disjoint(
-            my_profile.subscriptions().fingerprint(),
-            their_profile.subscriptions().fingerprint())) {
+    if (pubsub::fingerprints_disjoint(my_subs.fingerprint(),
+                                      their_subs.fingerprint())) {
       continue;
     }
-    const auto their_topics = their_profile.subscriptions().topics();
+    const Profile& their_profile = arena_.profile(neighbor);
+    const auto their_topics = their_subs.topics();
     if (shared_pos_.size() < their_topics.size()) {
       shared_pos_.resize(their_topics.size());
     }
@@ -309,6 +298,7 @@ void VitisSystem::run_election(ids::NodeIndex node) {
     }
   }
 
+  Profile& my_profile = arena_.profile(node);
   for (std::size_t i = 0; i < my_topics.size(); ++i) {
     const GatewayProposal previous = my_profile.proposal_at(i);
     my_profile.set_proposal_at(i, ballots_[i].proposal);
@@ -453,8 +443,7 @@ bool VitisSystem::relay_hop_delivered(ids::NodeIndex src, ids::NodeIndex dst,
 // ---------------------------------------------------------------------------
 void VitisSystem::check_node_invariants(ids::NodeIndex node) const {
   const Profile& profile = arena_.profile(node);
-  const auto topics = profile.subscriptions().topics();
-  for (std::size_t t = 0; t < topics.size(); ++t) {
+  for (std::size_t t = 0; t < profile.size(); ++t) {
     VITIS_CHECK(analysis::gateway_depth_bounded(profile.proposal_at(t).hops,
                                                 config_.gateway_depth));
   }
@@ -466,20 +455,6 @@ std::size_t VitisSystem::relay_link_count() const {
     links += arena_.relay(node).link_count();
   }
   return links;
-}
-
-void VitisSystem::sync_cache_counters(support::Profiler& profiler) const {
-  const UtilityCacheStats& cache = utility_cache_.stats();
-  profiler.set_counter(support::Counter::kUtilityCacheHits, cache.hits);
-  profiler.set_counter(support::Counter::kUtilityCacheMisses, cache.misses);
-  profiler.set_counter(support::Counter::kUtilityCacheEvictions,
-                       cache.evictions);
-  profiler.set_counter(support::Counter::kUtilityCacheInvalidations,
-                       cache.invalidations);
-}
-
-double VitisSystem::cache_hit_rate() const {
-  return utility_cache_.stats().hit_rate();
 }
 
 std::size_t VitisSystem::extra_memory_bytes() const {
@@ -588,9 +563,9 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
 // ---------------------------------------------------------------------------
 void VitisSystem::on_join(ids::NodeIndex node) {
   arena_.reset_overlay_state(node, ring_id(node));
-  // A rejoining node may come back with a different subscription set (its
-  // profile can be mutated while offline); refresh its canonical id.
-  refresh_set_id(node);
+  // A rejoining node may come back with a different subscription set (it
+  // can subscribe or unsubscribe while offline); refresh its canonical id.
+  reintern(node);
 }
 
 void VitisSystem::on_leave(ids::NodeIndex node) {
@@ -637,46 +612,51 @@ double VitisSystem::mean_friend_latency_ms() const {
 bool VitisSystem::subscribe(ids::NodeIndex node, ids::TopicIndex topic) {
   VITIS_CHECK(node < node_count());
   if (!subscriptions_mut().subscribe(node, topic)) return false;
-  const bool added = arena_.profile(node).add_topic(topic, node, ring_id(node));
-  VITIS_CHECK(added);
-  refresh_set_id(node);
+  // The new topic starts from the self-proposal at its sorted position.
+  const auto position = subscriptions().of(node).position(topic);
+  VITIS_CHECK(position.has_value());
+  arena_.profile(node).insert_proposal(
+      *position, GatewayProposal{node, ring_id(node), node, 0});
+  reintern(node);
   return true;
 }
 
 bool VitisSystem::unsubscribe(ids::NodeIndex node, ids::TopicIndex topic) {
   VITIS_CHECK(node < node_count());
+  const auto position = subscriptions().of(node).position(topic);
   if (!subscriptions_mut().unsubscribe(node, topic)) return false;
-  const bool removed = arena_.profile(node).remove_topic(topic);
-  VITIS_CHECK(removed);
-  refresh_set_id(node);
+  VITIS_CHECK(position.has_value());
+  arena_.profile(node).erase_proposal(*position);
+  reintern(node);
   return true;
 }
 
-void VitisSystem::refresh_set_id(ids::NodeIndex node) {
-  Profile& profile = arena_.profile(node);
+void VitisSystem::reintern(ids::NodeIndex node) {
   if (!silence_.empty()) {
     // Topic positions shift with the subscription set; start the silence
     // bookkeeping fresh rather than remapping counters.
-    silence_[node].assign(profile.subscriptions().size(), TopicSilence{});
+    silence_[node].assign(subscriptions().of(node).size(), TopicSilence{});
   }
-  const pubsub::SetId id = registry_mut().intern(profile.subscriptions());
-  if (id != profile.set_id()) {
-    profile.set_set_id(id);
+  if (refresh_set_id(node)) {
     // Canonical ids make stale cache entries unreachable rather than wrong,
     // but the contract is defensive: any id change drops the whole memo.
     utility_cache_.invalidate();
   }
-  // Keep the arena's contiguous scoring mirror (fingerprint, SetId) in
-  // sync with the profile the batch kernel will rank against.
-  arena_.refresh_scoring(node);
 }
 
 // ---------------------------------------------------------------------------
 // Introspection.
 // ---------------------------------------------------------------------------
+std::optional<GatewayProposal> VitisSystem::proposal(
+    ids::NodeIndex node, ids::TopicIndex topic) const {
+  const auto position = subscriptions().of(node).position(topic);
+  if (!position.has_value()) return std::nullopt;
+  return arena_.profile(node).proposal_at(*position);
+}
+
 bool VitisSystem::is_gateway(ids::NodeIndex node, ids::TopicIndex topic) const {
-  const auto proposal = arena_.profile(node).proposal(topic);
-  return proposal.has_value() && proposal->gateway == node;
+  const auto current = proposal(node, topic);
+  return current.has_value() && current->gateway == node;
 }
 
 std::vector<ids::NodeIndex> VitisSystem::gateways_of(

@@ -17,6 +17,7 @@
 // gateways.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,10 @@ class VitisSystem final : public OverlaySystem {
   [[nodiscard]] const Profile& profile(ids::NodeIndex node) const {
     return arena_.profile(node);
   }
+  /// `node`'s current proposal for `topic`; nullopt when it does not
+  /// subscribe to the topic.
+  [[nodiscard]] std::optional<GatewayProposal> proposal(
+      ids::NodeIndex node, ids::TopicIndex topic) const;
   [[nodiscard]] const NodeArena& arena() const { return arena_; }
   [[nodiscard]] const PairUtilityCache& utility_cache() const {
     return utility_cache_;
@@ -141,8 +146,9 @@ class VitisSystem final : public OverlaySystem {
   void on_leave(ids::NodeIndex node) override;
 
   [[nodiscard]] std::size_t relay_link_count() const override;
-  void sync_cache_counters(support::Profiler& profiler) const override;
-  [[nodiscard]] double cache_hit_rate() const override;
+  [[nodiscard]] const PairUtilityCache* pair_cache() const override {
+    return &utility_cache_;
+  }
   // The arena (profiles, relay tables) and the election's topic stamps.
   [[nodiscard]] std::size_t extra_memory_bytes() const override;
 
@@ -160,10 +166,11 @@ class VitisSystem final : public OverlaySystem {
   // DESIGN.md "Hot path & determinism").
   void refresh_relays(ids::NodeIndex node, std::size_t worker);
 
-  // Re-intern a node's (possibly changed) subscription set; when the
-  // canonical id changed, defensively invalidate the pairwise-utility memo
-  // (subscription change and churn rejoin are the two callers).
-  void refresh_set_id(ids::NodeIndex node);
+  // Re-intern a node's (possibly changed) subscription set and restart its
+  // silence bookkeeping; when the canonical id changed, defensively
+  // invalidate the pairwise-utility memo (subscription change and churn
+  // rejoin are the callers).
+  void reintern(ids::NodeIndex node);
   void run_election(ids::NodeIndex node);
 
   /// One relay-setup hop under the fault plan, with bounded retransmit

@@ -24,14 +24,11 @@ CyclonSampling::CyclonSampling(std::span<const ids::RingId> ring_ids,
                                std::size_t view_size,
                                std::size_t shuffle_size,
                                std::function<bool(ids::NodeIndex)> is_alive,
-                               std::uint64_t seed, FingerprintFn fingerprint,
-                               SetIdFn set_id)
-    : ring_ids_(ring_ids.begin(), ring_ids.end()),
+                               std::uint64_t seed)
+    : ring_ids_(ring_ids),
       view_size_(view_size),
       shuffle_size_(shuffle_size),
       is_alive_(std::move(is_alive)),
-      fingerprint_(std::move(fingerprint)),
-      set_id_(std::move(set_id)),
       seed_(seed) {
   VITIS_CHECK(view_size_ > 0);
   VITIS_CHECK(shuffle_size_ > 0 && shuffle_size_ <= view_size_);
@@ -51,7 +48,6 @@ std::size_t CyclonSampling::memory_bytes() const {
   // vector::capacity(), whose growth policy is implementation-defined).
   return ring_ids_.size() * view_size_ * sizeof(Descriptor) +
          views_.size() * sizeof(PartialView) +
-         ring_ids_.size() * sizeof(ids::RingId) +
          2 * (view_size_ + 1) * sizeof(Descriptor);
 }
 

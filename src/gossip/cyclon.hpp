@@ -27,11 +27,12 @@ namespace vitis::gossip {
 
 class CyclonSampling final : public SamplingService {
  public:
+  /// `ring_ids` is not copied: the caller's column must outlive the
+  /// service.
   CyclonSampling(std::span<const ids::RingId> ring_ids, std::size_t view_size,
                  std::size_t shuffle_size,
                  std::function<bool(ids::NodeIndex)> is_alive,
-                 std::uint64_t seed, FingerprintFn fingerprint = nullptr,
-                 SetIdFn set_id = nullptr);
+                 std::uint64_t seed);
 
   void init_node(ids::NodeIndex node,
                  std::span<const ids::NodeIndex> bootstrap) override;
@@ -59,9 +60,7 @@ class CyclonSampling final : public SamplingService {
   }
   [[nodiscard]] Descriptor self_descriptor(
       ids::NodeIndex node) const override {
-    return Descriptor{node, ring_ids_[node], 0,
-                      fingerprint_ ? fingerprint_(node) : 0,
-                      set_id_ ? set_id_(node) : pubsub::kInvalidSetId};
+    return Descriptor{node, ring_ids_[node], 0};
   }
   [[nodiscard]] std::size_t shuffle_size() const { return shuffle_size_; }
 
@@ -75,12 +74,10 @@ class CyclonSampling final : public SamplingService {
     ids::NodeIndex partner = ids::kInvalidNode;
   };
 
-  std::vector<ids::RingId> ring_ids_;
+  std::span<const ids::RingId> ring_ids_;  // the caller's column
   std::size_t view_size_;
   std::size_t shuffle_size_;
   std::function<bool(ids::NodeIndex)> is_alive_;
-  FingerprintFn fingerprint_;
-  SetIdFn set_id_;
   // One contiguous N×view_size descriptor slab; views_ are handles into it
   // (never reallocated after construction — slab pointers must stay valid).
   std::unique_ptr<Descriptor[]> view_slab_;

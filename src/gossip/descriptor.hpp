@@ -1,21 +1,16 @@
 // Node descriptors exchanged by the gossip layers.
 //
 // A descriptor is what one node knows about another: its simulator index,
-// its ring id, an age (gossip rounds since the information was fresh), a
-// snapshot of the node's subscription fingerprint, and the interned SetId of
-// its subscription set. Ages implement Newscast-style freshness ordering and
-// failure detection; the fingerprint lets receivers pre-screen similarity
-// candidates without fetching the full profile (core::UtilityFunction ranks
-// against the live profile, so a stale snapshot can never mis-rank — see
-// DESIGN.md "Hot path & determinism"). The SetId serves the same advisory
-// role for the memoized utility cache: ranking keys on live profile ids, so
-// a stale snapshot id is harmless.
+// its ring id and an age (gossip rounds since the information was fresh).
+// Ages implement Newscast-style freshness ordering and failure detection.
+// What a node's profile holds (subscriptions, gateway proposals) travels in
+// heartbeats, not in descriptors; consumers read it live from the owning
+// system (see DESIGN.md "Hot path & determinism").
 #pragma once
 
 #include <cstdint>
 
 #include "ids/id.hpp"
-#include "pubsub/subscription_registry.hpp"
 
 namespace vitis::gossip {
 
@@ -23,8 +18,6 @@ struct Descriptor {
   ids::NodeIndex node = ids::kInvalidNode;
   ids::RingId id = 0;
   std::uint32_t age = 0;
-  std::uint64_t fp = 0;  // subscription fingerprint at descriptor creation
-  pubsub::SetId set_id = pubsub::kInvalidSetId;  // interned set at creation
 
   friend bool operator==(const Descriptor& a, const Descriptor& b) {
     return a.node == b.node;  // identity, not freshness

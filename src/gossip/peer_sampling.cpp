@@ -9,13 +9,10 @@ namespace vitis::gossip {
 
 PeerSamplingService::PeerSamplingService(
     std::span<const ids::RingId> ring_ids, std::size_t view_size,
-    std::function<bool(ids::NodeIndex)> is_alive, FingerprintFn fingerprint,
-    SetIdFn set_id)
-    : ring_ids_(ring_ids.begin(), ring_ids.end()),
+    std::function<bool(ids::NodeIndex)> is_alive)
+    : ring_ids_(ring_ids),
       view_size_(view_size),
-      is_alive_(std::move(is_alive)),
-      fingerprint_(std::move(fingerprint)),
-      set_id_(std::move(set_id)) {
+      is_alive_(std::move(is_alive)) {
   VITIS_CHECK(view_size_ > 0);
   VITIS_CHECK(is_alive_ != nullptr);
   view_slab_ =
@@ -31,11 +28,10 @@ PeerSamplingService::PeerSamplingService(
 std::size_t PeerSamplingService::memory_bytes() const {
   // Logical footprint from sizes and fixed capacities only (never
   // vector::capacity(), whose growth policy is implementation-defined):
-  // the descriptor slab, the view handles, the ring-id column and the two
-  // exchange scratch buffers.
+  // the descriptor slab, the view handles and the two exchange scratch
+  // buffers (the ring ids are the caller's).
   return ring_ids_.size() * view_size_ * sizeof(Descriptor) +
          views_.size() * sizeof(PartialView) +
-         ring_ids_.size() * sizeof(ids::RingId) +
          2 * (view_size_ + 1) * sizeof(Descriptor);
 }
 

@@ -25,15 +25,12 @@ namespace vitis::gossip {
 
 class PeerSamplingService final : public SamplingService {
  public:
-  /// `ring_ids[i]` is node i's position in the identifier space.
+  /// `ring_ids[i]` is node i's position in the identifier space (not
+  /// copied: the caller's column must outlive the service).
   /// `is_alive(i)` reports whether node i is currently online.
-  /// `fingerprint(i)` / `set_id(i)` (optional) are stamped into fresh
-  /// descriptors.
   PeerSamplingService(std::span<const ids::RingId> ring_ids,
                       std::size_t view_size,
-                      std::function<bool(ids::NodeIndex)> is_alive,
-                      FingerprintFn fingerprint = nullptr,
-                      SetIdFn set_id = nullptr);
+                      std::function<bool(ids::NodeIndex)> is_alive);
 
   /// Bootstrap a joining node with some introduction contacts.
   void init_node(ids::NodeIndex node,
@@ -74,9 +71,7 @@ class PeerSamplingService final : public SamplingService {
   /// Fresh self-descriptor for a node.
   [[nodiscard]] Descriptor self_descriptor(
       ids::NodeIndex node) const override {
-    return Descriptor{node, ring_ids_[node], 0,
-                      fingerprint_ ? fingerprint_(node) : 0,
-                      set_id_ ? set_id_(node) : pubsub::kInvalidSetId};
+    return Descriptor{node, ring_ids_[node], 0};
   }
 
  private:
@@ -85,11 +80,9 @@ class PeerSamplingService final : public SamplingService {
     ids::NodeIndex partner = ids::kInvalidNode;
   };
 
-  std::vector<ids::RingId> ring_ids_;
+  std::span<const ids::RingId> ring_ids_;  // the caller's column
   std::size_t view_size_;
   std::function<bool(ids::NodeIndex)> is_alive_;
-  FingerprintFn fingerprint_;
-  SetIdFn set_id_;
   // One contiguous N×view_size descriptor slab; views_ are handles into it
   // (never reallocated after construction — slab pointers must stay valid).
   std::unique_ptr<Descriptor[]> view_slab_;

@@ -30,14 +30,6 @@ class FaultPlan;
 
 namespace vitis::gossip {
 
-/// Optional live subscription-fingerprint lookup; when provided, fresh
-/// descriptors carry the node's current fingerprint snapshot.
-using FingerprintFn = std::function<std::uint64_t(ids::NodeIndex)>;
-
-/// Optional live interned-SetId lookup; when provided, fresh descriptors
-/// carry the node's canonical subscription-set id snapshot.
-using SetIdFn = std::function<pubsub::SetId(ids::NodeIndex)>;
-
 class SamplingService {
  public:
   virtual ~SamplingService() = default;
@@ -92,8 +84,9 @@ class SamplingService {
   virtual void set_fault_plan(const sim::FaultPlan* plan) { (void)plan; }
 
   /// Deterministic logical footprint of the service's per-node state in
-  /// bytes (descriptor slab + view handles + scratch). Depends only on
-  /// (node count, view size), never on run history — safe for stdout.
+  /// bytes (descriptor slab + view handles + scratch; the ring ids belong
+  /// to the caller). Depends only on (node count, view size), never on run
+  /// history — safe for stdout.
   [[nodiscard]] virtual std::size_t memory_bytes() const { return 0; }
 };
 
@@ -104,14 +97,12 @@ enum class SamplingPolicy {
 
 [[nodiscard]] const char* to_string(SamplingPolicy policy);
 
-/// Build the configured sampling service. `seed` roots the service's
-/// apply-time counter-based RNG forks (derive it from the system seed).
-/// `fingerprint` and `set_id` (optional) are the live subscription-
-/// fingerprint and interned-SetId lookups stamped into fresh descriptors.
+/// Build the configured sampling service. `ring_ids` is not copied and must
+/// outlive the service. `seed` roots the service's apply-time
+/// counter-based RNG forks (derive it from the system seed).
 [[nodiscard]] std::unique_ptr<SamplingService> make_sampling_service(
     SamplingPolicy policy, std::span<const ids::RingId> ring_ids,
     std::size_t view_size, std::function<bool(ids::NodeIndex)> is_alive,
-    std::uint64_t seed, FingerprintFn fingerprint = nullptr,
-    SetIdFn set_id = nullptr);
+    std::uint64_t seed);
 
 }  // namespace vitis::gossip

@@ -39,6 +39,13 @@ bool SubscriptionSet::contains(ids::TopicIndex topic) const {
   return std::binary_search(topics_.begin(), topics_.end(), topic);
 }
 
+std::optional<std::size_t> SubscriptionSet::position(
+    ids::TopicIndex topic) const {
+  const auto it = std::lower_bound(topics_.begin(), topics_.end(), topic);
+  if (it == topics_.end() || *it != topic) return std::nullopt;
+  return static_cast<std::size_t>(it - topics_.begin());
+}
+
 std::size_t intersection_size(const SubscriptionSet& a,
                               const SubscriptionSet& b) {
   std::size_t count = 0;

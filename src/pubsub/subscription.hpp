@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -44,6 +45,11 @@ class SubscriptionSet {
   bool remove(ids::TopicIndex topic);
 
   [[nodiscard]] bool contains(ids::TopicIndex topic) const;
+  /// Index of `topic` in topics(), if subscribed: the topic's slot in
+  /// per-topic state kept aligned with the set (a node's gateway
+  /// proposals).
+  [[nodiscard]] std::optional<std::size_t> position(
+      ids::TopicIndex topic) const;
   [[nodiscard]] std::size_t size() const { return topics_.size(); }
   [[nodiscard]] bool empty() const { return topics_.empty(); }
   void clear() {

@@ -22,9 +22,8 @@ namespace vitis::pubsub {
 /// Dense canonical id of a distinct subscription set.
 using SetId = std::uint32_t;
 
-/// "No interned set": profiles start here, and descriptor snapshots from
-/// systems without a registry carry it. Consumers must treat it as
-/// uncacheable, never as an index.
+/// "No interned set": callers without a registry pass it. Consumers must
+/// treat it as uncacheable, never as an index.
 inline constexpr SetId kInvalidSetId = 0xFFFFFFFFu;
 
 class SubscriptionRegistry {

@@ -44,7 +44,12 @@ TEST(DynamicSubscriptions, SubscribeStartsDeliveries) {
   EXPECT_TRUE(system->subscribe(newcomer, topic));
   EXPECT_FALSE(system->subscribe(newcomer, topic));  // idempotent
   EXPECT_TRUE(system->subscriptions().subscribes(newcomer, topic));
-  EXPECT_TRUE(system->profile(newcomer).subscribes(topic));
+  // The new topic starts from a self-proposal in its own profile slot.
+  const auto fresh = system->proposal(newcomer, topic);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->gateway, newcomer);
+  EXPECT_EQ(system->profile(newcomer).size(),
+            system->subscriptions().of(newcomer).size());
 
   // Let gossip absorb the change, then publish from another subscriber.
   system->run_cycles(12);
@@ -78,7 +83,9 @@ TEST(DynamicSubscriptions, UnsubscribeStopsExpectations) {
 
   EXPECT_TRUE(system->unsubscribe(leaver, topic));
   EXPECT_FALSE(system->unsubscribe(leaver, topic));
-  EXPECT_FALSE(system->profile(leaver).subscribes(topic));
+  EXPECT_FALSE(system->proposal(leaver, topic).has_value());
+  EXPECT_EQ(system->profile(leaver).size(),
+            system->subscriptions().of(leaver).size());
   EXPECT_EQ(system->subscriptions().subscribers(topic).size(), before - 1);
 
   system->run_cycles(10);
@@ -93,16 +100,15 @@ TEST(DynamicSubscriptions, OtherProposalsSurviveTopicChange) {
   const auto scenario = scenario_for(17, 100, 40);
   auto system = workload::make_vitis(scenario, core::VitisConfig{}, 17);
   system->run_cycles(20);
-  const auto& profile = system->profile(5);
-  const auto topics = profile.subscriptions().topics();
+  const auto topics = system->subscriptions().of(5).topics();
   ASSERT_GE(topics.size(), 2u);
   const ids::TopicIndex kept = topics[0];
-  const auto kept_proposal = profile.proposal(kept);
+  const auto kept_proposal = system->proposal(5, kept);
   // Adding an unrelated topic must not disturb the kept topic's proposal.
   ids::TopicIndex fresh = 0;
-  while (profile.subscribes(fresh)) ++fresh;
+  while (system->subscriptions().subscribes(5, fresh)) ++fresh;
   ASSERT_TRUE(system->subscribe(5, fresh));
-  EXPECT_EQ(system->profile(5).proposal(kept), kept_proposal);
+  EXPECT_EQ(system->proposal(5, kept), kept_proposal);
 }
 
 TEST(CyclonBackedSystem, ConvergesLikeNewscast) {

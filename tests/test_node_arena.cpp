@@ -5,9 +5,6 @@
 // content). The routing slab is the host's; test_overlay_system covers it.
 #include <gtest/gtest.h>
 
-#include <utility>
-#include <vector>
-
 #include "core/node_arena.hpp"
 #include "ids/hash.hpp"
 #include "workload/scenario.hpp"
@@ -15,10 +12,8 @@
 namespace vitis::core {
 namespace {
 
-Profile make_profile(ids::NodeIndex node,
-                     std::vector<ids::TopicIndex> topics) {
-  pubsub::SubscriptionSet set(std::move(topics));
-  Profile profile(std::move(set));
+Profile make_profile(ids::NodeIndex node, std::size_t topic_count) {
+  Profile profile(topic_count);
   profile.reset_proposals(node, ids::node_ring_id(node));
   return profile;
 }
@@ -27,37 +22,35 @@ TEST(NodeArena, ColumnsHoldWhatInitNodeInstalled) {
   NodeArena arena(4);
   ASSERT_EQ(arena.size(), 4u);
   for (ids::NodeIndex node = 0; node < 4; ++node) {
-    arena.init_node(node, make_profile(node, {1, 2, 3}));
+    arena.init_node(node, make_profile(node, 3));
   }
-  EXPECT_EQ(arena.profile(1).subscriptions().size(), 3u);
+  EXPECT_EQ(arena.profile(1).size(), 3u);
   EXPECT_EQ(arena.profile(2).proposal_at(0).gateway, 2u);
-  EXPECT_EQ(arena.sub_fingerprint(3),
-            arena.profile(3).subscriptions().fingerprint());
   EXPECT_EQ(arena.relay(0).link_count(), 0u);
 }
 
 TEST(NodeArena, ResetOverlayStateKeepsSubscriptions) {
   // Churn rejoin: volatile state (relay links, gateway proposals) resets;
-  // the subscription set persists.
+  // the proposal slots (one per subscribed topic) persist.
   NodeArena arena(2);
-  arena.init_node(0, make_profile(0, {5, 6}));
-  arena.init_node(1, make_profile(1, {7}));
+  arena.init_node(0, make_profile(0, 2));
+  arena.init_node(1, make_profile(1, 1));
   arena.relay(0).add_link(5, 1);
-  arena.profile(0).set_proposal(5, GatewayProposal{1, ids::node_ring_id(1),
-                                                   1, 1});
+  arena.profile(0).set_proposal_at(
+      0, GatewayProposal{1, ids::node_ring_id(1), 1, 1});
 
   arena.reset_overlay_state(0, ids::node_ring_id(0));
   EXPECT_EQ(arena.relay(0).link_count(), 0u);
   EXPECT_EQ(arena.profile(0).proposal_at(0).gateway, 0u);
-  EXPECT_EQ(arena.profile(0).subscriptions().size(), 2u);
+  EXPECT_EQ(arena.profile(0).size(), 2u);
   // The untouched node keeps everything.
-  EXPECT_EQ(arena.profile(1).subscriptions().size(), 1u);
+  EXPECT_EQ(arena.profile(1).size(), 1u);
 }
 
 TEST(NodeArena, MemoryBytesTracksLiveStateNotCapacity) {
   NodeArena arena(2);
-  arena.init_node(0, make_profile(0, {}));
-  arena.init_node(1, make_profile(1, {}));
+  arena.init_node(0, make_profile(0, 0));
+  arena.init_node(1, make_profile(1, 0));
   const std::size_t base = arena.memory_bytes();
   // Relay links are live state: adding one grows the gauge, clearing
   // returns it exactly to base (no capacity() leakage).

@@ -92,9 +92,8 @@ TEST_P(VitisSweep, GatewayProposalsPointAtSubscribers) {
   // A proposal's gateway must itself subscribe to the topic (gateways are
   // cluster members, §III-B).
   for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
-    const auto& profile = system_->profile(n);
-    for (const ids::TopicIndex topic : profile.subscriptions()) {
-      const auto proposal = profile.proposal(topic);
+    for (const ids::TopicIndex topic : system_->subscriptions().of(n)) {
+      const auto proposal = system_->proposal(n, topic);
       ASSERT_TRUE(proposal.has_value());
       if (proposal->gateway == ids::kInvalidNode) continue;
       EXPECT_TRUE(

@@ -25,9 +25,12 @@ TEST(SubscriptionSet, AddRemoveContains) {
   EXPECT_FALSE(set.contains(11));
   EXPECT_TRUE(set.add(5));
   EXPECT_EQ(set.topics()[0], 5u);  // stays sorted after insertion
+  EXPECT_EQ(set.position(5).value(), 0u);
+  EXPECT_EQ(set.position(10).value(), 1u);
   EXPECT_TRUE(set.remove(10));
   EXPECT_FALSE(set.remove(10));
   EXPECT_EQ(set.size(), 1u);
+  EXPECT_FALSE(set.position(10).has_value());
 }
 
 TEST(SetOps, IntersectionAndUnionSizes) {

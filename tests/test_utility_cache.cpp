@@ -213,18 +213,17 @@ TEST(UtilityCacheWiring, ChurnRejoinWithChangedSetInvalidates) {
   system->node_leave(node);
   // Find a topic the node does not hold yet; subscribing changes its set.
   ids::TopicIndex fresh_topic = 0;
-  while (system->profile(node).subscriptions().contains(fresh_topic)) {
+  while (system->subscriptions().subscribes(node, fresh_topic)) {
     ++fresh_topic;
   }
   const std::uint64_t before = system->utility_cache().stats().invalidations;
   ASSERT_TRUE(system->subscribe(node, fresh_topic));
   EXPECT_GT(system->utility_cache().stats().invalidations, before);
   system->node_join(node);
-  // The rejoined profile carries the canonical id of its *new* set.
-  const pubsub::SetId id = system->profile(node).set_id();
+  // The rejoined node carries the canonical id of its *new* set.
+  const pubsub::SetId id = system->set_id(node);
   ASSERT_NE(id, pubsub::kInvalidSetId);
-  EXPECT_TRUE(system->registry().set(id) ==
-              system->profile(node).subscriptions());
+  EXPECT_TRUE(system->registry().set(id) == system->subscriptions().of(node));
   // And the system keeps running (scores repopulate in the new epoch).
   system->run_cycles(4);
   EXPECT_GT(system->utility_cache().stats().hits, 0u);
@@ -244,17 +243,17 @@ TEST(UtilityCacheWiring, RejoinWithUnchangedSetKeepsTheMemo) {
   EXPECT_EQ(system->utility_cache().stats().invalidations, before);
 }
 
-// Every node's profile id is canonical from construction: interning the
-// profile's set again returns the id the profile already carries.
+// Every node's SetId is canonical from construction: the registry maps it
+// back to the node's subscription set.
 TEST(UtilityCacheWiring, ProfilesCarryCanonicalIdsFromConstruction) {
   const auto scenario = small_scenario();
   auto system = workload::make_vitis(scenario, VitisConfig{}, 77);
   EXPECT_LE(system->registry().size(), system->node_count());
   for (ids::NodeIndex node = 0; node < system->node_count(); ++node) {
-    const pubsub::SetId id = system->profile(node).set_id();
+    const pubsub::SetId id = system->set_id(node);
     ASSERT_NE(id, pubsub::kInvalidSetId);
     EXPECT_TRUE(system->registry().set(id) ==
-                system->profile(node).subscriptions());
+                system->subscriptions().of(node));
   }
 }
 

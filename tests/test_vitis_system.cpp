@@ -329,7 +329,7 @@ void expect_sweep_matches_replay(VitisSystem& system) {
   std::vector<std::size_t> named(n, 0);
   for (ids::NodeIndex node = 0; node < n; ++node) {
     const Profile& profile = system.profile(node);
-    for (std::size_t i = 0; i < profile.subscriptions().size(); ++i) {
+    for (std::size_t i = 0; i < profile.size(); ++i) {
       const ids::NodeIndex gateway = profile.proposal_at(i).gateway;
       if (gateway != node) ++named[gateway];
     }
@@ -367,12 +367,12 @@ void expect_sweep_matches_replay(VitisSystem& system) {
   for (ids::NodeIndex node = 0; node < n; ++node) {
     if (!system.is_alive(node)) continue;
     Profile& mine = replay[node];
-    const auto my_topics = mine.subscriptions().topics();
+    const auto my_topics = system.subscriptions().of(node).topics();
     std::vector<std::vector<NeighborProposal>> candidates(my_topics.size());
     const auto& my_neighbors = adjacency[node];
     for (const ids::NodeIndex neighbor : my_neighbors) {
       const Profile& theirs = replay[neighbor];
-      const auto their_topics = theirs.subscriptions().topics();
+      const auto their_topics = system.subscriptions().of(neighbor).topics();
       std::size_t a = 0;
       std::size_t b = 0;
       while (a < my_topics.size() && b < their_topics.size()) {
@@ -399,7 +399,7 @@ void expect_sweep_matches_replay(VitisSystem& system) {
                                 system.config().gateway_depth};
       const GatewayProposal elected = elect_gateway(input, candidates[i]);
       if (elected != mine.proposal_at(i)) ++changed;
-      mine.set_proposal(my_topics[i], elected);
+      mine.set_proposal_at(i, elected);
     }
   }
 
@@ -407,12 +407,11 @@ void expect_sweep_matches_replay(VitisSystem& system) {
   std::size_t remote = 0;
   for (ids::NodeIndex node = 0; node < n; ++node) {
     const Profile& profile = system.profile(node);
-    ASSERT_EQ(profile.subscriptions().size(),
-              replay[node].subscriptions().size());
-    for (std::size_t i = 0; i < profile.subscriptions().size(); ++i) {
+    ASSERT_EQ(profile.size(), replay[node].size());
+    for (std::size_t i = 0; i < profile.size(); ++i) {
       ASSERT_EQ(profile.proposal_at(i), replay[node].proposal_at(i))
           << "node " << node << " topic "
-          << profile.subscriptions().topics()[i];
+          << system.subscriptions().of(node).topics()[i];
       ++compared;
       if (profile.proposal_at(i).gateway != node) ++remote;
     }
