@@ -75,8 +75,7 @@ void RvrSystem::maintenance_extra() {
 
 void RvrSystem::refresh_subscription(ids::NodeIndex node,
                                      ids::TopicIndex topic) {
-  const overlay::LookupResult& route =
-      lookup_cached(node, ids::topic_ring_id(topic));
+  const overlay::LookupResult& route = lookup(node, ids::topic_ring_id(topic));
   if (!route.converged) return;
   std::span<const ids::NodeIndex> path = route.path;
   if (fault_active()) {
@@ -103,7 +102,7 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
 
   // Scribe publish: route the event to the rendezvous node...
   const overlay::LookupResult& route =
-      lookup_cached(publisher, ids::topic_ring_id(topic));
+      lookup(publisher, ids::topic_ring_id(topic));
   // RVR's analogue of Vitis' relay-path channel: the greedy rendezvous
   // route length per publication (serial publish path, lane 0).
   if (route.path.size() >= 2) {

@@ -66,10 +66,7 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
       config_.sampling, ring_ids_, config_.view_size, is_alive,
       ids::mix64(seed ^ 0x73616d70ULL));
   tman_ = std::make_unique<gossip::TManProtocol>(
-      [this](ids::NodeIndex node) -> overlay::RoutingTable& {
-        return tables_[node];
-      },
-      *sampling_, is_alive,
+      tables_, *sampling_, is_alive,
       [this](ids::NodeIndex self,
              std::span<const gossip::Descriptor> candidates,
              overlay::RoutingTable& table, sim::Rng& rng) {
@@ -284,26 +281,22 @@ std::vector<support::ParallelPhaseStats> OverlaySystem::parallel_phases()
 // ---------------------------------------------------------------------------
 // Lookups.
 // ---------------------------------------------------------------------------
-overlay::LookupResult OverlaySystem::lookup(ids::NodeIndex origin,
-                                            ids::RingId target) const {
-  return lookup_cached(origin, target);  // copy out of the member buffer
+const overlay::LookupResult& OverlaySystem::lookup(ids::NodeIndex origin,
+                                                   ids::RingId target) const {
+  lookup_into(origin, target, lookup_result_, nullptr, 0);
+  return lookup_result_;
 }
 
-const overlay::LookupResult& OverlaySystem::lookup_cached(
-    ids::NodeIndex origin, ids::RingId target) const {
-  const support::ScopedPhase phase(&profiler_, support::Phase::kRouting);
-  const overlay::NeighborFn neighbors =
-      [this](ids::NodeIndex node) -> std::span<const overlay::RoutingEntry> {
-    lookup_scratch_.clear();
-    for (const auto& entry : tables_[node].entries()) {
-      if (engine_.is_alive(entry.node)) lookup_scratch_.push_back(entry);
-    }
-    return lookup_scratch_;
-  };
+void OverlaySystem::lookup_into(ids::NodeIndex origin, ids::RingId target,
+                                overlay::LookupResult& result,
+                                const overlay::RouteMarks* marks,
+                                std::size_t worker) const {
+  const support::ScopedPhase phase(&profiler_, support::Phase::kRouting,
+                                   worker);
   overlay::greedy_lookup_into(
-      neighbors, [this](ids::NodeIndex n) { return ring_ids_[n]; }, origin,
-      target, config_.lookup_hop_budget, lookup_result_);
-  return lookup_result_;
+      tables_, ring_ids_,
+      [this](ids::NodeIndex node) { return engine_.is_alive(node); }, origin,
+      target, config_.lookup_hop_budget, result, marks);
 }
 
 void OverlaySystem::gossip_step(ids::NodeIndex node) {

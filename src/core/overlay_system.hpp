@@ -127,14 +127,11 @@ class OverlaySystem : public pubsub::PubSubSystem {
     return set_ids_[node];
   }
 
-  /// Greedy lookup from `origin` toward `target` over live routing state.
-  [[nodiscard]] overlay::LookupResult lookup(ids::NodeIndex origin,
-                                             ids::RingId target) const;
-
-  /// Allocation-free lookup into a member result buffer; the reference is
-  /// valid until the next lookup. Serial callers only.
-  const overlay::LookupResult& lookup_cached(ids::NodeIndex origin,
-                                             ids::RingId target) const;
+  /// Greedy lookup from `origin` toward `target` over live routing state,
+  /// into a member buffer: the reference is valid until the next lookup.
+  /// Serial callers only.
+  [[nodiscard]] const overlay::LookupResult& lookup(ids::NodeIndex origin,
+                                                    ids::RingId target) const;
 
   /// One gossip activation for `node` — a peer-sampling prepare/apply pair
   /// followed by a T-Man pair, with the same counter-based RNG forks the
@@ -272,6 +269,14 @@ class OverlaySystem : public pubsub::PubSubSystem {
     }
   };
 
+  /// The one route walk (lookup(), Vitis' relay refresh): a greedy lookup
+  /// over the live routing tables into `result`, timed as one `routing`
+  /// call on `worker`'s profiler lane. With `marks` the walk ends at the
+  /// first node whose remaining route it marks.
+  void lookup_into(ids::NodeIndex origin, ids::RingId target,
+                   overlay::LookupResult& result,
+                   const overlay::RouteMarks* marks, std::size_t worker) const;
+
   /// Sorted alive undirected neighbors, rebuilt once per cycle.
   [[nodiscard]] const std::vector<ids::NodeIndex>& undirected(
       ids::NodeIndex node) const {
@@ -320,7 +325,8 @@ class OverlaySystem : public pubsub::PubSubSystem {
   std::vector<ids::RingId> ring_ids_;
   // One contiguous routing-entry slab shared by all per-node tables (the
   // RoutingTable objects are handles into it, never reallocated after
-  // construction — slab pointers must stay valid).
+  // construction — slab pointers and T-Man's span over tables_ must stay
+  // valid).
   std::size_t rt_capacity_ = 0;
   std::unique_ptr<overlay::RoutingEntry[]> rt_slab_;
   std::vector<overlay::RoutingTable> tables_;
@@ -359,8 +365,7 @@ class OverlaySystem : public pubsub::PubSubSystem {
   std::vector<ids::NodeIndex> undirected_touched_;
 
   // Scratch buffers, reused to keep the hot paths allocation-free.
-  mutable std::vector<overlay::RoutingEntry> lookup_scratch_;
-  mutable overlay::LookupResult lookup_result_;  // lookup_cached() buffer
+  mutable overlay::LookupResult lookup_result_;  // lookup() buffer
   std::vector<gossip::Descriptor> select_buffer_;
   std::vector<overlay::RoutingEntry> selected_;
 };

@@ -64,7 +64,7 @@ VitisSystem::VitisSystem(VitisConfig config,
   const std::size_t workers = run_jobs();
   relay_outbox_.configure(workers);
   lookup_ctx_.resize(workers);
-  for (LookupCtx& ctx : lookup_ctx_) ctx.marks.assign(n, RouteMark{});
+  for (LookupCtx& ctx : lookup_ctx_) ctx.marks.resize(n);
 
   const std::size_t topics = this->subscriptions().topic_count();
   topic_stamp_.assign(topics, 0);
@@ -348,46 +348,20 @@ void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
   if (walk == relay_walks_.end() || walk->gateway != node) return;
 
   LookupCtx& ctx = lookup_ctx_[worker];
-  const overlay::NeighborFn neighbors =
-      [this, &ctx](ids::NodeIndex n) -> std::span<const overlay::RoutingEntry> {
-    ctx.scratch.clear();
-    for (const auto& entry : routing_table(n).entries()) {
-      if (is_alive(entry.node)) ctx.scratch.push_back(entry);
-    }
-    return ctx.scratch;
-  };
-  const std::function<ids::RingId(ids::NodeIndex)> ring_id_of =
-      [this](ids::NodeIndex n) { return ring_id(n); };
   // Relay-hop admission under a fault plan draws and counts per hop, so a
   // skipped suffix would change the fault counters: walk in full then.
-  overlay::RemainderFn known_remainder;
-  if (!fault_active()) {
-    known_remainder = [&ctx](ids::NodeIndex n) -> std::optional<std::size_t> {
-      const RouteMark mark = ctx.marks[n];
-      if (mark.epoch != ctx.epoch) return std::nullopt;
-      return mark.remaining;
-    };
-  }
+  overlay::RouteMarks* const marks = fault_active() ? nullptr : &ctx.marks;
 
   for (; walk != relay_walks_.end() && walk->gateway == node; ++walk) {
     const ids::TopicIndex topic = walk->topic;
     const ids::RingId target = ids::topic_ring_id(topic);
-    if (++ctx.epoch == 0) {
-      std::fill(ctx.marks.begin(), ctx.marks.end(), RouteMark{});
-      ctx.epoch = 1;
-    }
+    ctx.marks.next_target();
     for (std::uint32_t g = relay_topic_begin_[topic];
          g < relay_topic_begin_[topic + 1]; ++g) {
       const ids::NodeIndex gateway = relay_gateways_[g];
       const support::ScopedPhase phase(&profiler_mut(),
                                        support::Phase::kRelay, worker);
-      {
-        const support::ScopedPhase route(&profiler_mut(),
-                                         support::Phase::kRouting, worker);
-        overlay::greedy_lookup_into(
-            neighbors, ring_id_of, gateway, target, config_.lookup_hop_budget,
-            ctx.result, known_remainder);
-      }
+      lookup_into(gateway, target, ctx.result, marks, worker);
       const overlay::LookupResult& result = ctx.result;
       if (!result.converged || result.hops() == 0) continue;
       histograms_mut().record(support::Channel::kRelayPathLength,
@@ -406,15 +380,10 @@ void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
         relay_outbox_.lane(worker).push_back(
             RelayInstall{topic, path[i], path[i + 1]});
       }
-      if (known_remainder == nullptr) continue;
       // Without a fault plan every install of the route was emitted (the
       // walked ones above, the remainder by the earlier route), so later
       // walks may end on its nodes.
-      for (std::size_t i = 0; i < path.size(); ++i) {
-        ctx.marks[path[i]] = RouteMark{
-            ctx.epoch,
-            static_cast<std::uint32_t>(result.hops() - i)};
-      }
+      if (marks != nullptr) marks->mark(result);
     }
   }
 }
@@ -472,8 +441,11 @@ struct VitisSystem::Hops : FaultAdmission {
   const pubsub::Dissemination& flood;
   ids::TopicIndex topic;
 
+  // The flood's per-node loop. Starting it on a cache line keeps its
+  // loops' placement, and so the publish latency, independent of the size
+  // of the code laid out before it.
   template <typename Fn>
-  void for_each_next(ids::NodeIndex node, Fn&& fn) {
+  [[gnu::aligned(64)]] void for_each_next(ids::NodeIndex node, Fn&& fn) {
     // The few live relay peers, sorted, merged into the ascending neighbour
     // list; a peer that is also a subscribed neighbour is sent to once.
     std::vector<ids::NodeIndex>& relays = vitis.relay_peers_;
@@ -521,13 +493,14 @@ pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
   if (!flood.interested(publisher) &&
       !arena_.relay(publisher).is_relay_for(topic)) {
     const ids::RingId target = ids::topic_ring_id(topic);
-    auto route = lookup(publisher, target);
+    // The host's lookup buffer, which a successor detour refills.
+    const overlay::LookupResult* route = &lookup(publisher, target);
     std::uint32_t fallbacks_left =
         fault_active() ? config_.route_fallback_limit : 0;
     std::size_t i = 1;
-    while (i < route.path.size()) {
-      const ids::NodeIndex from = route.path[i - 1];
-      if (!hops.admit(from, route.path[i])) {
+    while (i < route->path.size()) {
+      const ids::NodeIndex from = route->path[i - 1];
+      if (!hops.admit(from, route->path[i])) {
         // The greedy hop is lost. With the fallback knob the sender
         // detects the hop timeout and hands the event to its ring
         // successor, which restarts the greedy descent from there;
@@ -540,11 +513,11 @@ pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
         const ids::NodeIndex detour = succ->node;
         if (!hops.admit(from, detour)) break;
         flood.route_hop<P>(hops, from, detour);
-        route = lookup(detour, target);
+        route = &lookup(detour, target);
         i = 1;
         continue;
       }
-      flood.route_hop<P>(hops, from, route.path[i]);
+      flood.route_hop<P>(hops, from, route->path[i]);
       ++i;
     }
   }

@@ -234,21 +234,13 @@ class VitisSystem final : public OverlaySystem {
   std::vector<RelayRequest> relay_walks_;
   sim::Outbox<RelayInstall> relay_outbox_;
 
-  // Per-worker buffers for the relay-refresh stage (the host's
-  // lookup_cached() buffer serves serial callers only).
-  // `marks` records, per node, the remaining route length of an earlier
-  // fully installed route of the topic being walked; a mark is valid while
-  // its epoch equals `epoch`, which advances once per topic. Scratch, not
-  // protocol state: memory_footprint() leaves it out.
-  struct RouteMark {
-    std::uint32_t epoch = 0;
-    std::uint32_t remaining = 0;
-  };
+  // Per-worker buffers for the relay-refresh stage (the host's lookup()
+  // buffer serves serial callers only). `marks` holds the remaining route
+  // lengths of the fully installed routes of the topic being walked.
+  // Scratch, not protocol state: memory_footprint() leaves it out.
   struct LookupCtx {
-    std::vector<overlay::RoutingEntry> scratch;
     overlay::LookupResult result;
-    std::vector<RouteMark> marks;
-    std::uint32_t epoch = 0;
+    overlay::RouteMarks marks;
   };
   mutable std::vector<LookupCtx> lookup_ctx_;
 

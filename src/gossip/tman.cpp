@@ -19,17 +19,17 @@ constexpr std::uint64_t kApplySalt = 0x746d616e78ULL;
 
 }  // namespace
 
-TManProtocol::TManProtocol(TableFn table_of, SamplingService& sampling,
+TManProtocol::TManProtocol(std::span<overlay::RoutingTable> tables,
+                           SamplingService& sampling,
                            std::function<bool(ids::NodeIndex)> is_alive,
                            SelectFn select, Config config, std::uint64_t seed)
-    : table_of_(std::move(table_of)),
+    : tables_(tables),
       sampling_(&sampling),
       is_alive_(std::move(is_alive)),
       select_(std::move(select)),
       config_(config),
       seed_(seed),
       prepare_scratch_(1) {
-  VITIS_CHECK(table_of_ != nullptr);
   VITIS_CHECK(is_alive_ != nullptr);
   VITIS_CHECK(select_ != nullptr);
 }
@@ -71,13 +71,13 @@ void TManProtocol::build_buffer_into(ids::NodeIndex node,
                                      std::vector<Descriptor>& buffer,
                                      sim::Rng& rng) const {
   begin_buffer(buffer);
-  buffer.reserve(config_.sample_size + table_of_(node).size() + 1);
+  buffer.reserve(config_.sample_size + tables_[node].size() + 1);
   seed_scratch_.clear();
   sampling_->sample_into(node, config_.sample_size, seed_scratch_, rng);
   for (const auto& d : seed_scratch_) {
     merge_unique(buffer, d, exclude);
   }
-  for (const auto& e : table_of_(node).entries()) {
+  for (const auto& e : tables_[node].entries()) {
     merge_unique(buffer, Descriptor{e.node, e.id, e.age}, exclude);
   }
 }
@@ -92,7 +92,7 @@ std::vector<Descriptor> TManProtocol::build_buffer(ids::NodeIndex node,
 
 void TManProtocol::prepare(ids::NodeIndex node, sim::Rng& rng,
                            std::size_t worker) {
-  overlay::RoutingTable& table = table_of_(node);
+  overlay::RoutingTable& table = tables_[node];
 
   // selectRandomNeighbor(): uniform over the routing table, with the
   // peer-sampling view as a bootstrap fallback. Reads only frozen state
@@ -126,7 +126,7 @@ void TManProtocol::apply(std::size_t cycle) {
     // selection policy's randomness — forks from the exchange identity.
     sim::Rng rng =
         sim::Rng::at(seed_, kApplySalt, pack_pair(node, partner), cycle);
-    overlay::RoutingTable& table = table_of_(node);
+    overlay::RoutingTable& table = tables_[node];
 
     // Algorithm 2 lines 3-4 / Algorithm 3 lines 3-4: both sides assemble
     // sample ∪ own RT; then each merges the other's buffer plus the other's
@@ -145,7 +145,7 @@ void TManProtocol::apply(std::size_t cycle) {
     merge_unique(for_partner_, sampling_->self_descriptor(node), partner);
 
     select_(node, for_me_, table, rng);
-    select_(partner, for_partner_, table_of_(partner), rng);
+    select_(partner, for_partner_, tables_[partner], rng);
   });
 }
 

@@ -39,13 +39,11 @@ class TManProtocol {
     std::size_t sample_size = 10;  // fresh descriptors drawn per exchange
   };
 
-  /// Access to a node's routing table (they live inside each system's
-  /// node-state records).
-  using TableFn = std::function<overlay::RoutingTable&(ids::NodeIndex)>;
-
-  /// `seed` roots the apply-time per-exchange RNG forks (derive from the
-  /// system seed).
-  TManProtocol(TableFn table_of, SamplingService& sampling,
+  /// `tables[n]` is node n's routing table; the span must stay valid for
+  /// the protocol's lifetime. `seed` roots the apply-time per-exchange RNG
+  /// forks (derive from the system seed).
+  TManProtocol(std::span<overlay::RoutingTable> tables,
+               SamplingService& sampling,
                std::function<bool(ids::NodeIndex)> is_alive, SelectFn select,
                Config config, std::uint64_t seed);
 
@@ -94,7 +92,7 @@ class TManProtocol {
                          std::vector<Descriptor>& buffer,
                          sim::Rng& rng) const;
 
-  TableFn table_of_;
+  std::span<overlay::RoutingTable> tables_;
   SamplingService* sampling_;
   std::function<bool(ids::NodeIndex)> is_alive_;
   SelectFn select_;

@@ -399,10 +399,32 @@ TEST(AllocationAudit, VitisPublishIsAllocationFree) {
   const auto scenario = publish_audit_scenario();
   auto system = workload::make_vitis(scenario, VitisConfig{}, 2468);
   system->run_cycles(30);
-  expect_steady_publish_allocation_free(
-      scenario, [&](ids::TopicIndex topic, ids::NodeIndex publisher) {
-        return system->publish(topic, publisher).delivered;
-      });
+  const auto publish = [&](ids::TopicIndex topic, ids::NodeIndex publisher) {
+    return system->publish(topic, publisher).delivered;
+  };
+  expect_steady_publish_allocation_free(scenario, publish);
+
+  // The same schedule from publishers that neither subscribe to nor relay
+  // the topic, so every publication first hands the event to the
+  // rendezvous node by greedy routing.
+  auto outsiders = scenario;
+  const std::size_t n = system->node_count();
+  std::size_t reaimed = 0;
+  for (auto& [topic, publisher] : outsiders.schedule) {
+    for (std::size_t step = 0; step < n; ++step) {
+      const auto candidate =
+          static_cast<ids::NodeIndex>((publisher + step) % n);
+      if (system->subscriptions().of(candidate).contains(topic) ||
+          system->relay_table(candidate).is_relay_for(topic)) {
+        continue;
+      }
+      publisher = candidate;
+      ++reaimed;
+      break;
+    }
+  }
+  ASSERT_EQ(reaimed, outsiders.schedule.size());
+  expect_steady_publish_allocation_free(outsiders, publish);
 }
 
 TEST(AllocationAudit, VitisTimedPublishIsAllocationFree) {

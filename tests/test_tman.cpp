@@ -33,10 +33,7 @@ class TManRingFixture : public ::testing::Test {
       sampling_->init_node(static_cast<ids::NodeIndex>(i), contacts);
     }
     tman_ = std::make_unique<TManProtocol>(
-        [this](ids::NodeIndex n) -> overlay::RoutingTable& {
-          return tables_[n];
-        },
-        *sampling_, [](ids::NodeIndex) { return true; },
+        tables_, *sampling_, [](ids::NodeIndex) { return true; },
         [this](ids::NodeIndex self, std::span<const Descriptor> candidates,
                overlay::RoutingTable& table, sim::Rng&) {
           select_ring(self, candidates, table);

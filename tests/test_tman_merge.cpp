@@ -58,10 +58,7 @@ class TManMergeFixture {
     tables_.reserve(8);  // move-only: no fill-assign
     for (int i = 0; i < 8; ++i) tables_.emplace_back(4);
     tman_ = std::make_unique<TManProtocol>(
-        [this](ids::NodeIndex n) -> overlay::RoutingTable& {
-          return tables_[n];
-        },
-        sampling_, [](ids::NodeIndex) { return true; },
+        tables_, sampling_, [](ids::NodeIndex) { return true; },
         [](ids::NodeIndex, std::span<const Descriptor>,
            overlay::RoutingTable&, sim::Rng&) {},
         TManProtocol::Config{sample_size}, /*seed=*/3);
