@@ -9,6 +9,11 @@ void OverlayConfig::validate() const {
     throw std::invalid_argument("routing_table_size must be at least 2");
   }
   if (view_size == 0) throw std::invalid_argument("view_size must be positive");
+  if (sampling == gossip::SamplingPolicy::kCyclon && view_size < 3) {
+    throw std::invalid_argument(
+        "Cyclon sampling needs view_size >= 3 (it swaps max(3, view_size / 2) "
+        "entries)");
+  }
   if (bootstrap_contacts == 0) {
     throw std::invalid_argument("bootstrap_contacts must be positive");
   }

@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "gossip/sampling_service.hpp"
+#include "gossip/peer_sampling.hpp"
 
 namespace vitis::core {
 

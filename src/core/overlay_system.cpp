@@ -59,14 +59,11 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
         registry_.intern(subscriptions_.of(static_cast<ids::NodeIndex>(i)));
   }
 
-  const auto is_alive = [this](ids::NodeIndex node) {
-    return engine_.is_alive(node);
-  };
-  sampling_ = gossip::make_sampling_service(
-      config_.sampling, ring_ids_, config_.view_size, is_alive,
+  sampling_ = std::make_unique<gossip::PeerSampling>(
+      config_.sampling, ring_ids_, config_.view_size, engine_.alive(),
       ids::mix64(seed ^ 0x73616d70ULL));
   tman_ = std::make_unique<gossip::TManProtocol>(
-      tables_, *sampling_, is_alive,
+      tables_, *sampling_, engine_.alive(),
       [this](ids::NodeIndex self,
              std::span<const gossip::Descriptor> candidates,
              overlay::RoutingTable& table, sim::Rng& rng) {
@@ -226,7 +223,7 @@ void OverlaySystem::refresh_heartbeats(ids::NodeIndex node,
   for (const auto& entry : rt.entries()) {
     if (engine_.is_alive(entry.node)) rt.mark_fresh(entry.node);
   }
-  (void)rt.drop_older_than(config_.staleness_threshold);
+  rt.drop_older_than(config_.staleness_threshold);
   histograms_.record(support::Channel::kRoutingTableSize, rt.entries().size(),
                      worker);
   heartbeat_extra(node, worker);

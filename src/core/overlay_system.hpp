@@ -26,7 +26,7 @@
 #include "analysis/graph.hpp"
 #include "analysis/health.hpp"
 #include "core/config.hpp"
-#include "gossip/sampling_service.hpp"
+#include "gossip/peer_sampling.hpp"
 #include "gossip/tman.hpp"
 #include "overlay/greedy_routing.hpp"
 #include "overlay/routing_table.hpp"
@@ -331,7 +331,7 @@ class OverlaySystem : public pubsub::PubSubSystem {
   std::unique_ptr<overlay::RoutingEntry[]> rt_slab_;
   std::vector<overlay::RoutingTable> tables_;
   std::vector<std::uint32_t> join_cycles_;
-  std::unique_ptr<gossip::SamplingService> sampling_;
+  std::unique_ptr<gossip::PeerSampling> sampling_;
   std::unique_ptr<gossip::TManProtocol> tman_;
   pubsub::MetricsCollector metrics_;
   sim::Rng rng_;

@@ -1,78 +1,112 @@
-// Gossip-based peer sampling service (Newscast-style, per Jelasity et al.),
-// the substrate under every overlay in the paper's evaluation ("the three
-// systems use the same peer sampling service (Newscast)").
+// Gossip-based peer sampling (Jelasity et al., "Gossip-based peer
+// sampling"), the substrate under every overlay in the paper's evaluation
+// ("the three systems use the same peer sampling service (Newscast)"). The
+// paper notes any implementation works ([6], [23]-[25]); one class runs the
+// two it cites, and SamplingPolicy selects only what differs between them:
+//
+//   * Newscast: the partner is a random view member, and the two sides
+//     exchange their whole views (plus their own fresh descriptors) and
+//     both keep the freshest entries;
+//   * Cyclon (Voulgaris et al., [24]): the partner is the oldest view entry
+//     (tail shuffle, bounding staleness), and the two sides swap
+//     fixed-size random subsets, the initiator replacing the entries it
+//     sent away — better in-degree balance.
 //
 // The service is simulated network-wide: it owns one PartialView per node.
-// Each cycle a node exchanges its view (plus its own fresh descriptor) with
-// a random view member and both keep the freshest entries. Exchanging with a
-// dead peer stands in for a timeout and evicts the peer. The exchange is
-// split per the engine's two-phase protocol: prepare() does the node-local
-// half (aging, partner pick, timeout eviction) and records the exchange;
-// apply() replays the symmetric view swap serially in deterministic order.
+// Exchanging with a dead peer stands in for a timeout and evicts the peer.
+// Exchanges follow the engine's two-phase protocol: prepare() is the
+// parallel stage body (own-view writes only — aging, partner pick, timeout
+// eviction — plus a thin {initiator, partner} record appended to the
+// worker's outbox lane), and apply() is the serial barriered merge that
+// re-executes every recorded two-sided exchange from live state in lane
+// order. Prepare draws from the caller's counter-based per-(node, cycle)
+// stream and Cyclon's swap forks from (seed, initiator, partner, cycle), so
+// the whole exchange schedule is a pure function of the run seed,
+// independent of `--run-jobs`.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "gossip/sampling_service.hpp"
 #include "gossip/view.hpp"
 #include "sim/outbox.hpp"
 #include "sim/rng.hpp"
 
+namespace vitis::sim {
+class FaultPlan;
+}  // namespace vitis::sim
+
 namespace vitis::gossip {
 
-class PeerSamplingService final : public SamplingService {
+enum class SamplingPolicy {
+  kNewscast,  // full-view freshest-entries shuffle with a random partner
+  kCyclon,    // fixed-size subset swap with the oldest partner
+};
+
+class PeerSampling {
  public:
-  /// `ring_ids[i]` is node i's position in the identifier space (not
-  /// copied: the caller's column must outlive the service).
-  /// `is_alive(i)` reports whether node i is currently online.
-  PeerSamplingService(std::span<const ids::RingId> ring_ids,
-                      std::size_t view_size,
-                      std::function<bool(ids::NodeIndex)> is_alive);
+  /// `ring_ids[i]` is node i's position in the identifier space and
+  /// `alive[i]` whether node i is online (the engine's liveness bitmap,
+  /// frozen during stages). Neither is copied: both must outlive the
+  /// service. `seed` roots Cyclon's apply-time subset forks (derive it from
+  /// the system seed). Cyclon swaps max(3, view_size / 2) entries, so it
+  /// needs view_size >= 3.
+  PeerSampling(SamplingPolicy policy, std::span<const ids::RingId> ring_ids,
+               std::size_t view_size, const std::vector<bool>& alive,
+               std::uint64_t seed);
 
   /// Bootstrap a joining node with some introduction contacts.
   void init_node(ids::NodeIndex node,
-                 std::span<const ids::NodeIndex> bootstrap) override;
+                 std::span<const ids::NodeIndex> bootstrap);
 
   /// Forget all state of a departed node.
-  void remove_node(ids::NodeIndex node) override;
+  void remove_node(ids::NodeIndex node);
 
-  /// Stage body of one Newscast shuffle: age the view, pick a partner from
-  /// the node's stream, evict on timeout, and enqueue the exchange.
-  void prepare(ids::NodeIndex node, sim::Rng& rng,
-               std::size_t worker) override;
+  /// Parallel stage body: age `node`'s own view, pick an exchange partner
+  /// (Newscast: a random entry from `rng`, the node's counter-based stream;
+  /// Cyclon: the oldest entry, whose slot is freed), evict a dead partner,
+  /// and enqueue the exchange into worker `worker`'s outbox lane. Touches
+  /// only node-local state; safe to call concurrently for distinct nodes.
+  void prepare(ids::NodeIndex node, sim::Rng& rng, std::size_t worker);
 
-  /// Replay the recorded shuffles (symmetric freshest-entries merges) from
-  /// live state; needs no RNG — the merge is deterministic.
-  void apply(std::size_t cycle) override;
+  /// Serial barriered merge: execute every exchange recorded by prepare(),
+  /// lanes in worker order, records in append order (= ascending initiator
+  /// order for any worker count).
+  void apply(std::size_t cycle);
 
-  void set_workers(std::size_t workers) override {
-    outbox_.configure(workers);
-  }
+  /// Size the per-worker outbox lanes (>= 1); call before the first
+  /// prepare() whenever the engine's run_jobs differs from 1.
+  void set_workers(std::size_t workers) { outbox_.configure(workers); }
 
   /// Appends up to `k` uniformly random descriptors of alive peers from the
-  /// view; the "fresh list of nodes provided by the underlying peer
-  /// sampling service" of Algorithm 2.
+  /// view to `out` (not cleared), drawing the subsample from `rng`; the
+  /// "fresh list of nodes provided by the underlying peer sampling service"
+  /// of Algorithm 2.
   void sample_into(ids::NodeIndex node, std::size_t k,
-                   std::vector<Descriptor>& out, sim::Rng& rng) override;
+                   std::vector<Descriptor>& out, sim::Rng& rng) const;
 
-  [[nodiscard]] const PartialView& view(ids::NodeIndex node) const override {
+  [[nodiscard]] const PartialView& view(ids::NodeIndex node) const {
     return views_[node];
   }
 
-  [[nodiscard]] std::size_t view_size() const { return view_size_; }
-
-  void set_fault_plan(const sim::FaultPlan* plan) override { fault_ = plan; }
-
-  [[nodiscard]] std::size_t memory_bytes() const override;
-
   /// Fresh self-descriptor for a node.
-  [[nodiscard]] Descriptor self_descriptor(
-      ids::NodeIndex node) const override {
+  [[nodiscard]] Descriptor self_descriptor(ids::NodeIndex node) const {
     return Descriptor{node, ring_ids_[node], 0};
   }
+
+  /// Attach (or detach with nullptr) the fault-injection layer: when set,
+  /// every shuffle request passes a deliver() admission check after the
+  /// partner-alive check; a dropped request loses the exchange for this
+  /// cycle (timeout semantics). Not owned; must outlive prepare() calls.
+  void set_fault_plan(const sim::FaultPlan* plan) { fault_ = plan; }
+
+  /// Deterministic logical footprint of the service's per-node state in
+  /// bytes (descriptor slab + view handles + exchange buffers; the ring ids
+  /// belong to the caller). Depends only on (node count, view size), never
+  /// on run history — safe for stdout.
+  [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
   struct Exchange {
@@ -80,19 +114,30 @@ class PeerSamplingService final : public SamplingService {
     ids::NodeIndex partner = ids::kInvalidNode;
   };
 
+  /// Newscast: symmetric freshest-entries merge of the two full views.
+  void swap_views(const Exchange& exchange);
+
+  /// Cyclon: swap random subsets, drawn from a fork of the exchange
+  /// identity so the replay is independent of how exchanges were recorded.
+  void swap_subsets(const Exchange& exchange, std::size_t cycle);
+
+  SamplingPolicy policy_;
   std::span<const ids::RingId> ring_ids_;  // the caller's column
   std::size_t view_size_;
-  std::function<bool(ids::NodeIndex)> is_alive_;
+  std::size_t shuffle_size_;  // Cyclon's subset size
+  const std::vector<bool>& alive_;  // the engine's bitmap
+  std::uint64_t seed_;  // roots Cyclon's apply-time subset forks
   // One contiguous N×view_size descriptor slab; views_ are handles into it
   // (never reallocated after construction — slab pointers must stay valid).
   std::unique_ptr<Descriptor[]> view_slab_;
   std::vector<PartialView> views_;
   const sim::FaultPlan* fault_ = nullptr;  // optional admission (not owned)
   sim::Outbox<Exchange> outbox_;
-  // Exchange snapshots, hoisted out of apply() (scratch-buffer convention:
-  // the per-cycle path must not allocate in steady state).
-  std::vector<Descriptor> mine_scratch_;
-  std::vector<Descriptor> theirs_scratch_;
+  // Exchange buffers, hoisted out of apply() (scratch-buffer convention:
+  // the per-cycle path must not allocate in steady state): the initiator's
+  // and the partner's outgoing descriptors.
+  std::vector<Descriptor> mine_;
+  std::vector<Descriptor> theirs_;
 };
 
 }  // namespace vitis::gossip

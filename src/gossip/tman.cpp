@@ -20,17 +20,16 @@ constexpr std::uint64_t kApplySalt = 0x746d616e78ULL;
 }  // namespace
 
 TManProtocol::TManProtocol(std::span<overlay::RoutingTable> tables,
-                           SamplingService& sampling,
-                           std::function<bool(ids::NodeIndex)> is_alive,
-                           SelectFn select, Config config, std::uint64_t seed)
+                           const PeerSampling& sampling,
+                           const std::vector<bool>& alive, SelectFn select,
+                           Config config, std::uint64_t seed)
     : tables_(tables),
       sampling_(&sampling),
-      is_alive_(std::move(is_alive)),
+      alive_(alive),
       select_(std::move(select)),
       config_(config),
       seed_(seed),
       prepare_scratch_(1) {
-  VITIS_CHECK(is_alive_ != nullptr);
   VITIS_CHECK(select_ != nullptr);
 }
 
@@ -50,7 +49,7 @@ void TManProtocol::begin_buffer(std::vector<Descriptor>& buffer) const {
 void TManProtocol::merge_unique(std::vector<Descriptor>& buffer,
                                 const Descriptor& d,
                                 ids::NodeIndex exclude) const {
-  if (d.node == exclude || !is_alive_(d.node)) return;
+  if (d.node == exclude || !alive_[d.node]) return;
   if (d.node >= seen_stamp_.size()) {
     // Grows once per newly seen node index, not per cycle.
     seen_stamp_.resize(d.node + 1, 0U);
@@ -68,25 +67,21 @@ void TManProtocol::merge_unique(std::vector<Descriptor>& buffer,
 
 void TManProtocol::build_buffer_into(ids::NodeIndex node,
                                      ids::NodeIndex exclude,
-                                     std::vector<Descriptor>& buffer,
-                                     sim::Rng& rng) const {
+                                     std::span<const Descriptor> sample,
+                                     std::vector<Descriptor>& buffer) const {
   begin_buffer(buffer);
-  buffer.reserve(config_.sample_size + tables_[node].size() + 1);
-  seed_scratch_.clear();
-  sampling_->sample_into(node, config_.sample_size, seed_scratch_, rng);
-  for (const auto& d : seed_scratch_) {
-    merge_unique(buffer, d, exclude);
-  }
+  buffer.reserve(sample.size() + tables_[node].size() + 1);
+  for (const auto& d : sample) merge_unique(buffer, d, exclude);
   for (const auto& e : tables_[node].entries()) {
     merge_unique(buffer, Descriptor{e.node, e.id, e.age}, exclude);
   }
 }
 
-std::vector<Descriptor> TManProtocol::build_buffer(ids::NodeIndex node,
-                                                   ids::NodeIndex exclude,
-                                                   sim::Rng& rng) const {
+std::vector<Descriptor> TManProtocol::build_buffer(
+    ids::NodeIndex node, ids::NodeIndex exclude,
+    std::span<const Descriptor> sample) const {
   std::vector<Descriptor> buffer;
-  build_buffer_into(node, exclude, buffer, rng);
+  build_buffer_into(node, exclude, sample, buffer);
   return buffer;
 }
 
@@ -107,7 +102,7 @@ void TManProtocol::prepare(ids::NodeIndex node, sim::Rng& rng,
     if (!scratch.empty()) partner = scratch.front().node;
   }
   if (partner == ids::kInvalidNode) return;
-  if (!is_alive_(partner)) {
+  if (!alive_[partner]) {
     table.remove(partner);  // timeout stand-in (own-table write)
     return;
   }
@@ -129,10 +124,14 @@ void TManProtocol::apply(std::size_t cycle) {
     overlay::RoutingTable& table = tables_[node];
 
     // Algorithm 2 lines 3-4 / Algorithm 3 lines 3-4: both sides assemble
-    // sample ∪ own RT; then each merges the other's buffer plus the other's
-    // own descriptor (lines 6-8).
-    build_buffer_into(node, /*exclude=*/partner, mine_, rng);
-    build_buffer_into(partner, /*exclude=*/node, theirs_, rng);
+    // sample ∪ own RT (the initiator's sample is drawn first); then each
+    // merges the other's buffer plus the other's own descriptor (lines 6-8).
+    sample_.clear();
+    sampling_->sample_into(node, config_.sample_size, sample_, rng);
+    build_buffer_into(node, /*exclude=*/partner, sample_, mine_);
+    sample_.clear();
+    sampling_->sample_into(partner, config_.sample_size, sample_, rng);
+    build_buffer_into(partner, /*exclude=*/node, sample_, theirs_);
 
     begin_buffer(for_me_);
     for (const auto& d : mine_) merge_unique(for_me_, d, node);

@@ -10,7 +10,8 @@
 // records the exchange; apply() replays every recorded exchange serially in
 // deterministic lane order, forking each exchange's draws — buffer
 // subsampling and the selection policy's randomness — from
-// (seed, initiator, partner, cycle).
+// (seed, initiator, partner, cycle). Liveness is read from the engine's
+// bitmap, which is frozen during stages.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "gossip/sampling_service.hpp"
+#include "gossip/peer_sampling.hpp"
 #include "overlay/routing_table.hpp"
 #include "sim/outbox.hpp"
 #include "sim/rng.hpp"
@@ -39,13 +40,13 @@ class TManProtocol {
     std::size_t sample_size = 10;  // fresh descriptors drawn per exchange
   };
 
-  /// `tables[n]` is node n's routing table; the span must stay valid for
-  /// the protocol's lifetime. `seed` roots the apply-time per-exchange RNG
-  /// forks (derive from the system seed).
+  /// `tables[n]` is node n's routing table and `alive[n]` whether node n
+  /// is online (the engine's liveness bitmap); the span, `sampling` and
+  /// `alive` must stay valid for the protocol's lifetime. `seed` roots the
+  /// apply-time per-exchange RNG forks (derive from the system seed).
   TManProtocol(std::span<overlay::RoutingTable> tables,
-               SamplingService& sampling,
-               std::function<bool(ids::NodeIndex)> is_alive, SelectFn select,
-               Config config, std::uint64_t seed);
+               const PeerSampling& sampling, const std::vector<bool>& alive,
+               SelectFn select, Config config, std::uint64_t seed);
 
   /// Stage body of one active exchange: pick a random routing-table
   /// neighbor (falling back to the peer-sampling view when the table is
@@ -60,12 +61,12 @@ class TManProtocol {
   /// Size the per-worker outbox lanes and prepare scratch (>= 1).
   void set_workers(std::size_t workers);
 
-  /// The merged candidate buffer node would use this instant (exposed for
-  /// tests and for protocols that piggyback on the exchange). `rng` drives
-  /// the peer-sampling subsample.
-  [[nodiscard]] std::vector<Descriptor> build_buffer(ids::NodeIndex node,
-                                                     ids::NodeIndex exclude,
-                                                     sim::Rng& rng) const;
+  /// The merged candidate buffer node would build this instant from a
+  /// peer-sampling batch `sample` (exposed for tests): `sample` ∪ node's
+  /// routing table, without `exclude` and dead nodes, unique by node.
+  [[nodiscard]] std::vector<Descriptor> build_buffer(
+      ids::NodeIndex node, ids::NodeIndex exclude,
+      std::span<const Descriptor> sample) const;
 
   /// Attach (or detach with nullptr) the fault-injection layer: each
   /// exchange request passes a deliver() admission check after the
@@ -89,12 +90,12 @@ class TManProtocol {
                     ids::NodeIndex exclude) const;
 
   void build_buffer_into(ids::NodeIndex node, ids::NodeIndex exclude,
-                         std::vector<Descriptor>& buffer,
-                         sim::Rng& rng) const;
+                         std::span<const Descriptor> sample,
+                         std::vector<Descriptor>& buffer) const;
 
   std::span<overlay::RoutingTable> tables_;
-  SamplingService* sampling_;
-  std::function<bool(ids::NodeIndex)> is_alive_;
+  const PeerSampling* sampling_;
+  const std::vector<bool>& alive_;  // the engine's bitmap
   SelectFn select_;
   Config config_;
   std::uint64_t seed_;  // roots the apply-time per-exchange forks
@@ -114,11 +115,11 @@ class TManProtocol {
 
   // Exchange buffers, hoisted out of apply() (allocation-free steady
   // state); serial-context only, like the seen-array.
-  mutable std::vector<Descriptor> mine_;
-  mutable std::vector<Descriptor> theirs_;
-  mutable std::vector<Descriptor> for_me_;
-  mutable std::vector<Descriptor> for_partner_;
-  mutable std::vector<Descriptor> seed_scratch_;
+  std::vector<Descriptor> sample_;
+  std::vector<Descriptor> mine_;
+  std::vector<Descriptor> theirs_;
+  std::vector<Descriptor> for_me_;
+  std::vector<Descriptor> for_partner_;
 };
 
 }  // namespace vitis::gossip

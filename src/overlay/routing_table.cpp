@@ -89,20 +89,15 @@ void RoutingTable::mark_fresh(ids::NodeIndex node) {
   }
 }
 
-std::vector<ids::NodeIndex> RoutingTable::drop_older_than(
-    std::uint32_t max_age) {
-  std::vector<ids::NodeIndex> dropped;
+void RoutingTable::drop_older_than(std::uint32_t max_age) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < size_; ++i) {
-    if (data_[i].age > max_age) {
-      dropped.push_back(data_[i].node);
-    } else {
+    if (data_[i].age <= max_age) {
       if (kept != i) data_[kept] = data_[i];
       ++kept;
     }
   }
   size_ = kept;
-  return dropped;
 }
 
 std::vector<ids::NodeIndex> RoutingTable::neighbor_indices() const {

@@ -95,8 +95,8 @@ class RoutingTable {
   void increment_ages();
   /// ...mark one neighbor fresh on response...
   void mark_fresh(ids::NodeIndex node);
-  /// ...and drop stale entries. Returns the dropped nodes.
-  std::vector<ids::NodeIndex> drop_older_than(std::uint32_t max_age);
+  /// ...and drop stale entries.
+  void drop_older_than(std::uint32_t max_age);
 
   /// All neighbor indices (unordered).
   [[nodiscard]] std::vector<ids::NodeIndex> neighbor_indices() const;

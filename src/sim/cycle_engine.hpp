@@ -139,6 +139,11 @@ class CycleEngine {
   [[nodiscard]] bool is_alive(ids::NodeIndex node) const {
     return alive_[node];
   }
+
+  /// The liveness bitmap over the whole index universe. Sized once at
+  /// construction, so the reference stays valid for the engine's lifetime;
+  /// the gossip layers read it directly (frozen during stages).
+  [[nodiscard]] const std::vector<bool>& alive() const { return alive_; }
   [[nodiscard]] std::size_t alive_count() const { return active_.size(); }
   [[nodiscard]] std::size_t node_count() const { return alive_.size(); }
 

@@ -67,7 +67,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace vitis::core {
 namespace {
 
-TEST(AllocationAudit, SteadyStateGossipStepIsAllocationFree) {
+workload::SyntheticScenario gossip_audit_scenario() {
   workload::SyntheticScenarioParams params;
   params.subscriptions.nodes = 400;
   params.subscriptions.topics = 200;
@@ -78,22 +78,30 @@ TEST(AllocationAudit, SteadyStateGossipStepIsAllocationFree) {
   // rates the memo is bypassed), so the audit covers probe + insert too.
   params.rate_alpha = 1.0;
   params.seed = 1234;
-  const auto scenario = workload::make_synthetic_scenario(params);
+  return workload::make_synthetic_scenario(params);
+}
+
+/// Heap allocations across one full gossip activation for every node. Any
+/// push_back past reserved capacity, any temporary vector, any node-local
+/// map would count.
+std::uint64_t allocations_in_gossip_steps(VitisSystem& system) {
+  const std::uint64_t before = g_allocations;
+  for (ids::NodeIndex node = 0; node < system.node_count(); ++node) {
+    system.gossip_step(node);
+  }
+  return g_allocations - before;
+}
+
+TEST(AllocationAudit, SteadyStateGossipStepIsAllocationFree) {
+  const auto scenario = gossip_audit_scenario();
   auto system = workload::make_vitis(scenario, VitisConfig{}, 1234);
 
   // Warmup: grows every scratch buffer (T-Man seen-arrays, exchange
   // buffers, selection working sets, partial views) to steady-state size.
   system->run_cycles(12);
 
-  // Audit window: one full activation for every node. Any push_back past
-  // reserved capacity, any temporary vector, any node-local map would trip
-  // the counter.
   const std::uint64_t hits_before = system->utility_cache().stats().hits;
-  const std::uint64_t before = g_allocations;
-  for (ids::NodeIndex node = 0; node < system->node_count(); ++node) {
-    system->gossip_step(node);
-  }
-  const std::uint64_t during = g_allocations - before;
+  const std::uint64_t during = allocations_in_gossip_steps(*system);
   EXPECT_EQ(during, 0u)
       << during << " heap allocations in " << system->node_count()
       << " steady-state gossip activations";
@@ -112,6 +120,22 @@ TEST(AllocationAudit, SteadyStateGossipStepIsAllocationFree) {
   auto second = workload::make_vitis(scenario, VitisConfig{}, 1234);
   EXPECT_GT(g_allocations, fresh_before)
       << "counting operator new is not wired in";
+}
+
+TEST(AllocationAudit, CyclonGossipStepIsAllocationFree) {
+  // The Cyclon policy frees the oldest slot in prepare and swaps subsets
+  // drawn from a per-exchange fork in apply; both reuse the service's two
+  // exchange buffers.
+  const auto scenario = gossip_audit_scenario();
+  VitisConfig config;
+  config.sampling = gossip::SamplingPolicy::kCyclon;
+  auto system = workload::make_vitis(scenario, config, 1234);
+  system->run_cycles(12);
+
+  const std::uint64_t during = allocations_in_gossip_steps(*system);
+  EXPECT_EQ(during, 0u)
+      << during << " heap allocations in " << system->node_count()
+      << " steady-state Cyclon-backed gossip activations";
 }
 
 TEST(AllocationAudit, BatchScorerSteadyStateIsAllocationFree) {

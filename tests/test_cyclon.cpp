@@ -3,8 +3,7 @@
 #include <memory>
 #include <set>
 
-#include "gossip/cyclon.hpp"
-#include "gossip/sampling_service.hpp"
+#include "gossip/peer_sampling.hpp"
 #include "ids/hash.hpp"
 
 namespace vitis::gossip {
@@ -19,9 +18,10 @@ class CyclonFixture : public ::testing::Test {
       ring_ids_.push_back(ids::node_ring_id(static_cast<ids::NodeIndex>(i)));
       alive_.push_back(true);
     }
-    service_ = std::make_unique<CyclonSampling>(
-        ring_ids_, /*view_size=*/8, /*shuffle_size=*/4,
-        [this](ids::NodeIndex n) { return alive_[n]; }, /*seed=*/7);
+    // A view of 8 swaps max(3, 8 / 2) = 4 entries per shuffle.
+    service_ = std::make_unique<PeerSampling>(
+        SamplingPolicy::kCyclon, ring_ids_, /*view_size=*/8, alive_,
+        /*seed=*/7);
     for (std::size_t i = 0; i < kNodes; ++i) {
       std::vector<ids::NodeIndex> contacts;
       for (std::size_t k = 1; k <= 3; ++k) {
@@ -45,9 +45,15 @@ class CyclonFixture : public ::testing::Test {
     }
   }
 
+  std::vector<Descriptor> sample(ids::NodeIndex node, std::size_t k) {
+    std::vector<Descriptor> out;
+    service_->sample_into(node, k, out, query_rng_);
+    return out;
+  }
+
   std::vector<ids::RingId> ring_ids_;
   std::vector<bool> alive_;
-  std::unique_ptr<CyclonSampling> service_;
+  std::unique_ptr<PeerSampling> service_;
   std::size_t cycle_ = 0;
   sim::Rng query_rng_{11};  // for sample() queries outside the cycle path
 };
@@ -106,28 +112,39 @@ TEST_F(CyclonFixture, DeadPeersGetEvicted) {
 TEST_F(CyclonFixture, SampleFiltersDeadAndIsDistinct) {
   run_rounds(10);
   alive_[1] = false;
-  const auto sample = service_->sample(0, 6, query_rng_);
+  const auto peers = sample(0, 6);
   std::set<ids::NodeIndex> unique;
-  for (const auto& d : sample) {
+  for (const auto& d : peers) {
     EXPECT_TRUE(alive_[d.node]);
     unique.insert(d.node);
   }
-  EXPECT_EQ(unique.size(), sample.size());
+  EXPECT_EQ(unique.size(), peers.size());
 }
 
 TEST(SamplingFactory, BuildsBothPolicies) {
-  std::vector<ids::RingId> ring_ids{1, 2, 3};
-  const auto alive = [](ids::NodeIndex) { return true; };
-  const auto newscast = make_sampling_service(
-      SamplingPolicy::kNewscast, ring_ids, 4, alive, /*seed=*/1);
-  const auto cyclon = make_sampling_service(SamplingPolicy::kCyclon, ring_ids,
-                                            4, alive, /*seed=*/1);
-  ASSERT_NE(newscast, nullptr);
-  ASSERT_NE(cyclon, nullptr);
-  EXPECT_EQ(newscast->self_descriptor(1).id, ring_ids[1]);
-  EXPECT_EQ(cyclon->self_descriptor(2).id, ring_ids[2]);
-  EXPECT_STREQ(to_string(SamplingPolicy::kNewscast), "newscast");
-  EXPECT_STREQ(to_string(SamplingPolicy::kCyclon), "cyclon");
+  const std::vector<ids::RingId> ring_ids{1, 2, 3};
+  const std::vector<bool> alive(ring_ids.size(), true);
+  PeerSampling newscast(SamplingPolicy::kNewscast, ring_ids, 4, alive,
+                        /*seed=*/1);
+  PeerSampling cyclon(SamplingPolicy::kCyclon, ring_ids, 4, alive,
+                      /*seed=*/1);
+  EXPECT_EQ(newscast.self_descriptor(1).id, ring_ids[1]);
+  EXPECT_EQ(cyclon.self_descriptor(2).id, ring_ids[2]);
+  // The policy changes the exchange, not the state it is kept in.
+  EXPECT_EQ(newscast.memory_bytes(), cyclon.memory_bytes());
+
+  // One prepare tells the policies apart: Newscast keeps its (alive)
+  // partner in view, Cyclon frees the oldest entry's slot for the swap
+  // (ages tie after aging, so the first entry is the oldest).
+  const std::vector<ids::NodeIndex> contacts{1, 2};
+  newscast.init_node(0, contacts);
+  cyclon.init_node(0, contacts);
+  sim::Rng rng(5);
+  newscast.prepare(0, rng, 0);
+  cyclon.prepare(0, rng, 0);
+  EXPECT_EQ(newscast.view(0).size(), 2u);
+  ASSERT_EQ(cyclon.view(0).size(), 1u);
+  EXPECT_TRUE(cyclon.view(0).contains(2));
 }
 
 }  // namespace

@@ -87,6 +87,14 @@ TEST(OverlayConfig, Validation) {
   config = core::OverlayConfig{};
   config.lookup_hop_budget = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  // Cyclon swaps max(3, view_size / 2) entries, so its view holds at least
+  // three.
+  config = core::OverlayConfig{};
+  config.sampling = gossip::SamplingPolicy::kCyclon;
+  config.view_size = 3;
+  EXPECT_NO_THROW(config.validate());
+  config.view_size = 2;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
 
   // Vitis runs the shared checks and needs a third link beyond the ring
   // pair, which the baselines do not.

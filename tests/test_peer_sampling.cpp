@@ -18,9 +18,9 @@ class PeerSamplingFixture : public ::testing::Test {
       ring_ids_.push_back(ids::node_ring_id(static_cast<ids::NodeIndex>(i)));
       alive_.push_back(true);
     }
-    service_ = std::make_unique<PeerSamplingService>(
-        ring_ids_, /*view_size=*/8,
-        [this](ids::NodeIndex n) { return alive_[n]; });
+    service_ = std::make_unique<PeerSampling>(
+        SamplingPolicy::kNewscast, ring_ids_, /*view_size=*/8, alive_,
+        /*seed=*/99);
     // Bootstrap: everyone knows the next three nodes on the index line.
     for (std::size_t i = 0; i < kNodes; ++i) {
       std::vector<ids::NodeIndex> contacts;
@@ -45,9 +45,15 @@ class PeerSamplingFixture : public ::testing::Test {
     }
   }
 
+  std::vector<Descriptor> sample(ids::NodeIndex node, std::size_t k) {
+    std::vector<Descriptor> out;
+    service_->sample_into(node, k, out, query_rng_);
+    return out;
+  }
+
   std::vector<ids::RingId> ring_ids_;
   std::vector<bool> alive_;
-  std::unique_ptr<PeerSamplingService> service_;
+  std::unique_ptr<PeerSampling> service_;
   std::size_t cycle_ = 0;
   sim::Rng query_rng_{7};  // for sample() queries outside the cycle path
 };
@@ -85,14 +91,14 @@ TEST_F(PeerSamplingFixture, ViewsFillUpAndDiversify) {
 
 TEST_F(PeerSamplingFixture, SampleReturnsDistinctAlivePeers) {
   run_rounds(10);
-  const auto sample = service_->sample(5, 4, query_rng_);
-  EXPECT_LE(sample.size(), 4u);
+  const auto peers = sample(5, 4);
+  EXPECT_LE(peers.size(), 4u);
   std::set<ids::NodeIndex> unique;
-  for (const auto& d : sample) {
+  for (const auto& d : peers) {
     EXPECT_TRUE(alive_[d.node]);
     unique.insert(d.node);
   }
-  EXPECT_EQ(unique.size(), sample.size());
+  EXPECT_EQ(unique.size(), peers.size());
 }
 
 TEST_F(PeerSamplingFixture, DeadPeersAreEvictedOverTime) {
@@ -127,7 +133,7 @@ TEST_F(PeerSamplingFixture, IsolatedNodeSurvives) {
   sim::Rng rng = sim::Rng::at(99, 0x73616d706c65ULL, 3, cycle_);
   service_->prepare(3, rng, 0);  // must not crash
   service_->apply(cycle_);
-  EXPECT_TRUE(service_->sample(3, 5, query_rng_).empty());
+  EXPECT_TRUE(sample(3, 5).empty());
 }
 
 }  // namespace

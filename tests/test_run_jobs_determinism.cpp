@@ -254,6 +254,18 @@ TEST(RunJobsDeterminism, VitisSkewedRatesIsBitIdenticalAcrossWorkerCounts) {
       /*rate_alpha=*/1.5);
 }
 
+// Cyclon's partner pick frees a view slot in the parallel stage and its swap
+// forks its subset draws in the serial merge; both must be as
+// worker-count-blind as Newscast's.
+TEST(RunJobsDeterminism, VitisCyclonIsBitIdenticalAcrossWorkerCounts) {
+  expect_worker_count_invariance([](const auto& scenario, std::size_t jobs) {
+    core::VitisConfig config;
+    config.run_jobs = jobs;
+    config.sampling = gossip::SamplingPolicy::kCyclon;
+    return workload::make_vitis(scenario, config, 6021);
+  });
+}
+
 TEST(RunJobsDeterminism, RvrIsBitIdenticalAcrossWorkerCounts) {
   expect_worker_count_invariance([](const auto& scenario, std::size_t jobs) {
     baselines::rvr::RvrConfig config;

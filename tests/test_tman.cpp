@@ -24,8 +24,8 @@ class TManRingFixture : public ::testing::Test {
       ring_ids_.push_back(ids::node_ring_id(static_cast<ids::NodeIndex>(i)));
       tables_.emplace_back(4);
     }
-    sampling_ = std::make_unique<PeerSamplingService>(
-        ring_ids_, 10, [](ids::NodeIndex) { return true; });
+    sampling_ = std::make_unique<PeerSampling>(
+        SamplingPolicy::kNewscast, ring_ids_, 10, alive_, /*seed=*/5);
     for (std::size_t i = 0; i < kNodes; ++i) {
       std::vector<ids::NodeIndex> contacts{
           static_cast<ids::NodeIndex>((i + 1) % kNodes),
@@ -33,7 +33,7 @@ class TManRingFixture : public ::testing::Test {
       sampling_->init_node(static_cast<ids::NodeIndex>(i), contacts);
     }
     tman_ = std::make_unique<TManProtocol>(
-        tables_, *sampling_, [](ids::NodeIndex) { return true; },
+        tables_, *sampling_, alive_,
         [this](ids::NodeIndex self, std::span<const Descriptor> candidates,
                overlay::RoutingTable& table, sim::Rng&) {
           select_ring(self, candidates, table);
@@ -97,8 +97,9 @@ class TManRingFixture : public ::testing::Test {
   }
 
   std::vector<ids::RingId> ring_ids_;
+  std::vector<bool> alive_ = std::vector<bool>(kNodes, true);
   std::vector<overlay::RoutingTable> tables_;
-  std::unique_ptr<PeerSamplingService> sampling_;
+  std::unique_ptr<PeerSampling> sampling_;
   std::unique_ptr<TManProtocol> tman_;
   std::size_t cycle_ = 0;
 };
@@ -109,7 +110,9 @@ TEST_F(TManRingFixture, BufferNeverContainsSelfOrExcluded) {
     const auto node = static_cast<ids::NodeIndex>(i);
     const ids::NodeIndex excluded = (node + 1) % kNodes;
     sim::Rng rng(1234 + i);
-    const auto buffer = tman_->build_buffer(node, excluded, rng);
+    std::vector<Descriptor> sample;
+    sampling_->sample_into(node, 6, sample, rng);
+    const auto buffer = tman_->build_buffer(node, excluded, sample);
     for (const auto& d : buffer) {
       EXPECT_NE(d.node, node);
       EXPECT_NE(d.node, excluded);

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "gossip/peer_sampling.hpp"
 #include "gossip/tman.hpp"
 #include "ids/hash.hpp"
 #include "overlay/routing_table.hpp"
@@ -15,70 +16,50 @@
 namespace vitis::gossip {
 namespace {
 
-/// Sampling stub that replays a scripted descriptor batch for every node.
-class ScriptedSampling final : public SamplingService {
- public:
-  explicit ScriptedSampling(std::vector<Descriptor> script)
-      : script_(std::move(script)), view_(4) {}
-
-  void init_node(ids::NodeIndex, std::span<const ids::NodeIndex>) override {}
-  void remove_node(ids::NodeIndex) override {}
-  void prepare(ids::NodeIndex, sim::Rng&, std::size_t) override {}
-  void apply(std::size_t) override {}
-  void set_workers(std::size_t) override {}
-
-  void sample_into(ids::NodeIndex, std::size_t k, std::vector<Descriptor>& out,
-                   sim::Rng&) override {
-    for (std::size_t i = 0; i < script_.size() && i < k; ++i) {
-      out.push_back(script_[i]);
-    }
-  }
-
-  [[nodiscard]] const PartialView& view(ids::NodeIndex) const override {
-    return view_;
-  }
-
-  [[nodiscard]] Descriptor self_descriptor(ids::NodeIndex node) const override {
-    return Descriptor{node, ids::node_ring_id(node), 0};
-  }
-
- private:
-  std::vector<Descriptor> script_;
-  PartialView view_;
-};
-
 Descriptor desc(ids::NodeIndex node, std::uint32_t age) {
   return Descriptor{node, ids::node_ring_id(node), age};
 }
 
+/// Eight nodes, all alive, with empty routing tables; the sampling service
+/// is never queried (each test hands build_buffer its scripted sample).
 class TManMergeFixture {
  public:
-  TManMergeFixture(std::vector<Descriptor> script, std::size_t sample_size)
-      : sampling_(std::move(script)) {
-    tables_.reserve(8);  // move-only: no fill-assign
-    for (int i = 0; i < 8; ++i) tables_.emplace_back(4);
+  static constexpr std::size_t kNodes = 8;
+
+  TManMergeFixture() {
+    tables_.reserve(kNodes);  // move-only: no fill-assign
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      ring_ids_.push_back(ids::node_ring_id(static_cast<ids::NodeIndex>(i)));
+      tables_.emplace_back(4);
+    }
+    sampling_ = std::make_unique<PeerSampling>(
+        SamplingPolicy::kNewscast, ring_ids_, /*view_size=*/4, alive_,
+        /*seed=*/3);
     tman_ = std::make_unique<TManProtocol>(
-        tables_, sampling_, [](ids::NodeIndex) { return true; },
+        tables_, *sampling_, alive_,
         [](ids::NodeIndex, std::span<const Descriptor>,
            overlay::RoutingTable&, sim::Rng&) {},
-        TManProtocol::Config{sample_size}, /*seed=*/3);
+        TManProtocol::Config{}, /*seed=*/3);
   }
 
   std::vector<Descriptor> build_buffer(ids::NodeIndex node,
-                                       ids::NodeIndex exclude) {
-    sim::Rng rng(17);  // ScriptedSampling ignores the sample draws
-    return tman_->build_buffer(node, exclude, rng);
+                                       ids::NodeIndex exclude,
+                                       const std::vector<Descriptor>& sample) {
+    return tman_->build_buffer(node, exclude, sample);
   }
 
+  std::vector<ids::RingId> ring_ids_;
+  std::vector<bool> alive_ = std::vector<bool>(kNodes, true);
   std::vector<overlay::RoutingTable> tables_;
-  ScriptedSampling sampling_;
+  std::unique_ptr<PeerSampling> sampling_;
   std::unique_ptr<TManProtocol> tman_;
 };
 
 TEST(TManMerge, DuplicateSampleKeepsYoungestAge) {
   // The sample itself delivers node 2 twice: old copy first, young second.
-  TManMergeFixture fx({desc(2, 7), desc(3, 5), desc(2, 3)}, 3);
-  const auto buffer = fx.build_buffer(0, ids::kInvalidNode);
+  TManMergeFixture fx;
+  const auto buffer = fx.build_buffer(0, ids::kInvalidNode,
+                                      {desc(2, 7), desc(3, 5), desc(2, 3)});
   ASSERT_EQ(buffer.size(), 2u);
   EXPECT_EQ(buffer[0].node, 2u);  // first-occurrence position is kept
   EXPECT_EQ(buffer[0].age, 3u);   // ...but the youngest age wins
@@ -87,8 +68,9 @@ TEST(TManMerge, DuplicateSampleKeepsYoungestAge) {
 }
 
 TEST(TManMerge, YoungCopyFirstSurvivesOlderDuplicate) {
-  TManMergeFixture fx({desc(2, 1), desc(2, 9)}, 2);
-  const auto buffer = fx.build_buffer(0, ids::kInvalidNode);
+  TManMergeFixture fx;
+  const auto buffer =
+      fx.build_buffer(0, ids::kInvalidNode, {desc(2, 1), desc(2, 9)});
   ASSERT_EQ(buffer.size(), 1u);
   EXPECT_EQ(buffer[0].age, 1u);
 }
@@ -96,14 +78,15 @@ TEST(TManMerge, YoungCopyFirstSurvivesOlderDuplicate) {
 TEST(TManMerge, TableDuplicateOfSampledNodeKeepsYoungest) {
   // Node 2 arrives stale from the sample but fresh from the routing table
   // (merged second) — and vice versa for node 4.
-  TManMergeFixture fx({desc(2, 6), desc(4, 0)}, 2);
+  TManMergeFixture fx;
   ASSERT_TRUE(fx.tables_[0].add(
       overlay::RoutingEntry{2, ids::node_ring_id(2),
                             overlay::LinkKind::kFriend, 1}));
   ASSERT_TRUE(fx.tables_[0].add(
       overlay::RoutingEntry{4, ids::node_ring_id(4),
                             overlay::LinkKind::kFriend, 8}));
-  const auto buffer = fx.build_buffer(0, ids::kInvalidNode);
+  const auto buffer =
+      fx.build_buffer(0, ids::kInvalidNode, {desc(2, 6), desc(4, 0)});
   ASSERT_EQ(buffer.size(), 2u);
   EXPECT_EQ(buffer[0].node, 2u);
   EXPECT_EQ(buffer[0].age, 1u);
@@ -112,8 +95,9 @@ TEST(TManMerge, TableDuplicateOfSampledNodeKeepsYoungest) {
 }
 
 TEST(TManMerge, ExcludedNodeNeverEnters) {
-  TManMergeFixture fx({desc(2, 0), desc(3, 0)}, 2);
-  const auto buffer = fx.build_buffer(0, /*exclude=*/2);
+  TManMergeFixture fx;
+  const auto buffer =
+      fx.build_buffer(0, /*exclude=*/2, {desc(2, 0), desc(3, 0)});
   ASSERT_EQ(buffer.size(), 1u);
   EXPECT_EQ(buffer[0].node, 3u);
 }
@@ -121,9 +105,10 @@ TEST(TManMerge, ExcludedNodeNeverEnters) {
 TEST(TManMerge, ConsecutiveBuffersDoNotLeakMembership) {
   // The epoch bump must forget the previous buffer's membership: the same
   // descriptors must reappear in a second build, with the same dedup.
-  TManMergeFixture fx({desc(2, 7), desc(2, 3)}, 2);
+  TManMergeFixture fx;
   for (int round = 0; round < 3; ++round) {
-    const auto buffer = fx.build_buffer(0, ids::kInvalidNode);
+    const auto buffer =
+        fx.build_buffer(0, ids::kInvalidNode, {desc(2, 7), desc(2, 3)});
     ASSERT_EQ(buffer.size(), 1u);
     EXPECT_EQ(buffer[0].node, 2u);
     EXPECT_EQ(buffer[0].age, 3u);
