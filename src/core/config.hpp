@@ -91,7 +91,8 @@ struct VitisConfig : OverlayConfig {
   std::uint32_t gateway_silence_limit = 0;
 
   /// Slot budget for the memoized pairwise-utility cache (rounded up to a
-  /// power of two; ~24 bytes/slot). 0 disables the cache, as does the
+  /// power of two; 16 bytes/slot), allocated only under skewed rates
+  /// (uniform rates never consult it). 0 disables the cache, as does the
   /// VITIS_UTILITY_CACHE=off environment switch; either way every score is
   /// bit-identical to the uncached merge.
   std::size_t utility_cache_slots = std::size_t{1} << 19;

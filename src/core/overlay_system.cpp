@@ -150,32 +150,29 @@ const support::HistogramSet* OverlaySystem::distributions() const {
   return &histograms_;
 }
 
-bool OverlaySystem::refresh_set_id(ids::NodeIndex node) {
-  const pubsub::SetId id = registry_.intern(subscriptions_.of(node));
-  if (id == set_ids_[node]) return false;
-  set_ids_[node] = id;
-  return true;
+void OverlaySystem::refresh_set_id(ids::NodeIndex node) {
+  set_ids_[node] = registry_.intern(subscriptions_.of(node));
 }
 
-std::vector<ids::NodeIndex> OverlaySystem::random_alive_contacts(
+std::span<const ids::NodeIndex> OverlaySystem::random_alive_contacts(
     std::size_t count, ids::NodeIndex exclude) {
-  std::vector<ids::NodeIndex> contacts;
+  contacts_.clear();
   const std::size_t n = tables_.size();
-  if (engine_.alive_count() == 0) return contacts;
+  if (engine_.alive_count() == 0) return contacts_;
   // Rejection sampling: the alive fraction is high in every scenario we
   // simulate, so a bounded number of draws suffices.
   const std::size_t max_draws = 20 * count + 100;
-  for (std::size_t draw = 0; draw < max_draws && contacts.size() < count;
+  for (std::size_t draw = 0; draw < max_draws && contacts_.size() < count;
        ++draw) {
     const auto candidate = static_cast<ids::NodeIndex>(rng_.index(n));
     if (candidate == exclude || !engine_.is_alive(candidate)) continue;
-    if (std::find(contacts.begin(), contacts.end(), candidate) !=
-        contacts.end()) {
+    if (std::find(contacts_.begin(), contacts_.end(), candidate) !=
+        contacts_.end()) {
       continue;
     }
-    contacts.push_back(candidate);
+    contacts_.push_back(candidate);
   }
-  return contacts;
+  return contacts_;
 }
 
 // ---------------------------------------------------------------------------

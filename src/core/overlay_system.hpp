@@ -295,8 +295,8 @@ class OverlaySystem : public pubsub::PubSubSystem {
     return subscriptions_;
   }
   /// Re-intern `node`'s subscription set after subscriptions_mut() changed
-  /// it; returns whether its SetId changed.
-  bool refresh_set_id(ids::NodeIndex node);
+  /// it.
+  void refresh_set_id(ids::NodeIndex node);
   [[nodiscard]] const pubsub::Dissemination& dissemination() const {
     return dissemination_;
   }
@@ -314,7 +314,9 @@ class OverlaySystem : public pubsub::PubSubSystem {
   void refresh_heartbeats(ids::NodeIndex node, std::size_t worker);
   void rebuild_undirected();
 
-  [[nodiscard]] std::vector<ids::NodeIndex> random_alive_contacts(
+  // Up to `count` distinct random alive nodes other than `exclude`, drawn
+  // into contacts_ (reused, so a join allocates nothing).
+  std::span<const ids::NodeIndex> random_alive_contacts(
       std::size_t count, ids::NodeIndex exclude);
 
   OverlayConfig config_;
@@ -368,6 +370,7 @@ class OverlaySystem : public pubsub::PubSubSystem {
   mutable overlay::LookupResult lookup_result_;  // lookup() buffer
   std::vector<gossip::Descriptor> select_buffer_;
   std::vector<overlay::RoutingEntry> selected_;
+  std::vector<ids::NodeIndex> contacts_;
 };
 
 }  // namespace vitis::core

@@ -33,7 +33,6 @@ double UtilityCacheStats::hit_rate() const {
 void PairUtilityCache::reset(std::size_t min_slots) {
   slots_.clear();
   mask_ = 0;
-  epoch_ = 1;
   stats_ = {};
   if (min_slots == 0) return;
   std::size_t size = 1;
@@ -76,9 +75,8 @@ bool PairUtilityCache::lookup(pubsub::SetId a, pubsub::SetId b,
   const std::uint64_t start = ids::mix64(key) & mask_;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     const Slot& slot = slots_[(start + i) & mask_];
-    // Empty slots carry epoch 0, which never equals epoch_ (always >= 1),
-    // so a fresh table cannot false-hit even on key 0.
-    if (slot.epoch == epoch_ && slot.key == key) {
+    // A valid pair's key is never kEmptyKey, so empty slots cannot hit.
+    if (slot.key == key) {
       value = slot.value;
       ++stats_.hits;
       return true;
@@ -96,8 +94,8 @@ void PairUtilityCache::insert(pubsub::SetId a, pubsub::SetId b,
   const std::uint64_t start = ids::mix64(key) & mask_;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     Slot& slot = slots_[(start + i) & mask_];
-    if (slot.epoch != epoch_ || slot.key == key) {
-      slot = Slot{key, value, epoch_};
+    if (slot.key == kEmptyKey || slot.key == key) {
+      slot = Slot{key, value};
       return;
     }
   }
@@ -105,17 +103,7 @@ void PairUtilityCache::insert(pubsub::SetId a, pubsub::SetId b,
   // probe-start slot. No recency bookkeeping — the rule depends only on
   // the insertion sequence, which is deterministic per (seed, scale).
   ++stats_.evictions;
-  slots_[start] = Slot{key, value, epoch_};
-}
-
-void PairUtilityCache::invalidate() {
-  if (!enabled()) return;
-  ++stats_.invalidations;
-  ++epoch_;
-  if (epoch_ == 0) {  // wrapped: stale stamps would alias, clear them all
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    epoch_ = 1;
-  }
+  slots_[start] = Slot{key, value};
 }
 
 bool utility_cache_env_enabled() {

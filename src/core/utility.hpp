@@ -24,10 +24,10 @@
 //    SetIds (pubsub::SubscriptionRegistry); a PairUtilityCache keyed on the
 //    unordered id pair stores the exact double the merge produced, so a
 //    repeated (set, set) evaluation is one probe instead of a merge.
-//    Because SetIds are canonical, a cached value can never drift from the
-//    fresh score; epoch invalidation exists as a defensive hook for churn
-//    rejoin and resubscription. `VITIS_UTILITY_CACHE=off` disables it with
-//    byte-identical stdout.
+//    SetIds are canonical and never reused, so a cached value can never
+//    drift from the fresh score and the memo is never dropped, not even
+//    when a node's subscriptions change. `VITIS_UTILITY_CACHE=off`
+//    disables it with byte-identical stdout.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,9 @@ struct PrefilterStats {
 };
 
 /// Deterministic cache counters. hits/misses count lookups on pairs where
-/// both SetIds are valid; invalidations count epoch bumps; evictions count
-/// live slots overwritten because a probe window filled up.
+/// both SetIds are valid; evictions count live slots overwritten because a
+/// probe window filled up. invalidations always reads 0 (no entry can go
+/// stale); it stays because the artifacts' counter blocks carry it.
 struct UtilityCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -67,9 +68,9 @@ struct UtilityCacheStats {
 /// (SetId, SetId) pair. Bounded: power-of-two slot count, linear probe over
 /// a fixed window, and when the window is full the probe-start slot is
 /// overwritten — a deterministic eviction rule with no clocks or use
-/// counters involved. Invalidation is O(1) via an epoch stamp (epoch 0 is
-/// the never-valid sentinel for empty slots); on epoch wraparound every
-/// slot is cleared so stale stamps cannot alias.
+/// counters involved. A slot is 16 bytes, key and score; an empty slot holds
+/// the all-ones key, which only the pair (kInvalidSetId, kInvalidSetId)
+/// could produce.
 class PairUtilityCache {
  public:
   /// Disabled (zero-slot) cache: lookups miss, inserts drop.
@@ -85,9 +86,8 @@ class PairUtilityCache {
   [[nodiscard]] bool enabled() const { return !slots_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
-  /// If the pair {a, b} is cached in the current epoch, write its score to
-  /// `value` and count a hit; otherwise count a miss. Both ids must be
-  /// valid. Never allocates.
+  /// If the pair {a, b} is cached, write its score to `value` and count a
+  /// hit; otherwise count a miss. Both ids must be valid. Never allocates.
   [[nodiscard]] bool lookup(pubsub::SetId a, pubsub::SetId b, double& value);
 
   /// Hint the probe-start slots of {a, bs[i]} into cache ahead of lookup(),
@@ -102,32 +102,25 @@ class PairUtilityCache {
                       std::span<const std::uint8_t> skip,
                       std::vector<std::uint64_t>& key_scratch) const;
 
-  /// Memoize the score of the pair {a, b}. Prefers a free-or-stale slot in
-  /// the probe window; otherwise evicts the probe-start slot. Never
-  /// allocates.
+  /// Memoize the score of the pair {a, b}. Prefers an empty slot in the
+  /// probe window; otherwise evicts the probe-start slot. Never allocates.
   void insert(pubsub::SetId a, pubsub::SetId b, double value);
-
-  /// O(1) drop of every entry (epoch bump; full clear on wraparound).
-  void invalidate();
 
   [[nodiscard]] const UtilityCacheStats& stats() const { return stats_; }
 
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-  /// Test hook for exercising epoch wraparound without 2^32 invalidations.
-  void set_epoch_for_test(std::uint32_t epoch) { epoch_ = epoch; }
-
  private:
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
   struct Slot {
-    std::uint64_t key = 0;
+    std::uint64_t key = kEmptyKey;
     double value = 0.0;
-    std::uint32_t epoch = 0;  // 0 = never valid (slot empty)
   };
+  static_assert(sizeof(Slot) == 16);
 
   static constexpr std::size_t kProbeWindow = 8;
 
   std::vector<Slot> slots_;  // power-of-two size; empty = disabled
   std::uint64_t mask_ = 0;
-  std::uint32_t epoch_ = 1;
   UtilityCacheStats stats_;
 };
 
@@ -191,16 +184,17 @@ class UtilityFunction {
            prepared_id_ != pubsub::kInvalidSetId;
   }
 
+  /// True when every rate is 1.0: score() then never consults a memo.
+  [[nodiscard]] bool uniform_rates() const { return all_ones_; }
+
   /// Fingerprint/SetId of the set most recently passed to prepare().
   [[nodiscard]] std::uint64_t prepared_fingerprint() const {
     return prepared_fp_;
   }
   [[nodiscard]] pubsub::SetId prepared_set_id() const { return prepared_id_; }
 
-  /// Attach a memo (not owned; nullptr detaches). The caller is
-  /// responsible for invalidating it when interned sets change meaning —
-  /// which, with canonical SetIds, only happens defensively (churn rejoin,
-  /// resubscription).
+  /// Attach a memo (not owned; nullptr detaches). Its keys must come from
+  /// one SubscriptionRegistry, whose ids never change meaning.
   void set_cache(PairUtilityCache* cache) { cache_ = cache; }
   [[nodiscard]] PairUtilityCache* cache() const { return cache_; }
 

@@ -28,7 +28,10 @@ VitisSystem::VitisSystem(VitisConfig config,
   config_.validate();
   VITIS_CHECK(rates.size() == this->subscriptions().topic_count());
 
-  if (config_.utility_cache_slots > 0 && utility_cache_env_enabled()) {
+  // Uniform rates never consult the memo (UtilityFunction::score), so they
+  // get no table.
+  if (!utility_.uniform_rates() && config_.utility_cache_slots > 0 &&
+      utility_cache_env_enabled()) {
     utility_cache_.reset(config_.utility_cache_slots);
     utility_.set_cache(&utility_cache_);
   }
@@ -610,11 +613,8 @@ void VitisSystem::reintern(ids::NodeIndex node) {
     // bookkeeping fresh rather than remapping counters.
     silence_[node].assign(subscriptions().of(node).size(), TopicSilence{});
   }
-  if (refresh_set_id(node)) {
-    // Canonical ids make stale cache entries unreachable rather than wrong,
-    // but the contract is defensive: any id change drops the whole memo.
-    utility_cache_.invalidate();
-  }
+  // The memo stays: its keys are canonical ids, which are never reused.
+  refresh_set_id(node);
 }
 
 // ---------------------------------------------------------------------------

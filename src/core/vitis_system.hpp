@@ -167,9 +167,8 @@ class VitisSystem final : public OverlaySystem {
   void refresh_relays(ids::NodeIndex node, std::size_t worker);
 
   // Re-intern a node's (possibly changed) subscription set and restart its
-  // silence bookkeeping; when the canonical id changed, defensively
-  // invalidate the pairwise-utility memo (subscription change and churn
-  // rejoin are the callers).
+  // silence bookkeeping (subscription change and churn rejoin are the
+  // callers).
   void reintern(ids::NodeIndex node);
   void run_election(ids::NodeIndex node);
 

@@ -10,6 +10,10 @@
 // Determinism: ids are assigned in first-intern order, which is itself
 // deterministic per (seed, scale); interning an already-known set performs
 // a hash probe plus one equality compare and never allocates.
+//
+// Contract: the registry is append-only. An id names one set for the
+// registry's lifetime and is never reused, so per-pair results keyed on
+// ids (the utility memo) never go stale when a node's subscriptions change.
 #pragma once
 
 #include <cstdint>

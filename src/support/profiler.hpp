@@ -59,7 +59,7 @@ enum class Counter : std::uint8_t {
   kUtilityCacheHits = 0,     // memoized pairwise-utility lookups served
   kUtilityCacheMisses,       // lookups that fell through to the merge
   kUtilityCacheEvictions,    // occupied slots overwritten (probe window full)
-  kUtilityCacheInvalidations,  // epoch bumps (churn rejoin / resubscription)
+  kUtilityCacheInvalidations,  // always 0: the memo is never dropped
   kInternedSets,             // distinct subscription sets in the registry
   kInternCalls,              // total SubscriptionRegistry::intern() calls
 };

@@ -122,6 +122,22 @@ TEST(AllocationAudit, SteadyStateGossipStepIsAllocationFree) {
       << "counting operator new is not wired in";
 }
 
+TEST(AllocationAudit, ChurnRejoinIsAllocationFree) {
+  // A join draws its bootstrap contacts into the host's reused buffer and
+  // re-interns an already-known set; a leave only clears node-local state.
+  const auto scenario = gossip_audit_scenario();
+  auto system = workload::make_vitis(scenario, VitisConfig{}, 1234);
+  system->run_cycles(12);
+
+  const std::uint64_t before = g_allocations;
+  for (ids::NodeIndex node = 0; node < 72; node += 2) system->node_leave(node);
+  for (ids::NodeIndex node = 0; node < 72; node += 2) system->node_join(node);
+  const std::uint64_t during = g_allocations - before;
+  EXPECT_EQ(during, 0u) << during
+                        << " heap allocations in 36 leave/rejoin pairs";
+  EXPECT_EQ(system->alive_count(), system->node_count());
+}
+
 TEST(AllocationAudit, CyclonGossipStepIsAllocationFree) {
   // The Cyclon policy frees the oldest slot in prepare and swaps subsets
   // drawn from a per-exchange fork in apply; both reuse the service's two

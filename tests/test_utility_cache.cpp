@@ -1,10 +1,12 @@
 // core::PairUtilityCache and the memoized scoring path: cached scores are
-// bit-identical to the fresh merge, eviction is deterministic, epoch
-// invalidation (including wraparound) drops every entry, and the system
-// wiring invalidates on subscription change / churn rejoin.
+// bit-identical to the fresh merge, eviction is deterministic, an empty slot
+// never matches a valid pair, and the system wiring allocates the memo only
+// under skewed rates and keeps it across subscription changes and churn
+// rejoins.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/utility.hpp"
@@ -97,21 +99,29 @@ TEST(PairUtilityCache, DisabledCacheMissesAndDropsInserts) {
   EXPECT_TRUE(std::isnan(PairUtilityCache().stats().hit_rate()));
 }
 
-TEST(PairUtilityCache, InvalidateDropsEntriesInO1) {
+// An empty slot holds the all-ones key, which only the invalid pair could
+// produce: the extreme valid pairs miss on a fresh table and round-trip
+// after an insert.
+TEST(PairUtilityCache, EmptyKeyNeverMatchesAValidPair) {
+  constexpr pubsub::SetId kMax = pubsub::kInvalidSetId - 1;
+  const std::pair<pubsub::SetId, pubsub::SetId> pairs[] = {
+      {0, 0}, {0, 1}, {kMax, kMax}};
   PairUtilityCache cache(64);
-  cache.insert(1, 2, 0.5);
-  cache.insert(3, 4, 0.25);
-  const std::uint32_t epoch_before = cache.epoch();
-  cache.invalidate();
-  EXPECT_EQ(cache.epoch(), epoch_before + 1);
-  double value = 0.0;
-  EXPECT_FALSE(cache.lookup(1, 2, value));
-  EXPECT_FALSE(cache.lookup(3, 4, value));
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  // Re-inserting after the bump works in the new epoch.
-  cache.insert(1, 2, 0.5);
-  EXPECT_TRUE(cache.lookup(1, 2, value));
-  EXPECT_EQ(value, 0.5);
+  double value = -1.0;
+  for (const auto& [a, b] : pairs) {
+    EXPECT_FALSE(cache.lookup(a, b, value)) << a << "," << b;
+  }
+  EXPECT_EQ(value, -1.0);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  double score = 0.125;
+  for (const auto& [a, b] : pairs) {
+    cache.insert(a, b, score);
+    EXPECT_TRUE(cache.lookup(a, b, value)) << a << "," << b;
+    EXPECT_EQ(value, score);
+    score *= 2.0;
+  }
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 // Eviction is deterministic: a full probe window overwrites the
@@ -156,26 +166,6 @@ TEST(PairUtilityCache, OverwritingSameKeyUpdatesInPlace) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-// Epoch wraparound: the bump that wraps to the sentinel epoch 0 must clear
-// every slot and restart at epoch 1, so stale stamps can never alias a
-// future epoch.
-TEST(PairUtilityCache, EpochWraparoundClearsAllSlots) {
-  PairUtilityCache cache(64);
-  cache.set_epoch_for_test(0xFFFFFFFFu);
-  cache.insert(1, 2, 0.5);
-  double value = 0.0;
-  EXPECT_TRUE(cache.lookup(1, 2, value));
-  cache.invalidate();  // wraps: full clear, epoch back to 1
-  EXPECT_EQ(cache.epoch(), 1u);
-  EXPECT_FALSE(cache.lookup(1, 2, value));
-  // A pre-wrap stamp must not come back to life in any later epoch.
-  cache.invalidate();
-  EXPECT_FALSE(cache.lookup(1, 2, value));
-  cache.insert(1, 2, 0.25);
-  EXPECT_TRUE(cache.lookup(1, 2, value));
-  EXPECT_EQ(value, 0.25);
-}
-
 TEST(PairUtilityCache, UncachedIdsBypassTheMemo) {
   UtilityFunction u = UtilityFunction::uniform(100);
   PairUtilityCache cache(64);
@@ -187,60 +177,93 @@ TEST(PairUtilityCache, UncachedIdsBypassTheMemo) {
   EXPECT_EQ(cache.stats().lookups(), 0u);
 }
 
-workload::SyntheticScenario small_scenario() {
+// rate_alpha 1.0 gives skewed rates (the memoized scoring path), 0 uniform.
+workload::SyntheticScenario small_scenario(double rate_alpha = 1.0) {
   workload::SyntheticScenarioParams params;
   params.subscriptions.nodes = 200;
   params.subscriptions.topics = 100;
   params.subscriptions.subs_per_node = 10;
   params.subscriptions.pattern = workload::CorrelationPattern::kLowCorrelation;
   params.events = 8;
-  params.rate_alpha = 1.0;  // skewed rates: the memoized scoring path
+  params.rate_alpha = rate_alpha;
   params.seed = 77;
   return workload::make_synthetic_scenario(params);
 }
 
-// System wiring: a churn rejoin with a subscription set that changed while
-// the node was offline re-interns the profile and invalidates the memo.
-TEST(UtilityCacheWiring, ChurnRejoinWithChangedSetInvalidates) {
+bool same_stats(const UtilityCacheStats& a, const UtilityCacheStats& b) {
+  return a.hits == b.hits && a.misses == b.misses &&
+         a.evictions == b.evictions && a.invalidations == b.invalidations;
+}
+
+// System wiring: subscribing and rejoining with a set that changed while
+// the node was offline re-intern the node but leave the memo untouched, and
+// the following cycles keep hitting it.
+TEST(UtilityCacheWiring, SubscriptionChangesKeepTheMemo) {
   if (!utility_cache_env_enabled()) GTEST_SKIP();
   const auto scenario = small_scenario();
   auto system = workload::make_vitis(scenario, VitisConfig{}, 77);
   system->run_cycles(8);
   ASSERT_TRUE(system->utility_cache().enabled());
   EXPECT_GT(system->utility_cache().stats().hits, 0u);
+  const auto unsubscribed = [&](ids::NodeIndex node) {
+    ids::TopicIndex topic = 0;
+    while (system->subscriptions().subscribes(node, topic)) ++topic;
+    return topic;
+  };
 
+  // An online node subscribes.
+  UtilityCacheStats before = system->utility_cache().stats();
+  ASSERT_TRUE(system->subscribe(3, unsubscribed(3)));
+  EXPECT_TRUE(same_stats(system->utility_cache().stats(), before));
+
+  // An offline node subscribes, then rejoins with the changed set.
   const ids::NodeIndex node = 5;
   system->node_leave(node);
-  // Find a topic the node does not hold yet; subscribing changes its set.
-  ids::TopicIndex fresh_topic = 0;
-  while (system->subscriptions().subscribes(node, fresh_topic)) {
-    ++fresh_topic;
-  }
-  const std::uint64_t before = system->utility_cache().stats().invalidations;
-  ASSERT_TRUE(system->subscribe(node, fresh_topic));
-  EXPECT_GT(system->utility_cache().stats().invalidations, before);
+  const pubsub::SetId old_id = system->set_id(node);
+  before = system->utility_cache().stats();
+  ASSERT_TRUE(system->subscribe(node, unsubscribed(node)));
   system->node_join(node);
+  EXPECT_TRUE(same_stats(system->utility_cache().stats(), before));
   // The rejoined node carries the canonical id of its *new* set.
   const pubsub::SetId id = system->set_id(node);
   ASSERT_NE(id, pubsub::kInvalidSetId);
+  EXPECT_NE(id, old_id);
   EXPECT_TRUE(system->registry().set(id) == system->subscriptions().of(node));
-  // And the system keeps running (scores repopulate in the new epoch).
-  system->run_cycles(4);
-  EXPECT_GT(system->utility_cache().stats().hits, 0u);
+
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const std::uint64_t hits = system->utility_cache().stats().hits;
+    system->run_cycles(1);
+    EXPECT_GT(system->utility_cache().stats().hits, hits) << cycle;
+  }
+  EXPECT_EQ(system->utility_cache().stats().invalidations, 0u);
 }
 
-// A rejoin with an unchanged set keeps the memo: same canonical id, no
-// invalidation (the defensive drop only fires when the id changes).
+// The memo exists only where score() can consult it: all-ones rates get no
+// table and count nothing; skewed rates get the configured 2^19 slots.
+TEST(UtilityCacheWiring, UniformRatesAllocateNoMemo) {
+  auto uniform = workload::make_vitis(small_scenario(0.0), VitisConfig{}, 77);
+  EXPECT_EQ(uniform->utility_cache().capacity(), 0u);
+  uniform->run_cycles(4);
+  EXPECT_TRUE(same_stats(uniform->utility_cache().stats(), {}));
+
+  if (!utility_cache_env_enabled()) GTEST_SKIP();
+  auto skewed = workload::make_vitis(small_scenario(), VitisConfig{}, 77);
+  EXPECT_EQ(skewed->utility_cache().capacity(), std::size_t{1} << 19);
+}
+
+// A rejoin with an unchanged set keeps the memo and the canonical id.
 TEST(UtilityCacheWiring, RejoinWithUnchangedSetKeepsTheMemo) {
   if (!utility_cache_env_enabled()) GTEST_SKIP();
   const auto scenario = small_scenario();
   auto system = workload::make_vitis(scenario, VitisConfig{}, 77);
   system->run_cycles(8);
   const ids::NodeIndex node = 9;
-  const std::uint64_t before = system->utility_cache().stats().invalidations;
+  const pubsub::SetId id = system->set_id(node);
+  const UtilityCacheStats before = system->utility_cache().stats();
   system->node_leave(node);
   system->node_join(node);
-  EXPECT_EQ(system->utility_cache().stats().invalidations, before);
+  EXPECT_TRUE(same_stats(system->utility_cache().stats(), before));
+  EXPECT_EQ(system->set_id(node), id);
 }
 
 // Every node's SetId is canonical from construction: the registry maps it
