@@ -6,8 +6,8 @@
 //
 // The structure-of-arrays layout lets the hot maintenance loops touch
 // exactly the columns they need: the election sweep reads profiles without
-// pulling relay state into cache, and heartbeats age relay tables without
-// touching profiles.
+// pulling relay state into cache, and the relay-refresh stage ages and
+// rebuilds relay tables without touching profiles.
 //
 // Dense-id invariant: NodeIndex is assigned once at construction and is
 // stable for the system's lifetime (churn flips liveness, never indices).

@@ -223,7 +223,6 @@ void OverlaySystem::refresh_heartbeats(ids::NodeIndex node,
   rt.drop_older_than(config_.staleness_threshold);
   histograms_.record(support::Channel::kRoutingTableSize, rt.entries().size(),
                      worker);
-  heartbeat_extra(node, worker);
 }
 
 void OverlaySystem::rebuild_undirected() {

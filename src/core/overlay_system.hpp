@@ -193,13 +193,6 @@ class OverlaySystem : public pubsub::PubSubSystem {
   /// maintenance hook (Vitis' election sweep, RVR's tree refresh).
   virtual void maintenance_extra() {}
 
-  /// Per-node work of the parallel heartbeats stage after the routing
-  /// table aged (Vitis' relay expiry); node-local writes only.
-  virtual void heartbeat_extra(ids::NodeIndex node, std::size_t worker) {
-    (void)node;
-    (void)worker;
-  }
-
   /// System-specific invariant monitors per alive node, after the shared
   /// ring and table-bound checks.
   virtual void check_node_invariants(ids::NodeIndex node) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "ids/hash.hpp"
 #include "overlay/small_world.hpp"
@@ -44,32 +45,28 @@ VitisSystem::VitisSystem(VitisConfig config,
     arena_.init_node(node, std::move(profile));
   }
 
-  // Each worker applies the installs to the relay tables it owns: a table
-  // receives the records that name it in lane order. A topic's records all
-  // sit in one lane in gateway order, and per-topic order is all a relay
-  // table depends on, so any worker count yields the serial result.
+  // Each worker rebuilds the relay tables it owns from the records that
+  // name them. A topic's records all sit in one lane in gateway order, and
+  // per-topic order is all a relay table depends on, so any worker count
+  // yields the serial result.
   engine().add_sharded_stage(
       "relay-refresh", kSaltRelay,
       [this](ids::NodeIndex node, std::size_t, sim::Rng&,
              std::size_t worker) { refresh_relays(node, worker); },
-      [this](std::size_t, std::size_t, sim::NodeRange owned) {
-        relay_outbox_.for_each([&](const RelayInstall& install) {
-          if (owned.contains(install.a)) {
-            arena_.relay(install.a).add_link(install.topic, install.b);
-          }
-          if (owned.contains(install.b)) {
-            arena_.relay(install.b).add_link(install.topic, install.a);
-          }
-        });
+      [this](std::size_t, std::size_t worker, sim::NodeRange owned) {
+        apply_relay_installs(worker, owned);
       },
       [this](std::size_t) { relay_outbox_.clear(); });
 
+  const std::size_t topics = this->subscriptions().topic_count();
   const std::size_t workers = run_jobs();
   relay_outbox_.configure(workers);
+  relay_runs_.resize(topics);
+  relay_slot_.assign(n, 0);
+  relay_apply_.resize(workers);
   lookup_ctx_.resize(workers);
   for (LookupCtx& ctx : lookup_ctx_) ctx.marks.resize(n);
 
-  const std::size_t topics = this->subscriptions().topic_count();
   topic_stamp_.assign(topics, 0);
   topic_pos_.assign(topics, 0);
   neighbor_mark_.assign(n, 0);
@@ -156,7 +153,7 @@ void VitisSystem::select_neighbors(
 }
 
 // ---------------------------------------------------------------------------
-// Per-cycle maintenance: relay aging, gateway election, relay refresh.
+// Per-cycle maintenance: gateway election, relay refresh.
 // ---------------------------------------------------------------------------
 void VitisSystem::maintenance_extra() {
   relay_requests_.clear();
@@ -215,12 +212,6 @@ void VitisSystem::group_relay_requests() {
               return x.gateway != y.gateway ? x.gateway < y.gateway
                                             : x.topic < y.topic;
             });
-}
-
-void VitisSystem::heartbeat_extra(ids::NodeIndex node, std::size_t worker) {
-  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRelay,
-                                   worker);
-  arena_.relay(node).age_and_expire(config_.relay_ttl);
 }
 
 void VitisSystem::run_election(ids::NodeIndex node) {
@@ -355,9 +346,11 @@ void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
   // skipped suffix would change the fault counters: walk in full then.
   overlay::RouteMarks* const marks = fault_active() ? nullptr : &ctx.marks;
 
+  std::vector<RelayInstall>& lane = relay_outbox_.lane(worker);
   for (; walk != relay_walks_.end() && walk->gateway == node; ++walk) {
     const ids::TopicIndex topic = walk->topic;
     const ids::RingId target = ids::topic_ring_id(topic);
+    const auto run_begin = static_cast<std::uint32_t>(lane.size());
     ctx.marks.next_target();
     for (std::uint32_t g = relay_topic_begin_[topic];
          g < relay_topic_begin_[topic + 1]; ++g) {
@@ -380,14 +373,88 @@ void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
                                  static_cast<std::uint32_t>(i))) {
           break;
         }
-        relay_outbox_.lane(worker).push_back(
-            RelayInstall{topic, path[i], path[i + 1]});
+        lane.push_back(RelayInstall{topic, path[i], path[i + 1]});
       }
       // Without a fault plan every install of the route was emitted (the
       // walked ones above, the remainder by the earlier route), so later
       // walks may end on its nodes.
       if (marks != nullptr) marks->mark(result);
     }
+    relay_runs_[topic] = InstallRun{static_cast<std::uint32_t>(worker),
+                                    run_begin,
+                                    static_cast<std::uint32_t>(lane.size())};
+  }
+}
+
+void VitisSystem::apply_relay_installs(std::size_t worker,
+                                       sim::NodeRange owned) {
+  const std::int64_t bucket_start = support::monotonic_ns();
+  RelayApply& apply = relay_apply_[worker];
+  std::uint32_t total = 0;
+  relay_outbox_.for_each([&](const RelayInstall& install) {
+    if (owned.contains(install.a)) {
+      ++relay_slot_[install.a];
+      ++total;
+    }
+    if (owned.contains(install.b)) {
+      ++relay_slot_[install.b];
+      ++total;
+    }
+  });
+  // The alive nodes this worker owns are one run of the activation list;
+  // each one's bucket starts where the previous one's ends.
+  const std::span<const ids::NodeIndex> alive = engine().active_nodes();
+  const auto first = std::lower_bound(alive.begin(), alive.end(), owned.begin);
+  const auto last = std::lower_bound(first, alive.end(), owned.end);
+  std::uint32_t offset = 0;
+  for (auto it = first; it != last; ++it) {
+    const std::uint32_t count = relay_slot_[*it];
+    relay_slot_[*it] = offset;
+    offset += count;
+  }
+  // Routes run over alive nodes only, and liveness is frozen during the
+  // stage, so every endpoint counted above has its bucket.
+  VITIS_CHECK(offset == total);
+  apply.installs.resize(total);
+  // Fill topic by topic, ascending: a topic's installs are one run of one
+  // lane, so every bucket comes out grouped by topic ascending, in arrival
+  // order within a topic — the order rebuild() takes.
+  const std::size_t topics = subscriptions().topic_count();
+  for (std::size_t t = 0; t < topics; ++t) {
+    if (relay_topic_begin_[t] == relay_topic_begin_[t + 1]) continue;
+    const auto topic = static_cast<ids::TopicIndex>(t);
+    const InstallRun run = relay_runs_[t];
+    const std::vector<RelayInstall>& lane =
+        std::as_const(relay_outbox_).lane(run.lane);
+    for (std::uint32_t i = run.begin; i < run.end; ++i) {
+      const RelayInstall& install = lane[i];
+      if (owned.contains(install.a)) {
+        apply.installs[relay_slot_[install.a]++] = {topic, install.b};
+      }
+      if (owned.contains(install.b)) {
+        apply.installs[relay_slot_[install.b]++] = {topic, install.a};
+      }
+    }
+  }
+  // The bucketing is relay work but no table visit: time without a call.
+  profiler_mut().add(
+      support::Phase::kRelay,
+      static_cast<std::uint64_t>(support::monotonic_ns() - bucket_start), 0,
+      worker);
+
+  // Every alive owned node once, named by an install or not: its links
+  // age either way. One relay call per visit.
+  const std::span<const RelayTable::Install> installs(apply.installs);
+  std::uint32_t begin = 0;
+  for (auto it = first; it != last; ++it) {
+    const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRelay,
+                                     worker);
+    const std::uint32_t end = relay_slot_[*it];
+    relay_slot_[*it] = 0;
+    arena_.relay(*it).rebuild(config_.relay_ttl,
+                              installs.subspan(begin, end - begin),
+                              apply.scratch);
+    begin = end;
   }
 }
 

@@ -4,9 +4,10 @@
 //   * Newscast peer sampling feeds fresh descriptors (§III-A);
 //   * T-Man exchanges rebuild routing tables with Algorithm 4's selection
 //     (ring links + Symphony small-world links + utility-ranked friends);
-//   * profile exchange ages heartbeats and relay links, runs the
-//     Algorithm 5 gateway election, and lets elected gateways establish
-//     relay paths by greedy lookup toward hash(t) (§III-B);
+//   * profile exchange ages heartbeats, runs the Algorithm 5 gateway
+//     election, and lets elected gateways establish relay paths by greedy
+//     lookup toward hash(t); each relay table is then aged and updated in
+//     one pass per cycle (§III-B);
 //   * publish() disseminates an event by flooding inside clusters and
 //     forwarding along relay trees (§III-C), collecting the paper's three
 //     metrics.
@@ -134,9 +135,6 @@ class VitisSystem final : public OverlaySystem {
   // relay-refresh stage instead of serving them inline.
   void maintenance_extra() override;
 
-  // Heartbeats stage: expire own relay links (node-local, runs in parallel).
-  void heartbeat_extra(ids::NodeIndex node, std::size_t worker) override;
-
   // Gateway proposals stay within the depth threshold d.
   void check_node_invariants(ids::NodeIndex node) const override;
 
@@ -159,12 +157,17 @@ class VitisSystem final : public OverlaySystem {
 
   // Stage body: walk the relay routes of every topic handed to `node` —
   // greedy lookups over frozen routing state plus counter-based fault
-  // admission, gateways ascending — emitting link installs into the
-  // worker's outbox lane; the stage's sharded merge applies them, each
-  // worker to the relay tables of the nodes it owns. Without a fault plan
-  // a walk ends where it meets an earlier route of the same topic (see
-  // DESIGN.md "Hot path & determinism").
+  // admission, gateways ascending — emitting each topic's link installs as
+  // one run of the worker's outbox lane. Without a fault plan a walk ends
+  // where it meets an earlier route of the same topic (see DESIGN.md "Hot
+  // path & determinism").
   void refresh_relays(ids::NodeIndex node, std::size_t worker);
+
+  // The stage's sharded merge: bucket the cycle's install endpoints that
+  // `worker` owns by owner, topics ascending, then rebuild the relay table
+  // of every alive node it owns once — aging it and applying its installs
+  // in one pass (RelayTable::rebuild).
+  void apply_relay_installs(std::size_t worker, sim::NodeRange owned);
 
   // Re-intern a node's (possibly changed) subscription set and restart its
   // silence bookkeeping (subscription change and churn rejoin are the
@@ -214,7 +217,7 @@ class VitisSystem final : public OverlaySystem {
   // (ascending) and lists every topic under the gateway that walks it;
   // the relay-refresh stage binary-searches its node's walks, emitting
   // link installs through per-worker lanes. A topic's installs therefore
-  // come from one worker, in the order a serial pass would emit them.
+  // form one run of one lane, in the order a serial pass would emit them.
   struct RelayRequest {
     ids::NodeIndex gateway;
     ids::TopicIndex topic;
@@ -232,6 +235,26 @@ class VitisSystem final : public OverlaySystem {
   // (walking gateway, topic), ascending.
   std::vector<RelayRequest> relay_walks_;
   sim::Outbox<RelayInstall> relay_outbox_;
+  // Where topic t's installs of this cycle sit: records [begin, end) of
+  // lane `lane` (valid for the topics walked this cycle).
+  struct InstallRun {
+    std::uint32_t lane = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<InstallRun> relay_runs_;
+  // The apply's counting sort, per node: the number of endpoints the node
+  // owns, then its bucket offset. Zero between cycles; each worker writes
+  // only the nodes it owns.
+  std::vector<std::uint32_t> relay_slot_;
+  // Per-worker apply buffers, scratch like lookup_ctx_ below: `installs`
+  // holds the buckets of the worker's owners back to back. Cache-line
+  // aligned, so workers never share a line of them.
+  struct alignas(64) RelayApply {
+    std::vector<RelayTable::Install> installs;
+    RelayTable::Scratch scratch;
+  };
+  std::vector<RelayApply> relay_apply_;
 
   // Per-worker buffers for the relay-refresh stage (the host's lookup()
   // buffer serves serial callers only). `marks` holds the remaining route

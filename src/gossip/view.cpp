@@ -61,15 +61,4 @@ void PartialView::increment_ages() {
   for (std::size_t i = 0; i < size_; ++i) ++data_[i].age;
 }
 
-void PartialView::drop_older_than(std::uint32_t max_age) {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (data_[i].age <= max_age) {
-      if (kept != i) data_[kept] = data_[i];
-      ++kept;
-    }
-  }
-  size_ = kept;
-}
-
 }  // namespace vitis::gossip

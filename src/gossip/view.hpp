@@ -55,9 +55,6 @@ class PartialView {
   /// Age every entry by one round.
   void increment_ages();
 
-  /// Drop entries older than `max_age`.
-  void drop_older_than(std::uint32_t max_age);
-
  private:
   std::size_t capacity_;
   std::size_t size_ = 0;

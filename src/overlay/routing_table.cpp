@@ -100,13 +100,6 @@ void RoutingTable::drop_older_than(std::uint32_t max_age) {
   size_ = kept;
 }
 
-std::vector<ids::NodeIndex> RoutingTable::neighbor_indices() const {
-  std::vector<ids::NodeIndex> nodes;
-  nodes.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) nodes.push_back(data_[i].node);
-  return nodes;
-}
-
 std::optional<RoutingEntry> RoutingTable::first_of(LinkKind kind) const {
   for (std::size_t i = 0; i < size_; ++i) {
     if (data_[i].kind == kind) return data_[i];

@@ -98,9 +98,6 @@ class RoutingTable {
   /// ...and drop stale entries.
   void drop_older_than(std::uint32_t max_age);
 
-  /// All neighbor indices (unordered).
-  [[nodiscard]] std::vector<ids::NodeIndex> neighbor_indices() const;
-
   /// First entry of the given kind, if any.
   [[nodiscard]] std::optional<RoutingEntry> first_of(LinkKind kind) const;
 

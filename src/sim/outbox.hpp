@@ -30,6 +30,10 @@ class Outbox {
   [[nodiscard]] std::vector<Record>& lane(std::size_t worker) {
     return lanes_[worker];
   }
+  /// A lane's records — the read side of a sharded merge.
+  [[nodiscard]] const std::vector<Record>& lane(std::size_t worker) const {
+    return lanes_[worker];
+  }
 
   /// Invoke `fn(record)` for every record, lanes in worker order, records
   /// in append order, then clear all lanes (capacity retained).

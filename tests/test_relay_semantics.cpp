@@ -96,8 +96,9 @@ TEST_F(RelaySemantics, EveryRelayPathNodeKnowsTheTopic) {
 
 TEST_F(RelaySemantics, RelayStateDecaysWhenGatewayUnsubscribes) {
   // After every subscriber of a topic unsubscribes, nobody requests relay
-  // paths for it anymore, so all relay state must expire within the TTL.
-  // Pick the topic with the fewest (but >= 1) subscribers.
+  // paths for it anymore, so its relay links age on untouched tables: held
+  // for exactly relay_ttl cycles, gone one cycle later. Pick the topic with
+  // the fewest (but >= 1) subscribers.
   ids::TopicIndex topic = ids::kInvalidTopic;
   std::size_t fewest = ~std::size_t{0};
   for (std::size_t t = 0; t < scenario_->subscriptions.topic_count(); ++t) {
@@ -115,14 +116,17 @@ TEST_F(RelaySemantics, RelayStateDecaysWhenGatewayUnsubscribes) {
   const std::vector<ids::NodeIndex> frozen(subscribers.begin(),
                                            subscribers.end());
   for (const ids::NodeIndex s : frozen) system_->unsubscribe(s, topic);
-  system_->run_cycles(
-      static_cast<std::size_t>(system_->config().relay_ttl) + 3);
-
-  std::size_t holders = 0;
-  for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
-    if (system_->relay_table(n).is_relay_for(topic)) ++holders;
-  }
-  EXPECT_EQ(holders, 0u) << "relay state survived all gateways leaving";
+  const auto holders = [&] {
+    std::size_t count = 0;
+    for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
+      if (system_->relay_table(n).is_relay_for(topic)) ++count;
+    }
+    return count;
+  };
+  system_->run_cycles(system_->config().relay_ttl);
+  EXPECT_GT(holders(), 0u) << "relay state expired before its TTL ran out";
+  system_->run_cycles(1);
+  EXPECT_EQ(holders(), 0u) << "relay state survived all gateways leaving";
 }
 
 TEST_F(RelaySemantics, MultiClusterTopicsAreBridgedByRelays) {

@@ -75,16 +75,6 @@ TEST(RoutingTable, KindQueries) {
   EXPECT_FALSE(rt.first_of(LinkKind::kCoverage).has_value());
 }
 
-TEST(RoutingTable, NeighborIndices) {
-  RoutingTable rt(3);
-  rt.add(entry(5));
-  rt.add(entry(7));
-  const auto neighbors = rt.neighbor_indices();
-  EXPECT_EQ(neighbors.size(), 2u);
-  EXPECT_NE(std::find(neighbors.begin(), neighbors.end(), 5u),
-            neighbors.end());
-}
-
 TEST(LinkKind, StructuralClassification) {
   EXPECT_TRUE(is_structural(LinkKind::kPredecessor));
   EXPECT_TRUE(is_structural(LinkKind::kSuccessor));

@@ -52,15 +52,19 @@ TEST(PartialView, RemoveAndContains) {
 }
 
 TEST(PartialView, AgingAndExpiry) {
-  PartialView view(4);
+  // Aging is what expires a descriptor: a full view gives its oldest slot
+  // to any younger newcomer.
+  PartialView view(2);
   view.insert(d(1, 0));
   view.insert(d(2, 3));
   view.increment_ages();
   EXPECT_EQ(view.entries()[0].age, 1u);
   EXPECT_EQ(view.entries()[1].age, 4u);
-  view.drop_older_than(3);
-  EXPECT_EQ(view.size(), 1u);
+  view.insert(d(3, 2));
+  EXPECT_EQ(view.size(), 2u);
   EXPECT_TRUE(view.contains(1));
+  EXPECT_FALSE(view.contains(2));
+  EXPECT_TRUE(view.contains(3));
 }
 
 TEST(PartialView, ClearResets) {
