@@ -15,7 +15,7 @@ struct RvrSystem::TreeHops : FaultAdmission {
 
   template <typename Fn>
   void for_each_next(ids::NodeIndex node, Fn&& fn) const {
-    for (const auto& link : rvr.trees_[node].links(topic)) {
+    for (const auto& link : rvr.relay_table(node).links(topic)) {
       if (rvr.is_alive(link.peer)) fn(link.peer);
     }
   }
@@ -24,10 +24,19 @@ struct RvrSystem::TreeHops : FaultAdmission {
 RvrSystem::RvrSystem(RvrConfig config, pubsub::SubscriptionTable subscriptions,
                      std::uint64_t seed, bool start_online)
     : OverlaySystem(config.base, std::move(subscriptions), seed),
-      config_(config),
-      trees_(node_count()) {
+      config_(config) {
   VITIS_CHECK(config_.tree_refresh_interval > 0);
+  // A Scribe JOIN gets no retransmit: the baselines stay fragile.
+  add_relay_refresh(config_.tree_ttl(), 0);
   start(start_online);
+}
+
+std::size_t RvrSystem::tree_size_of(ids::TopicIndex topic) const {
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    if (is_tree_member(static_cast<ids::NodeIndex>(i), topic)) ++members;
+  }
+  return members;
 }
 
 // Subscription-oblivious Symphony selection: ring links first, every
@@ -51,46 +60,23 @@ void RvrSystem::select_neighbors(ids::NodeIndex self,
 }
 
 void RvrSystem::maintenance_extra() {
-  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRelay);
-  // Tree refresh never flips liveness, so the activation list is stable.
-  const auto alive = engine().active_nodes();
-  for (const ids::NodeIndex node : alive) {
-    trees_[node].age_and_expire(config_.tree_ttl());
-  }
+  // Relay work but no walk or table visit: timed without a call.
+  const std::int64_t start = support::monotonic_ns();
   // Staggered Scribe-style resubscription: each (node, topic) pair routes
-  // toward the rendezvous once every tree_refresh_interval cycles.
+  // toward the rendezvous once every tree_refresh_interval cycles, and the
+  // host's relay refresh grafts the route onto the topic's tree.
   const std::size_t interval = config_.tree_refresh_interval;
   const std::size_t now = engine().cycle();
-  for (const ids::NodeIndex node : alive) {
-    for (const ids::TopicIndex topic :
-         subscriptions().of(node).topics()) {
+  for (const ids::NodeIndex node : engine().active_nodes()) {
+    for (const ids::TopicIndex topic : subscriptions().of(node).topics()) {
       const std::uint64_t stagger =
           ids::mix64((static_cast<std::uint64_t>(node) << 32) | topic);
-      if ((now + stagger) % interval == 0) {
-        refresh_subscription(node, topic);
-      }
+      if ((now + stagger) % interval == 0) request_relay(node, topic);
     }
   }
-}
-
-void RvrSystem::refresh_subscription(ids::NodeIndex node,
-                                     ids::TopicIndex topic) {
-  const overlay::LookupResult& route = lookup(node, ids::topic_ring_id(topic));
-  if (!route.converged) return;
-  std::span<const ids::NodeIndex> path = route.path;
-  if (fault_active()) {
-    // A Scribe JOIN walks the path hop by hop; a dropped hop truncates the
-    // grafted branch there. No retransmit — the baselines stay fragile.
-    std::size_t reached = 1;
-    while (reached < path.size() &&
-           fault_deliver(path[reached - 1], path[reached],
-                         sim::MessageKind::kRelay)) {
-      ++reached;
-    }
-    if (reached < 2) return;  // first hop lost: nothing grafted
-    path = path.first(reached);
-  }
-  install_tree_path(path, topic, trees_);
+  profiler_mut().add(
+      support::Phase::kRelay,
+      static_cast<std::uint64_t>(support::monotonic_ns() - start), 0);
 }
 
 pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
@@ -103,12 +89,6 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
   // Scribe publish: route the event to the rendezvous node...
   const overlay::LookupResult& route =
       lookup(publisher, ids::topic_ring_id(topic));
-  // RVR's analogue of Vitis' relay-path channel: the greedy rendezvous
-  // route length per publication (serial publish path, lane 0).
-  if (route.path.size() >= 2) {
-    histograms_mut().record(support::Channel::kRelayPathLength,
-                            route.path.size() - 1);
-  }
   for (std::size_t i = 1; i < route.path.size(); ++i) {
     // A dropped route hop kills the rest of the path; the lost message is
     // never counted.

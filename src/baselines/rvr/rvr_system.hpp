@@ -3,13 +3,13 @@
 // plus small-world links only — selection is oblivious to subscriptions).
 // Every subscriber periodically routes toward hash(t) and subscribes along
 // the path, forming a per-topic multicast tree rooted at the rendezvous
-// node; publishing routes the event to the root and floods the tree.
+// node; publishing routes the event to the root and floods the tree. The
+// trees are the host's relay tables, built by the relay refresh Vitis'
+// relay paths use.
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "baselines/rvr/multicast_tree.hpp"
 #include "core/overlay_system.hpp"
 
 namespace vitis::baselines::rvr {
@@ -39,47 +39,25 @@ class RvrSystem final : public core::OverlaySystem {
 
   // --- introspection -------------------------------------------------------
   [[nodiscard]] const RvrConfig& config() const { return config_; }
+  using OverlaySystem::relay_table;
   [[nodiscard]] bool is_tree_member(ids::NodeIndex node,
                                     ids::TopicIndex topic) const {
-    return trees_[node].is_relay_for(topic);
+    return relay_table(node).is_relay_for(topic);
   }
-  [[nodiscard]] std::vector<ids::NodeIndex> tree_links(
-      ids::NodeIndex node, ids::TopicIndex topic) const {
-    std::vector<ids::NodeIndex> peers;
-    for (const core::RelayTable::Link& link : trees_[node].links(topic)) {
-      peers.push_back(link.peer);
-    }
-    return peers;
-  }
-  [[nodiscard]] std::size_t tree_size_of(ids::TopicIndex topic) const {
-    return tree_size(trees_, topic);
-  }
+  /// Nodes holding tree state for `topic`, interior relays included.
+  [[nodiscard]] std::size_t tree_size_of(ids::TopicIndex topic) const;
 
  protected:
   void select_neighbors(ids::NodeIndex self,
                         std::span<const gossip::Descriptor> candidates,
                         overlay::RoutingTable& rt, sim::Rng& rng) override;
+  // Requests the staggered resubscriptions of this cycle.
   void maintenance_extra() override;
-  void on_leave(ids::NodeIndex node) override { trees_[node].clear(); }
-
-  /// kRelayLinks gauge: multicast-tree links held by alive nodes.
-  [[nodiscard]] std::size_t relay_link_count() const override {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < trees_.size(); ++i) {
-      if (is_alive(static_cast<ids::NodeIndex>(i))) {
-        total += trees_[i].link_count();
-      }
-    }
-    return total;
-  }
 
  private:
   struct TreeHops;  // the dissemination Net (defined in the .cpp)
 
-  void refresh_subscription(ids::NodeIndex node, ids::TopicIndex topic);
-
   RvrConfig config_;
-  std::vector<core::RelayTable> trees_;
 };
 
 }  // namespace vitis::baselines::rvr

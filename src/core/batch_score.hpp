@@ -5,8 +5,9 @@
 // subscription-set pointer per fingerprint and decides prefilter, memo
 // probe, and merge one candidate at a time. BatchScorer instead lays the
 // pool out as structure-of-arrays columns (fingerprints, SetIds; the same
-// layout discipline as core::NodeArena) so the three integer-exact
-// decisions run as SIMD passes over the whole pool (support/simd.hpp):
+// layout discipline as the host's per-node columns) so the three
+// integer-exact decisions run as SIMD passes over the whole pool
+// (support/simd.hpp):
 //
 //   1. one disjoint_mask pass computes every prefilter verdict (4
 //      fingerprints per AVX2 step);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 #include "core/utility.hpp"
 #include "ids/hash.hpp"
@@ -18,6 +20,7 @@ namespace {
 constexpr std::uint64_t kSaltSampling = 0x73616d706c65ULL;  // "sample"
 constexpr std::uint64_t kSaltTman = 0x746d616eULL;          // "tman"
 constexpr std::uint64_t kSaltHeartbeat = 0x6862656174ULL;   // "hbeat"
+constexpr std::uint64_t kSaltRelay = 0x72656c6179ULL;       // "relay"
 
 }  // namespace
 
@@ -91,8 +94,8 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
       "heartbeats", kSaltHeartbeat,
       [this](ids::NodeIndex node, std::size_t, sim::Rng&,
              std::size_t worker) { refresh_heartbeats(node, worker); });
-  // The adjacency rebuild and the system's maintenance (elections, tree
-  // refresh) have cross-node read-modify-write dependencies: a serial hook.
+  // The adjacency rebuild and the system's maintenance (elections, relay
+  // requests) have cross-node read-modify-write dependencies: a serial hook.
   engine_.add_cycle_hook("overlay-maintenance",
                          [this](std::size_t) { cycle_maintenance(); });
 
@@ -117,6 +120,35 @@ void OverlaySystem::start(bool start_online) {
     sampling_->init_node(
         node, random_alive_contacts(config_.bootstrap_contacts, node));
   }
+}
+
+void OverlaySystem::add_relay_refresh(std::uint32_t ttl,
+                                      std::uint32_t retransmit) {
+  VITIS_CHECK(relays_.empty());
+  relay_ttl_ = ttl;
+  relay_retransmit_ = retransmit;
+  // Each worker rebuilds the relay tables it owns from the records that
+  // name them. A topic's records all sit in one lane in requester order,
+  // and per-topic order is all a relay table depends on, so any worker
+  // count yields the serial result.
+  engine_.add_sharded_stage(
+      "relay-refresh", kSaltRelay,
+      [this](ids::NodeIndex node, std::size_t, sim::Rng&,
+             std::size_t worker) { refresh_relays(node, worker); },
+      [this](std::size_t, std::size_t worker, sim::NodeRange owned) {
+        apply_relay_installs(worker, owned);
+      },
+      [this](std::size_t) { relay_outbox_.clear(); });
+
+  const std::size_t n = tables_.size();
+  const std::size_t workers = engine_.run_jobs();
+  relays_.resize(n);
+  relay_outbox_.configure(workers);
+  relay_runs_.resize(subscriptions_.topic_count());
+  relay_slot_.assign(n, 0);
+  relay_apply_.resize(workers);
+  lookup_ctx_.resize(workers);
+  for (LookupCtx& ctx : lookup_ctx_) ctx.marks.resize(n);
 }
 
 void OverlaySystem::run_cycles(std::size_t cycles) { engine_.run(cycles); }
@@ -210,7 +242,9 @@ void OverlaySystem::add_candidate(std::size_t index, overlay::LinkKind kind) {
 // ---------------------------------------------------------------------------
 void OverlaySystem::cycle_maintenance() {
   rebuild_undirected();
+  relay_requests_.clear();
   maintenance_extra();
+  if (!relays_.empty()) group_relay_requests();
 }
 
 void OverlaySystem::refresh_heartbeats(ids::NodeIndex node,
@@ -292,6 +326,213 @@ void OverlaySystem::lookup_into(ids::NodeIndex origin, ids::RingId target,
       target, config_.lookup_hop_budget, result, marks);
 }
 
+// ---------------------------------------------------------------------------
+// Relay trees: Vitis' relay paths (§III-B) and RVR's multicast trees (§IV).
+// ---------------------------------------------------------------------------
+void OverlaySystem::group_relay_requests() {
+  // Relay work but no walk or table visit: timed without a call.
+  const std::int64_t start = support::monotonic_ns();
+  // Counting sort by topic. The requests arrive in ascending node order, so
+  // the stable placement keeps each topic's requesters ascending — the
+  // order in which a serial pass emits the topic's installs, which is all
+  // its relay tables depend on.
+  const std::size_t topics = subscriptions_.topic_count();
+  relay_topic_begin_.assign(topics + 1, 0);
+  for (const RelayRequest& request : relay_requests_) {
+    ++relay_topic_begin_[request.topic];
+  }
+  // After the prefix sum relay_topic_begin_[t] is the end of topic t's
+  // range (and [topics] the total); filling each range from its end, in
+  // reverse request order, leaves it at the range's start.
+  std::partial_sum(relay_topic_begin_.begin(), relay_topic_begin_.end(),
+                   relay_topic_begin_.begin());
+  relay_requesters_.resize(relay_requests_.size());
+  for (auto it = relay_requests_.rbegin(); it != relay_requests_.rend();
+       ++it) {
+    relay_requesters_[--relay_topic_begin_[it->topic]] = it->requester;
+  }
+
+  // One worker walks all of a topic's routes. Handing the topic to the
+  // requester closest to hash(t) spreads topics evenly over worker slices;
+  // requesters are alive, so the relay-refresh stage activates each of
+  // them.
+  relay_walks_.clear();
+  for (std::size_t t = 0; t < topics; ++t) {
+    const std::uint32_t begin = relay_topic_begin_[t];
+    const std::uint32_t end = relay_topic_begin_[t + 1];
+    if (begin == end) continue;
+    const auto topic = static_cast<ids::TopicIndex>(t);
+    const ids::RingId key = ids::topic_ring_id(topic);
+    ids::NodeIndex walker = relay_requesters_[begin];
+    for (std::uint32_t i = begin + 1; i < end; ++i) {
+      const ids::NodeIndex requester = relay_requesters_[i];
+      if (ids::closer_to(key, ring_ids_[requester], ring_ids_[walker])) {
+        walker = requester;
+      }
+    }
+    relay_walks_.push_back(RelayRequest{walker, topic});
+  }
+  std::sort(relay_walks_.begin(), relay_walks_.end(),
+            [](const RelayRequest& x, const RelayRequest& y) {
+              return x.requester != y.requester ? x.requester < y.requester
+                                                : x.topic < y.topic;
+            });
+  profiler_.add(support::Phase::kRelay,
+                static_cast<std::uint64_t>(support::monotonic_ns() - start),
+                0);
+}
+
+void OverlaySystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
+  // The topics this node walks (see group_relay_requests).
+  auto walk = std::lower_bound(
+      relay_walks_.begin(), relay_walks_.end(), node,
+      [](const RelayRequest& r, ids::NodeIndex n) { return r.requester < n; });
+  if (walk == relay_walks_.end() || walk->requester != node) return;
+
+  LookupCtx& ctx = lookup_ctx_[worker];
+  // Relay-hop admission under a fault plan draws and counts per hop, so a
+  // skipped suffix would change the fault counters: walk in full then.
+  overlay::RouteMarks* const marks = fault_active() ? nullptr : &ctx.marks;
+
+  std::vector<RelayInstall>& lane = relay_outbox_.lane(worker);
+  for (; walk != relay_walks_.end() && walk->requester == node; ++walk) {
+    const ids::TopicIndex topic = walk->topic;
+    const ids::RingId target = ids::topic_ring_id(topic);
+    const auto run_begin = static_cast<std::uint32_t>(lane.size());
+    ctx.marks.next_target();
+    for (std::uint32_t r = relay_topic_begin_[topic];
+         r < relay_topic_begin_[topic + 1]; ++r) {
+      const ids::NodeIndex requester = relay_requesters_[r];
+      const support::ScopedPhase phase(&profiler_, support::Phase::kRelay,
+                                       worker);
+      lookup_into(requester, target, ctx.result, marks, worker);
+      const overlay::LookupResult& result = ctx.result;
+      if (!result.converged || result.hops() == 0) continue;
+      histograms_.record(support::Channel::kRelayPathLength, result.hops(),
+                         worker);
+      const std::vector<ids::NodeIndex>& path = result.path;
+      const std::uint64_t nonce_base =
+          ids::mix64((static_cast<std::uint64_t>(requester) << 32) ^ topic);
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        // Setup messages travel hop by hop; a lost hop (after retransmits)
+        // truncates the path there — links before it are still emitted and
+        // will be refreshed or expire through the relay TTL.
+        if (!relay_hop_delivered(path[i], path[i + 1], nonce_base,
+                                 static_cast<std::uint32_t>(i))) {
+          break;
+        }
+        lane.push_back(RelayInstall{topic, path[i], path[i + 1]});
+      }
+      // Without a fault plan every install of the route was emitted (the
+      // walked ones above, the remainder by the earlier route), so later
+      // walks may end on its nodes.
+      if (marks != nullptr) marks->mark(result);
+    }
+    relay_runs_[topic] = InstallRun{static_cast<std::uint32_t>(worker),
+                                    run_begin,
+                                    static_cast<std::uint32_t>(lane.size())};
+  }
+}
+
+void OverlaySystem::apply_relay_installs(std::size_t worker,
+                                         sim::NodeRange owned) {
+  const std::int64_t bucket_start = support::monotonic_ns();
+  RelayApply& apply = relay_apply_[worker];
+  std::uint32_t total = 0;
+  relay_outbox_.for_each([&](const RelayInstall& install) {
+    if (owned.contains(install.a)) {
+      ++relay_slot_[install.a];
+      ++total;
+    }
+    if (owned.contains(install.b)) {
+      ++relay_slot_[install.b];
+      ++total;
+    }
+  });
+  // The alive nodes this worker owns are one run of the activation list;
+  // each one's bucket starts where the previous one's ends.
+  const std::span<const ids::NodeIndex> alive = engine_.active_nodes();
+  const auto first = std::lower_bound(alive.begin(), alive.end(), owned.begin);
+  const auto last = std::lower_bound(first, alive.end(), owned.end);
+  std::uint32_t offset = 0;
+  for (auto it = first; it != last; ++it) {
+    const std::uint32_t count = relay_slot_[*it];
+    relay_slot_[*it] = offset;
+    offset += count;
+  }
+  // Routes run over alive nodes only, and liveness is frozen during the
+  // stage, so every endpoint counted above has its bucket.
+  VITIS_CHECK(offset == total);
+  apply.installs.resize(total);
+  // Fill topic by topic, ascending: a topic's installs are one run of one
+  // lane, so every bucket comes out grouped by topic ascending, in arrival
+  // order within a topic — the order rebuild() takes.
+  const std::size_t topics = subscriptions_.topic_count();
+  for (std::size_t t = 0; t < topics; ++t) {
+    if (relay_topic_begin_[t] == relay_topic_begin_[t + 1]) continue;
+    const auto topic = static_cast<ids::TopicIndex>(t);
+    const InstallRun run = relay_runs_[t];
+    const std::vector<RelayInstall>& lane =
+        std::as_const(relay_outbox_).lane(run.lane);
+    for (std::uint32_t i = run.begin; i < run.end; ++i) {
+      const RelayInstall& install = lane[i];
+      if (owned.contains(install.a)) {
+        apply.installs[relay_slot_[install.a]++] = {topic, install.b};
+      }
+      if (owned.contains(install.b)) {
+        apply.installs[relay_slot_[install.b]++] = {topic, install.a};
+      }
+    }
+  }
+  // The bucketing is relay work but no table visit: time without a call.
+  profiler_.add(
+      support::Phase::kRelay,
+      static_cast<std::uint64_t>(support::monotonic_ns() - bucket_start), 0,
+      worker);
+
+  // Every alive owned node once, named by an install or not: its links
+  // age either way. One relay call per visit.
+  const std::span<const RelayTable::Install> installs(apply.installs);
+  std::uint32_t begin = 0;
+  for (auto it = first; it != last; ++it) {
+    const support::ScopedPhase phase(&profiler_, support::Phase::kRelay,
+                                     worker);
+    const std::uint32_t end = relay_slot_[*it];
+    relay_slot_[*it] = 0;
+    relays_[*it].rebuild(relay_ttl_, installs.subspan(begin, end - begin),
+                         apply.scratch);
+    begin = end;
+  }
+}
+
+bool OverlaySystem::relay_hop_delivered(ids::NodeIndex src, ids::NodeIndex dst,
+                                        std::uint64_t nonce_base,
+                                        std::uint32_t hop) const {
+  if (!fault_.active()) return true;
+  // Bounded retransmit-with-backoff, abstracted to attempts within the
+  // cycle (real backoff timing has no meaning at cycle granularity; the
+  // bound is what matters for the drop-survival probability). Explicit
+  // nonces keep each (hop, attempt) draw distinct and schedule-independent;
+  // 64 bounds attempts-per-hop, far above any sane relay_retransmit.
+  const std::uint32_t attempts = 1 + relay_retransmit_;
+  for (std::uint32_t a = 0; a < attempts; ++a) {
+    if (fault_.deliver(src, dst, sim::MessageKind::kRelay,
+                       nonce_base + std::uint64_t{hop} * 64 + a)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t OverlaySystem::relay_link_count() const {
+  std::size_t links = 0;
+  if (relays_.empty()) return links;
+  for (const ids::NodeIndex node : engine_.active_nodes()) {
+    links += relays_[node].link_count();
+  }
+  return links;
+}
+
 void OverlaySystem::gossip_step(ids::NodeIndex node) {
   VITIS_CHECK(engine_.is_alive(node));
   // Mirror one engine activation: the same counter-based forks the stages
@@ -324,8 +565,10 @@ std::size_t OverlaySystem::memory_footprint() const {
   for (const ids::NodeIndex node : undirected_touched_) {
     adjacency_links += undirected_[node].size();
   }
+  std::size_t relay_bytes = relays_.size() * sizeof(RelayTable);
+  for (const RelayTable& relay : relays_) relay_bytes += relay.memory_bytes();
   const std::size_t n = tables_.size();
-  return n * rt_capacity_ * sizeof(overlay::RoutingEntry) +
+  return n * rt_capacity_ * sizeof(overlay::RoutingEntry) + relay_bytes +
          n * (sizeof(overlay::RoutingTable) + sizeof(ids::RingId) +
               sizeof(std::uint32_t) + sizeof(pubsub::SetId)) +
          sampling_->memory_bytes() +
@@ -424,6 +667,7 @@ void OverlaySystem::node_join(ids::NodeIndex node) {
   if (engine_.is_alive(node)) return;
   engine_.set_alive(node, true);
   tables_[node].clear();
+  if (!relays_.empty()) relays_[node].clear();
   join_cycles_[node] = static_cast<std::uint32_t>(engine_.cycle());
   on_join(node);
   sampling_->init_node(node,
@@ -435,6 +679,7 @@ void OverlaySystem::node_leave(ids::NodeIndex node) {
   if (!engine_.is_alive(node)) return;
   engine_.set_alive(node, false);
   tables_[node].clear();
+  if (!relays_.empty()) relays_[node].clear();
   sampling_->remove_node(node);
   on_leave(node);
 }

@@ -10,12 +10,15 @@
 //   * the one copy of each node's subscriptions: the subscription table
 //     plus each node's interned SetId;
 //   * the per-cycle undirected adjacency and greedy lookups;
+//   * the relay trees of Vitis' relay paths and RVR's multicast trees: one
+//     relay table per node, the relay-refresh stage that walks the
+//     requested routes and the one-pass table rebuild;
 //   * churn, crashes and the fault plan;
 //   * the flight recorder, profiler, histograms and dissemination loop.
 //
 // A system derives from it and supplies its neighbor-selection policy, its
-// per-cycle maintenance and its dissemination next hops, plus hooks for its
-// own per-node state.
+// per-cycle maintenance (which requests relay walks) and its dissemination
+// next hops, plus hooks for its own per-node state.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +29,7 @@
 #include "analysis/graph.hpp"
 #include "analysis/health.hpp"
 #include "core/config.hpp"
+#include "core/relay.hpp"
 #include "gossip/peer_sampling.hpp"
 #include "gossip/tman.hpp"
 #include "overlay/greedy_routing.hpp"
@@ -35,6 +39,8 @@
 #include "pubsub/system.hpp"
 #include "sim/cycle_engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/outbox.hpp"
+#include "support/check.hpp"
 
 namespace vitis::core {
 
@@ -143,12 +149,13 @@ class OverlaySystem : public pubsub::PubSubSystem {
   [[nodiscard]] analysis::Graph overlay_snapshot() const;
 
   /// Deterministic logical footprint of the per-node protocol state in
-  /// bytes: the routing slab, the per-node columns, the sampling views, the
-  /// undirected adjacency and the dissemination stamps, plus the system's
-  /// own state through extra_memory_bytes(). Live sizes and fixed slab
-  /// capacities only (never vector::capacity()), so it is a pure function
-  /// of (seed, scale) — safe for stdout; the OS-level peak_rss_bytes gauge
-  /// in the bench artifact is the telemetry-side counterpart.
+  /// bytes: the routing slab, the per-node columns, the relay tables, the
+  /// sampling views, the undirected adjacency and the dissemination stamps,
+  /// plus the system's own state through extra_memory_bytes(). Live sizes
+  /// and fixed slab capacities only (never vector::capacity()), so it is a
+  /// pure function of (seed, scale) — safe for stdout; the OS-level
+  /// peak_rss_bytes gauge in the bench artifact is the telemetry-side
+  /// counterpart.
   [[nodiscard]] std::size_t memory_footprint() const override;
 
   /// Maintenance throughput over the wall time spent inside run_cycles()
@@ -181,6 +188,32 @@ class OverlaySystem : public pubsub::PubSubSystem {
   /// through node_join()).
   void start(bool start_online);
 
+  // --- relay trees ---------------------------------------------------------
+  /// Registers the relay-refresh stage right after the maintenance hook
+  /// (call from the constructor, before start()). Each cycle it walks the
+  /// routes request_relay() queued, links both ends of every hop for the
+  /// topic and ages every alive node's relay table once: a link expires
+  /// `ttl` rounds after its last refresh, and a lost setup hop is retried
+  /// `retransmit` times.
+  void add_relay_refresh(std::uint32_t ttl, std::uint32_t retransmit);
+
+  /// Queue a walk for this cycle's relay refresh: `node` routes greedily
+  /// toward hash(topic) and every hop of a converged route is linked for
+  /// the topic. Called from maintenance_extra() in ascending (node, topic)
+  /// order.
+  void request_relay(ids::NodeIndex node, ids::TopicIndex topic) {
+    VITIS_DCHECK(relay_requests_.empty() ||
+                 relay_requests_.back().requester < node ||
+                 (relay_requests_.back().requester == node &&
+                  relay_requests_.back().topic < topic));
+    relay_requests_.push_back(RelayRequest{node, topic});
+  }
+
+  /// `node`'s relay table (systems that called add_relay_refresh() only).
+  [[nodiscard]] const RelayTable& relay_table(ids::NodeIndex node) const {
+    return relays_[node];
+  }
+
   // --- system hooks ----------------------------------------------------------
   /// Neighbor-selection policy, called from T-Man's serial merge. `rng` is
   /// the calling exchange's deterministic stream; policies that draw
@@ -190,7 +223,8 @@ class OverlaySystem : public pubsub::PubSubSystem {
       overlay::RoutingTable& table, sim::Rng& rng) = 0;
 
   /// Per-cycle maintenance after the adjacency rebuild, in the serial
-  /// maintenance hook (Vitis' election sweep, RVR's tree refresh).
+  /// maintenance hook (Vitis' election sweep, RVR's staggered
+  /// resubscriptions); it queues the cycle's relay walks.
   virtual void maintenance_extra() {}
 
   /// System-specific invariant monitors per alive node, after the shared
@@ -199,14 +233,11 @@ class OverlaySystem : public pubsub::PubSubSystem {
     (void)node;
   }
 
-  /// Hooks for system state on churn. on_join runs before the sampling
-  /// view is seeded.
+  /// Hooks for system state on churn, after the host cleared the node's
+  /// routing and relay tables. on_join runs before the sampling view is
+  /// seeded.
   virtual void on_join(ids::NodeIndex node) { (void)node; }
   virtual void on_leave(ids::NodeIndex node) { (void)node; }
-
-  /// Relay-state size for the kRelayLinks gauge (relay links for Vitis,
-  /// multicast-tree links for RVR; OPT keeps no relay state).
-  [[nodiscard]] virtual std::size_t relay_link_count() const { return 0; }
 
   /// The system's pairwise-score memo, whose stats feed the utility-cache
   /// counters and hit-rate gauge; nullptr (the default) leaves the counters
@@ -262,7 +293,7 @@ class OverlaySystem : public pubsub::PubSubSystem {
     }
   };
 
-  /// The one route walk (lookup(), Vitis' relay refresh): a greedy lookup
+  /// The one route walk (lookup(), the relay refresh): a greedy lookup
   /// over the live routing tables into `result`, timed as one `routing`
   /// call on `worker`'s profiler lane. With `marks` the walk ends at the
   /// first node whose remaining route it marks.
@@ -304,6 +335,35 @@ class OverlaySystem : public pubsub::PubSubSystem {
  private:
   void cycle_maintenance();
   void check_invariants() const;
+  [[nodiscard]] std::size_t relay_link_count() const;
+
+  // Counting-sort the cycle's relay requests by topic (requesters ascending
+  // within a topic) and hand each topic to the requester whose ring id is
+  // closest to hash(t), which walks all of the topic's routes.
+  void group_relay_requests();
+
+  // Stage body: walk the relay routes of every topic handed to `node` —
+  // greedy lookups over frozen routing state plus counter-based fault
+  // admission, requesters ascending — emitting each topic's link installs
+  // as one run of the worker's outbox lane. Without a fault plan a walk
+  // ends where it meets an earlier route of the same topic (see DESIGN.md
+  // "One relay tree per topic per cycle").
+  void refresh_relays(ids::NodeIndex node, std::size_t worker);
+
+  // The stage's sharded merge: bucket the cycle's install endpoints that
+  // `worker` owns by owner, topics ascending, then rebuild the relay table
+  // of every alive node it owns once — aging it and applying its installs
+  // in one pass (RelayTable::rebuild).
+  void apply_relay_installs(std::size_t worker, sim::NodeRange owned);
+
+  // One relay-setup hop under the fault plan, with relay_retransmit_ extra
+  // attempts. Always true without an active plan. `nonce_base`/`hop` key
+  // the admission draws (explicit counter nonces — this runs inside a
+  // parallel stage).
+  [[nodiscard]] bool relay_hop_delivered(ids::NodeIndex src,
+                                         ids::NodeIndex dst,
+                                         std::uint64_t nonce_base,
+                                         std::uint32_t hop) const;
   void refresh_heartbeats(ids::NodeIndex node, std::size_t worker);
   void rebuild_undirected();
 
@@ -359,7 +419,66 @@ class OverlaySystem : public pubsub::PubSubSystem {
   std::vector<std::vector<ids::NodeIndex>> undirected_;
   std::vector<ids::NodeIndex> undirected_touched_;
 
-  // Scratch buffers, reused to keep the hot paths allocation-free.
+  // Relay trees: one table per node, empty unless add_relay_refresh() ran.
+  std::vector<RelayTable> relays_;
+  std::uint32_t relay_ttl_ = 0;
+  std::uint32_t relay_retransmit_ = 0;
+
+  // Relay refresh: the maintenance appends the cycle's requests, ascending
+  // (requester, topic). group_relay_requests() lays each topic's requesters
+  // out contiguously (ascending) and lists every topic under the requester
+  // that walks it; the relay-refresh stage binary-searches its node's
+  // walks, emitting link installs through per-worker lanes. A topic's
+  // installs therefore form one run of one lane, in the order a serial pass
+  // would emit them.
+  struct RelayRequest {
+    ids::NodeIndex requester;
+    ids::TopicIndex topic;
+  };
+  struct RelayInstall {
+    ids::TopicIndex topic;
+    ids::NodeIndex a;
+    ids::NodeIndex b;
+  };
+  std::vector<RelayRequest> relay_requests_;
+  // Topic t's requesters are relay_requesters_[relay_topic_begin_[t],
+  // relay_topic_begin_[t + 1]).
+  std::vector<ids::NodeIndex> relay_requesters_;
+  std::vector<std::uint32_t> relay_topic_begin_;
+  // (walking requester, topic), ascending.
+  std::vector<RelayRequest> relay_walks_;
+  sim::Outbox<RelayInstall> relay_outbox_;
+  // Where topic t's installs of this cycle sit: records [begin, end) of
+  // lane `lane` (valid for the topics walked this cycle).
+  struct InstallRun {
+    std::uint32_t lane = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<InstallRun> relay_runs_;
+  // The apply's counting sort, per node: the number of endpoints the node
+  // owns, then its bucket offset. Zero between cycles; each worker writes
+  // only the nodes it owns.
+  std::vector<std::uint32_t> relay_slot_;
+  // Per-worker apply buffers: `installs` holds the buckets of the worker's
+  // owners back to back. Cache-line aligned, so workers never share a line
+  // of them.
+  struct alignas(64) RelayApply {
+    std::vector<RelayTable::Install> installs;
+    RelayTable::Scratch scratch;
+  };
+  std::vector<RelayApply> relay_apply_;
+  // Per-worker buffers for the relay-refresh stage (lookup_result_ serves
+  // serial callers only). `marks` holds the remaining route lengths of the
+  // fully installed routes of the topic being walked.
+  struct LookupCtx {
+    overlay::LookupResult result;
+    overlay::RouteMarks marks;
+  };
+  std::vector<LookupCtx> lookup_ctx_;
+
+  // Scratch buffers, reused to keep the hot paths allocation-free; like
+  // the relay refresh's, memory_footprint() leaves them out.
   mutable overlay::LookupResult lookup_result_;  // lookup() buffer
   std::vector<gossip::Descriptor> select_buffer_;
   std::vector<overlay::RoutingEntry> selected_;

@@ -6,6 +6,22 @@
 
 namespace vitis::core {
 
+namespace {
+
+// Copy `count` items into `out`. When it must grow, it grows to a
+// sixteenth more than the need: a table whose size wanders above its
+// previous high (RVR's trees) then reallocates rarely instead of at every
+// new high, and no capacity exceeds its table's largest size by more than
+// a sixteenth.
+template <typename T>
+void assign_with_headroom(std::vector<T>& out, const T* first,
+                          std::size_t count) {
+  if (count > out.capacity()) out.reserve(count + count / 16);
+  out.assign(first, first + count);
+}
+
+}  // namespace
+
 std::size_t RelayTable::lower_bound(ids::TopicIndex topic) const {
   const auto it = std::lower_bound(
       segments_.begin(), segments_.end(), topic,
@@ -146,8 +162,8 @@ void RelayTable::rebuild(std::uint32_t ttl, std::span<const Install> installs,
     out_segment[segments++] = Segment{topic, begin, links - begin};
   }
   for (; segment != segment_end; ++segment) age_alone(*segment);
-  segments_.assign(out_segment, out_segment + segments);
-  links_.assign(out, out + links);
+  assign_with_headroom(segments_, out_segment, segments);
+  assign_with_headroom(links_, out, links);
 }
 
 }  // namespace vitis::core

@@ -3,7 +3,9 @@
 // topic, the adjacent nodes on relay paths (toward gateways and toward the
 // rendezvous alike — the union of paths is an undirected tree rooted at the
 // rendezvous node). Links age out unless a gateway's periodic lookup
-// refreshes them, which is how departed relays are pruned.
+// refreshes them, which is how departed relays are pruned. RVR's Scribe
+// multicast trees (§IV) are the same structure, grown by subscribers'
+// routes.
 //
 // Layout: a flat segment index (sorted by topic) over one contiguous link
 // array, in segment order. Lookups binary-search the segments, and links()
@@ -15,10 +17,11 @@
 // Tables are not small: on a 3,000-node uniform workload a node holds
 // about 250 links in about 100 topic segments, and each cycle about 40
 // links arrive and 35 expire. Every table is therefore restructured every
-// cycle, so Vitis maintains it with rebuild(): one merge of the segments
-// with the cycle's installs that also ages the links, O(table + installs).
-// add_link() costs O(table) per inserted link (the array shifts); RVR's
-// trees and the tests use it.
+// cycle, so the host's relay refresh maintains it with rebuild(): one merge
+// of the segments with the cycle's installs that also ages the links,
+// O(table + installs). add_link() costs O(table) per inserted link (the
+// array shifts); it stays only as the tests' reference: RelayRebuild.* and
+// the serial relay-refresh replays compare rebuild() against it.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +51,8 @@ class RelayTable {
     ids::NodeIndex peer;
   };
 
-  /// Add (or refresh) a relay link to `peer` for `topic`.
+  /// Add (or refresh) a relay link to `peer` for `topic` (test reference
+  /// for rebuild(), see above).
   void add_link(ids::TopicIndex topic, ids::NodeIndex peer);
 
   /// Relay links for a topic, in insertion order (empty when not a relay

@@ -1,7 +1,6 @@
 #include "core/vitis_system.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "ids/hash.hpp"
@@ -10,22 +9,13 @@
 
 namespace vitis::core {
 
-namespace {
-
-// RNG salt of the relay-refresh stage's per-(node, cycle) forks (the
-// host's stages use their own).
-constexpr std::uint64_t kSaltRelay = 0x72656c6179ULL;  // "relay"
-
-}  // namespace
-
 VitisSystem::VitisSystem(VitisConfig config,
                          pubsub::SubscriptionTable subscriptions,
                          std::vector<double> rates, std::uint64_t seed,
                          bool start_online)
     : OverlaySystem(config, std::move(subscriptions), seed),
       config_(config),
-      utility_(rates),
-      arena_(node_count()) {
+      utility_(rates) {
   config_.validate();
   VITIS_CHECK(rates.size() == this->subscriptions().topic_count());
 
@@ -38,35 +28,15 @@ VitisSystem::VitisSystem(VitisConfig config,
   }
 
   const std::size_t n = node_count();
+  profiles_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto node = static_cast<ids::NodeIndex>(i);
-    Profile profile(this->subscriptions().of(node).size());
-    profile.reset_proposals(node, ring_id(node));
-    arena_.init_node(node, std::move(profile));
+    profiles_.emplace_back(this->subscriptions().of(node).size())
+        .reset_proposals(node, ring_id(node));
   }
-
-  // Each worker rebuilds the relay tables it owns from the records that
-  // name them. A topic's records all sit in one lane in gateway order, and
-  // per-topic order is all a relay table depends on, so any worker count
-  // yields the serial result.
-  engine().add_sharded_stage(
-      "relay-refresh", kSaltRelay,
-      [this](ids::NodeIndex node, std::size_t, sim::Rng&,
-             std::size_t worker) { refresh_relays(node, worker); },
-      [this](std::size_t, std::size_t worker, sim::NodeRange owned) {
-        apply_relay_installs(worker, owned);
-      },
-      [this](std::size_t) { relay_outbox_.clear(); });
+  add_relay_refresh(config_.relay_ttl, config_.relay_retransmit);
 
   const std::size_t topics = this->subscriptions().topic_count();
-  const std::size_t workers = run_jobs();
-  relay_outbox_.configure(workers);
-  relay_runs_.resize(topics);
-  relay_slot_.assign(n, 0);
-  relay_apply_.resize(workers);
-  lookup_ctx_.resize(workers);
-  for (LookupCtx& ctx : lookup_ctx_) ctx.marks.resize(n);
-
   topic_stamp_.assign(topics, 0);
   topic_pos_.assign(topics, 0);
   neighbor_mark_.assign(n, 0);
@@ -74,8 +44,7 @@ VitisSystem::VitisSystem(VitisConfig config,
   if (config_.gateway_silence_limit > 0) {
     silence_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      silence_[i].assign(arena_.profile(static_cast<ids::NodeIndex>(i)).size(),
-                         TopicSilence{});
+      silence_[i].assign(profiles_[i].size(), TopicSilence{});
     }
   }
 
@@ -153,10 +122,9 @@ void VitisSystem::select_neighbors(
 }
 
 // ---------------------------------------------------------------------------
-// Per-cycle maintenance: gateway election, relay refresh.
+// Per-cycle maintenance: gateway election.
 // ---------------------------------------------------------------------------
 void VitisSystem::maintenance_extra() {
-  relay_requests_.clear();
   // Attributed per cycle, not per node: one election sweep is one phase
   // activation (profiling found it to be the largest unattributed slice
   // of figure-bench wall — see DESIGN.md "Hot path & determinism").
@@ -164,54 +132,6 @@ void VitisSystem::maintenance_extra() {
   for (const ids::NodeIndex node : engine().active_nodes()) {
     run_election(node);
   }
-  group_relay_requests();
-}
-
-void VitisSystem::group_relay_requests() {
-  // Counting sort by topic. The sweep ran in ascending node order, so the
-  // stable placement keeps each topic's gateways ascending — the order in
-  // which a serial pass emits the topic's installs, which is all its relay
-  // tables depend on.
-  const std::size_t topics = subscriptions().topic_count();
-  relay_topic_begin_.assign(topics + 1, 0);
-  for (const RelayRequest& request : relay_requests_) {
-    ++relay_topic_begin_[request.topic];
-  }
-  // After the prefix sum relay_topic_begin_[t] is the end of topic t's
-  // range (and [topics] the total); filling each range from its end, in
-  // reverse sweep order, leaves it at the range's start.
-  std::partial_sum(relay_topic_begin_.begin(), relay_topic_begin_.end(),
-                   relay_topic_begin_.begin());
-  relay_gateways_.resize(relay_requests_.size());
-  for (auto it = relay_requests_.rbegin(); it != relay_requests_.rend();
-       ++it) {
-    relay_gateways_[--relay_topic_begin_[it->topic]] = it->gateway;
-  }
-
-  // One worker walks all of a topic's routes. Handing the topic to the
-  // gateway closest to hash(t) spreads topics evenly over worker slices;
-  // gateways are alive, so the relay-refresh stage activates each of them.
-  relay_walks_.clear();
-  for (std::size_t t = 0; t < topics; ++t) {
-    const std::uint32_t begin = relay_topic_begin_[t];
-    const std::uint32_t end = relay_topic_begin_[t + 1];
-    if (begin == end) continue;
-    const auto topic = static_cast<ids::TopicIndex>(t);
-    const ids::RingId key = ids::topic_ring_id(topic);
-    ids::NodeIndex walker = relay_gateways_[begin];
-    for (std::uint32_t i = begin + 1; i < end; ++i) {
-      const ids::NodeIndex gateway = relay_gateways_[i];
-      if (ids::closer_to(key, ring_id(gateway), ring_id(walker))) {
-        walker = gateway;
-      }
-    }
-    relay_walks_.push_back(RelayRequest{walker, topic});
-  }
-  std::sort(relay_walks_.begin(), relay_walks_.end(),
-            [](const RelayRequest& x, const RelayRequest& y) {
-              return x.gateway != y.gateway ? x.gateway < y.gateway
-                                            : x.topic < y.topic;
-            });
 }
 
 void VitisSystem::run_election(ids::NodeIndex node) {
@@ -256,7 +176,7 @@ void VitisSystem::run_election(ids::NodeIndex node) {
                                       their_subs.fingerprint())) {
       continue;
     }
-    const Profile& their_profile = arena_.profile(neighbor);
+    const Profile& their_profile = profiles_[neighbor];
     const auto their_topics = their_subs.topics();
     if (shared_pos_.size() < their_topics.size()) {
       shared_pos_.resize(their_topics.size());
@@ -292,7 +212,7 @@ void VitisSystem::run_election(ids::NodeIndex node) {
     }
   }
 
-  Profile& my_profile = arena_.profile(node);
+  Profile& my_profile = profiles_[node];
   for (std::size_t i = 0; i < my_topics.size(); ++i) {
     const GatewayProposal previous = my_profile.proposal_at(i);
     my_profile.set_proposal_at(i, ballots_[i].proposal);
@@ -302,14 +222,14 @@ void VitisSystem::run_election(ids::NodeIndex node) {
     if (is_self_gateway(node, my_profile.proposal_at(i))) {
       // Algorithm 5 lines 20-22, deferred: the relay-refresh stage serves
       // the requests after the sweep (lookups over stable routing state).
-      relay_requests_.push_back(RelayRequest{node, my_topics[i]});
+      request_relay(node, my_topics[i]);
     }
   }
 }
 
 void VitisSystem::apply_gateway_silence(ids::NodeIndex node, std::size_t pos,
                                         const GatewayProposal& previous) {
-  Profile& profile = arena_.profile(node);
+  Profile& profile = profiles_[node];
   TopicSilence& ts = silence_[node][pos];
   if (ts.ban_ttl > 0 && --ts.ban_ttl == 0) ts.banned = ids::kInvalidNode;
   const GatewayProposal current = profile.proposal_at(pos);
@@ -334,170 +254,21 @@ void VitisSystem::apply_gateway_silence(ids::NodeIndex node, std::size_t pos,
   profile.set_proposal_at(pos, GatewayProposal{node, ring_id(node), node, 0});
 }
 
-void VitisSystem::refresh_relays(ids::NodeIndex node, std::size_t worker) {
-  // The topics this node walks (see group_relay_requests).
-  auto walk = std::lower_bound(
-      relay_walks_.begin(), relay_walks_.end(), node,
-      [](const RelayRequest& r, ids::NodeIndex n) { return r.gateway < n; });
-  if (walk == relay_walks_.end() || walk->gateway != node) return;
-
-  LookupCtx& ctx = lookup_ctx_[worker];
-  // Relay-hop admission under a fault plan draws and counts per hop, so a
-  // skipped suffix would change the fault counters: walk in full then.
-  overlay::RouteMarks* const marks = fault_active() ? nullptr : &ctx.marks;
-
-  std::vector<RelayInstall>& lane = relay_outbox_.lane(worker);
-  for (; walk != relay_walks_.end() && walk->gateway == node; ++walk) {
-    const ids::TopicIndex topic = walk->topic;
-    const ids::RingId target = ids::topic_ring_id(topic);
-    const auto run_begin = static_cast<std::uint32_t>(lane.size());
-    ctx.marks.next_target();
-    for (std::uint32_t g = relay_topic_begin_[topic];
-         g < relay_topic_begin_[topic + 1]; ++g) {
-      const ids::NodeIndex gateway = relay_gateways_[g];
-      const support::ScopedPhase phase(&profiler_mut(),
-                                       support::Phase::kRelay, worker);
-      lookup_into(gateway, target, ctx.result, marks, worker);
-      const overlay::LookupResult& result = ctx.result;
-      if (!result.converged || result.hops() == 0) continue;
-      histograms_mut().record(support::Channel::kRelayPathLength,
-                              result.hops(), worker);
-      const std::vector<ids::NodeIndex>& path = result.path;
-      const std::uint64_t nonce_base =
-          ids::mix64((static_cast<std::uint64_t>(gateway) << 32) ^ topic);
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        // Setup messages travel hop by hop; a lost hop (after retransmits)
-        // truncates the path there — links before it are still emitted and
-        // will be refreshed or expire through the relay TTL.
-        if (!relay_hop_delivered(path[i], path[i + 1], nonce_base,
-                                 static_cast<std::uint32_t>(i))) {
-          break;
-        }
-        lane.push_back(RelayInstall{topic, path[i], path[i + 1]});
-      }
-      // Without a fault plan every install of the route was emitted (the
-      // walked ones above, the remainder by the earlier route), so later
-      // walks may end on its nodes.
-      if (marks != nullptr) marks->mark(result);
-    }
-    relay_runs_[topic] = InstallRun{static_cast<std::uint32_t>(worker),
-                                    run_begin,
-                                    static_cast<std::uint32_t>(lane.size())};
-  }
-}
-
-void VitisSystem::apply_relay_installs(std::size_t worker,
-                                       sim::NodeRange owned) {
-  const std::int64_t bucket_start = support::monotonic_ns();
-  RelayApply& apply = relay_apply_[worker];
-  std::uint32_t total = 0;
-  relay_outbox_.for_each([&](const RelayInstall& install) {
-    if (owned.contains(install.a)) {
-      ++relay_slot_[install.a];
-      ++total;
-    }
-    if (owned.contains(install.b)) {
-      ++relay_slot_[install.b];
-      ++total;
-    }
-  });
-  // The alive nodes this worker owns are one run of the activation list;
-  // each one's bucket starts where the previous one's ends.
-  const std::span<const ids::NodeIndex> alive = engine().active_nodes();
-  const auto first = std::lower_bound(alive.begin(), alive.end(), owned.begin);
-  const auto last = std::lower_bound(first, alive.end(), owned.end);
-  std::uint32_t offset = 0;
-  for (auto it = first; it != last; ++it) {
-    const std::uint32_t count = relay_slot_[*it];
-    relay_slot_[*it] = offset;
-    offset += count;
-  }
-  // Routes run over alive nodes only, and liveness is frozen during the
-  // stage, so every endpoint counted above has its bucket.
-  VITIS_CHECK(offset == total);
-  apply.installs.resize(total);
-  // Fill topic by topic, ascending: a topic's installs are one run of one
-  // lane, so every bucket comes out grouped by topic ascending, in arrival
-  // order within a topic — the order rebuild() takes.
-  const std::size_t topics = subscriptions().topic_count();
-  for (std::size_t t = 0; t < topics; ++t) {
-    if (relay_topic_begin_[t] == relay_topic_begin_[t + 1]) continue;
-    const auto topic = static_cast<ids::TopicIndex>(t);
-    const InstallRun run = relay_runs_[t];
-    const std::vector<RelayInstall>& lane =
-        std::as_const(relay_outbox_).lane(run.lane);
-    for (std::uint32_t i = run.begin; i < run.end; ++i) {
-      const RelayInstall& install = lane[i];
-      if (owned.contains(install.a)) {
-        apply.installs[relay_slot_[install.a]++] = {topic, install.b};
-      }
-      if (owned.contains(install.b)) {
-        apply.installs[relay_slot_[install.b]++] = {topic, install.a};
-      }
-    }
-  }
-  // The bucketing is relay work but no table visit: time without a call.
-  profiler_mut().add(
-      support::Phase::kRelay,
-      static_cast<std::uint64_t>(support::monotonic_ns() - bucket_start), 0,
-      worker);
-
-  // Every alive owned node once, named by an install or not: its links
-  // age either way. One relay call per visit.
-  const std::span<const RelayTable::Install> installs(apply.installs);
-  std::uint32_t begin = 0;
-  for (auto it = first; it != last; ++it) {
-    const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRelay,
-                                     worker);
-    const std::uint32_t end = relay_slot_[*it];
-    relay_slot_[*it] = 0;
-    arena_.relay(*it).rebuild(config_.relay_ttl,
-                              installs.subspan(begin, end - begin),
-                              apply.scratch);
-    begin = end;
-  }
-}
-
-bool VitisSystem::relay_hop_delivered(ids::NodeIndex src, ids::NodeIndex dst,
-                                      std::uint64_t nonce_base,
-                                      std::uint32_t hop) const {
-  if (!fault_active()) return true;
-  // Bounded retransmit-with-backoff, abstracted to attempts within the
-  // cycle (real backoff timing has no meaning at cycle granularity; the
-  // bound is what matters for the drop-survival probability). Explicit
-  // nonces keep each (hop, attempt) draw distinct and schedule-independent;
-  // 64 bounds attempts-per-hop, far above any sane relay_retransmit.
-  const std::uint32_t attempts = 1 + config_.relay_retransmit;
-  for (std::uint32_t a = 0; a < attempts; ++a) {
-    if (fault_plan().deliver(src, dst, sim::MessageKind::kRelay,
-                             nonce_base + std::uint64_t{hop} * 64 + a)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
-// Host hooks: invariants, gauges, counters, footprint.
+// Host hooks: invariants, footprint.
 // ---------------------------------------------------------------------------
 void VitisSystem::check_node_invariants(ids::NodeIndex node) const {
-  const Profile& profile = arena_.profile(node);
+  const Profile& profile = profiles_[node];
   for (std::size_t t = 0; t < profile.size(); ++t) {
     VITIS_CHECK(analysis::gateway_depth_bounded(profile.proposal_at(t).hops,
                                                 config_.gateway_depth));
   }
 }
 
-std::size_t VitisSystem::relay_link_count() const {
-  std::size_t links = 0;
-  for (const ids::NodeIndex node : engine().active_nodes()) {
-    links += arena_.relay(node).link_count();
-  }
-  return links;
-}
-
 std::size_t VitisSystem::extra_memory_bytes() const {
-  return arena_.memory_bytes() + topic_stamp_.size() * sizeof(std::uint32_t) +
+  std::size_t bytes = profiles_.size() * sizeof(Profile);
+  for (const Profile& profile : profiles_) bytes += profile.memory_bytes();
+  return bytes + topic_stamp_.size() * sizeof(std::uint32_t) +
          topic_pos_.size() * sizeof(std::size_t);
 }
 
@@ -520,7 +291,7 @@ struct VitisSystem::Hops : FaultAdmission {
     // list; a peer that is also a subscribed neighbour is sent to once.
     std::vector<ids::NodeIndex>& relays = vitis.relay_peers_;
     relays.clear();
-    for (const auto& link : vitis.arena_.relay(node).links(topic)) {
+    for (const auto& link : vitis.relay_table(node).links(topic)) {
       if (vitis.is_alive(link.peer)) relays.push_back(link.peer);
     }
     std::sort(relays.begin(), relays.end());
@@ -561,7 +332,7 @@ pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
   // A publisher outside any cluster of the topic (not subscribed, not a
   // relay) hands the event to the rendezvous node by greedy routing first.
   if (!flood.interested(publisher) &&
-      !arena_.relay(publisher).is_relay_for(topic)) {
+      !relay_table(publisher).is_relay_for(topic)) {
     const ids::RingId target = ids::topic_ring_id(topic);
     // The host's lookup buffer, which a successor detour refills.
     const overlay::LookupResult* route = &lookup(publisher, target);
@@ -605,14 +376,14 @@ pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
 // Churn (§III-D).
 // ---------------------------------------------------------------------------
 void VitisSystem::on_join(ids::NodeIndex node) {
-  arena_.reset_overlay_state(node, ring_id(node));
+  profiles_[node].reset_proposals(node, ring_id(node));
   // A rejoining node may come back with a different subscription set (it
   // can subscribe or unsubscribe while offline); refresh its canonical id.
   reintern(node);
 }
 
 void VitisSystem::on_leave(ids::NodeIndex node) {
-  arena_.reset_overlay_state(node, ring_id(node));
+  profiles_[node].reset_proposals(node, ring_id(node));
 }
 
 // ---------------------------------------------------------------------------
@@ -658,7 +429,7 @@ bool VitisSystem::subscribe(ids::NodeIndex node, ids::TopicIndex topic) {
   // The new topic starts from the self-proposal at its sorted position.
   const auto position = subscriptions().of(node).position(topic);
   VITIS_CHECK(position.has_value());
-  arena_.profile(node).insert_proposal(
+  profiles_[node].insert_proposal(
       *position, GatewayProposal{node, ring_id(node), node, 0});
   reintern(node);
   return true;
@@ -669,7 +440,7 @@ bool VitisSystem::unsubscribe(ids::NodeIndex node, ids::TopicIndex topic) {
   const auto position = subscriptions().of(node).position(topic);
   if (!subscriptions_mut().unsubscribe(node, topic)) return false;
   VITIS_CHECK(position.has_value());
-  arena_.profile(node).erase_proposal(*position);
+  profiles_[node].erase_proposal(*position);
   reintern(node);
   return true;
 }
@@ -691,7 +462,7 @@ std::optional<GatewayProposal> VitisSystem::proposal(
     ids::NodeIndex node, ids::TopicIndex topic) const {
   const auto position = subscriptions().of(node).position(topic);
   if (!position.has_value()) return std::nullopt;
-  return arena_.profile(node).proposal_at(*position);
+  return profiles_[node].proposal_at(*position);
 }
 
 bool VitisSystem::is_gateway(ids::NodeIndex node, ids::TopicIndex topic) const {

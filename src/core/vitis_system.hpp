@@ -6,8 +6,7 @@
 //     (ring links + Symphony small-world links + utility-ranked friends);
 //   * profile exchange ages heartbeats, runs the Algorithm 5 gateway
 //     election, and lets elected gateways establish relay paths by greedy
-//     lookup toward hash(t); each relay table is then aged and updated in
-//     one pass per cycle (§III-B);
+//     lookup toward hash(t) on the host's relay refresh (§III-B);
 //   * publish() disseminates an event by flooding inside clusters and
 //     forwarding along relay trees (§III-C), collecting the paper's three
 //     metrics.
@@ -25,11 +24,10 @@
 #include "core/batch_score.hpp"
 #include "core/config.hpp"
 #include "core/gateway.hpp"
-#include "core/node_arena.hpp"
 #include "core/overlay_system.hpp"
+#include "core/profile.hpp"
 #include "core/utility.hpp"
 #include "sim/coordinates.hpp"
-#include "sim/outbox.hpp"
 
 namespace vitis::core {
 
@@ -69,17 +67,14 @@ class VitisSystem final : public OverlaySystem {
 
   // --- introspection (tests, benches, analysis) ----------------------------
   [[nodiscard]] const VitisConfig& config() const { return config_; }
-  [[nodiscard]] const RelayTable& relay_table(ids::NodeIndex node) const {
-    return arena_.relay(node);
-  }
+  using OverlaySystem::relay_table;
   [[nodiscard]] const Profile& profile(ids::NodeIndex node) const {
-    return arena_.profile(node);
+    return profiles_[node];
   }
   /// `node`'s current proposal for `topic`; nullopt when it does not
   /// subscribe to the topic.
   [[nodiscard]] std::optional<GatewayProposal> proposal(
       ids::NodeIndex node, ids::TopicIndex topic) const;
-  [[nodiscard]] const NodeArena& arena() const { return arena_; }
   [[nodiscard]] const PairUtilityCache& utility_cache() const {
     return utility_cache_;
   }
@@ -131,58 +126,30 @@ class VitisSystem final : public OverlaySystem {
 
   // Gateway-election sweep after the host's adjacency rebuild, once per
   // cycle (elections have cross-node read-modify-write dependencies).
-  // Collects the elected self-gateways' relay requests for the following
+  // Requests the elected self-gateways' relay walks for the host's
   // relay-refresh stage instead of serving them inline.
   void maintenance_extra() override;
 
   // Gateway proposals stay within the depth threshold d.
   void check_node_invariants(ids::NodeIndex node) const override;
 
-  // Churn: relay links drop and proposals restart from self; a rejoining
-  // node also re-interns its (possibly changed) subscription set.
+  // Churn (the host drops the relay links): proposals restart from self;
+  // a rejoining node also re-interns its (possibly changed) subscription
+  // set.
   void on_join(ids::NodeIndex node) override;
   void on_leave(ids::NodeIndex node) override;
 
-  [[nodiscard]] std::size_t relay_link_count() const override;
   [[nodiscard]] const PairUtilityCache* pair_cache() const override {
     return &utility_cache_;
   }
-  // The arena (profiles, relay tables) and the election's topic stamps.
+  // The profiles and the election's topic stamps.
   [[nodiscard]] std::size_t extra_memory_bytes() const override;
-
-  // Counting-sort the sweep's relay requests by topic (gateways ascending
-  // within a topic) and hand each topic to the gateway whose ring id is
-  // closest to hash(t), which walks all of the topic's routes.
-  void group_relay_requests();
-
-  // Stage body: walk the relay routes of every topic handed to `node` —
-  // greedy lookups over frozen routing state plus counter-based fault
-  // admission, gateways ascending — emitting each topic's link installs as
-  // one run of the worker's outbox lane. Without a fault plan a walk ends
-  // where it meets an earlier route of the same topic (see DESIGN.md "Hot
-  // path & determinism").
-  void refresh_relays(ids::NodeIndex node, std::size_t worker);
-
-  // The stage's sharded merge: bucket the cycle's install endpoints that
-  // `worker` owns by owner, topics ascending, then rebuild the relay table
-  // of every alive node it owns once — aging it and applying its installs
-  // in one pass (RelayTable::rebuild).
-  void apply_relay_installs(std::size_t worker, sim::NodeRange owned);
 
   // Re-intern a node's (possibly changed) subscription set and restart its
   // silence bookkeeping (subscription change and churn rejoin are the
   // callers).
   void reintern(ids::NodeIndex node);
   void run_election(ids::NodeIndex node);
-
-  /// One relay-setup hop under the fault plan, with bounded retransmit
-  /// (config_.relay_retransmit extra attempts). Always true without an
-  /// active plan. `nonce_base`/`hop` key the admission draws (explicit
-  /// counter nonces — this runs inside a parallel stage).
-  [[nodiscard]] bool relay_hop_delivered(ids::NodeIndex src,
-                                         ids::NodeIndex dst,
-                                         std::uint64_t nonce_base,
-                                         std::uint32_t hop) const;
 
   /// Gateway-silence bookkeeping for topic position `pos` of `node` after
   /// an election round adopted `previous` -> current. Detects the echo
@@ -195,7 +162,7 @@ class VitisSystem final : public OverlaySystem {
   VitisConfig config_;
   UtilityFunction utility_;
   PairUtilityCache utility_cache_;  // memoized Eq.-1 scores over SetId pairs
-  NodeArena arena_;  // dense-id SoA columns for Vitis' per-node state
+  std::vector<Profile> profiles_;    // gateway proposals, by node
 
   // Gateway-silence counters, one per (node, subscribed-topic position);
   // allocated in the ctor only when gateway_silence_limit > 0 and resized
@@ -210,61 +177,6 @@ class VitisSystem final : public OverlaySystem {
 
   // Physical coordinates (empty unless set_coordinates() was called).
   std::vector<sim::Coordinate> coordinates_;
-
-  // Relay refresh: the election sweep appends the elected self-gateways'
-  // requests, ascending (gateway, topic) by construction.
-  // group_relay_requests() lays each topic's gateways out contiguously
-  // (ascending) and lists every topic under the gateway that walks it;
-  // the relay-refresh stage binary-searches its node's walks, emitting
-  // link installs through per-worker lanes. A topic's installs therefore
-  // form one run of one lane, in the order a serial pass would emit them.
-  struct RelayRequest {
-    ids::NodeIndex gateway;
-    ids::TopicIndex topic;
-  };
-  struct RelayInstall {
-    ids::TopicIndex topic;
-    ids::NodeIndex a;
-    ids::NodeIndex b;
-  };
-  std::vector<RelayRequest> relay_requests_;
-  // Topic t's gateways are relay_gateways_[relay_topic_begin_[t],
-  // relay_topic_begin_[t + 1]).
-  std::vector<ids::NodeIndex> relay_gateways_;
-  std::vector<std::uint32_t> relay_topic_begin_;
-  // (walking gateway, topic), ascending.
-  std::vector<RelayRequest> relay_walks_;
-  sim::Outbox<RelayInstall> relay_outbox_;
-  // Where topic t's installs of this cycle sit: records [begin, end) of
-  // lane `lane` (valid for the topics walked this cycle).
-  struct InstallRun {
-    std::uint32_t lane = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-  std::vector<InstallRun> relay_runs_;
-  // The apply's counting sort, per node: the number of endpoints the node
-  // owns, then its bucket offset. Zero between cycles; each worker writes
-  // only the nodes it owns.
-  std::vector<std::uint32_t> relay_slot_;
-  // Per-worker apply buffers, scratch like lookup_ctx_ below: `installs`
-  // holds the buckets of the worker's owners back to back. Cache-line
-  // aligned, so workers never share a line of them.
-  struct alignas(64) RelayApply {
-    std::vector<RelayTable::Install> installs;
-    RelayTable::Scratch scratch;
-  };
-  std::vector<RelayApply> relay_apply_;
-
-  // Per-worker buffers for the relay-refresh stage (the host's lookup()
-  // buffer serves serial callers only). `marks` holds the remaining route
-  // lengths of the fully installed routes of the topic being walked.
-  // Scratch, not protocol state: memory_footprint() leaves it out.
-  struct LookupCtx {
-    overlay::LookupResult result;
-    overlay::RouteMarks marks;
-  };
-  mutable std::vector<LookupCtx> lookup_ctx_;
 
   // Scratch buffers, reused to keep the hot paths allocation-free.
   // Algorithm 4's ranking working set (the host holds the candidates and

@@ -92,16 +92,6 @@ void CycleEngine::set_alive(ids::NodeIndex node, bool alive) {
   }
 }
 
-std::vector<ids::NodeIndex> CycleEngine::alive_nodes() const {
-  std::vector<ids::NodeIndex> nodes;
-  alive_nodes_into(nodes);
-  return nodes;
-}
-
-void CycleEngine::alive_nodes_into(std::vector<ids::NodeIndex>& out) const {
-  out.assign(active_.begin(), active_.end());
-}
-
 void CycleEngine::run_stage(Step& step) {
   // Snapshot the activation list: an earlier hook in this cycle may mutate
   // it (crashes, churn), and the slices below must index a stable array.

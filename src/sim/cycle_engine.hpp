@@ -154,13 +154,6 @@ class CycleEngine {
     return active_;
   }
 
-  /// Indices of currently alive nodes, ascending (copy).
-  [[nodiscard]] std::vector<ids::NodeIndex> alive_nodes() const;
-
-  /// Same, into a caller-retained buffer (cleared first) — the
-  /// allocation-free variant for per-cycle callers.
-  void alive_nodes_into(std::vector<ids::NodeIndex>& out) const;
-
   /// Run `cycles` more cycles.
   void run(std::size_t cycles);
 

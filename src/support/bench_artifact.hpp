@@ -168,7 +168,6 @@ class BenchArtifact {
   Point& add_point();
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t point_count() const { return points_.size(); }
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
 
   /// Publication traces recorded across all points (telemetry.traces).

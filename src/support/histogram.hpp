@@ -36,7 +36,8 @@ namespace vitis::support {
 enum class Channel : std::uint8_t {
   kDeliveryHops = 0,    // per-delivery hop distance publisher -> subscriber
   kPublicationLatency,  // per-publication worst delivery hop (cycles of δt)
-  kRelayPathLength,     // greedy rendezvous-route length per converged setup
+  kRelayPathLength,     // hops of each converged relay-setup route (Vitis'
+                        // gateways, RVR's resubscribing subscribers)
   kRoutingTableSize,    // routing-table occupancy, per node per cycle
   kNodeMessages,        // per-node message totals over the whole run
   kStageActivations,    // alive-node count per engine stage pass
@@ -144,7 +145,6 @@ class LinearHistogram {
   void add(double value);
   void add_all(std::span<const double> values);
 
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t count(std::size_t bin) const {
     return counts_[bin];
   }

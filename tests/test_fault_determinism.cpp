@@ -144,9 +144,11 @@ TEST(FaultDeterminism, ZeroPlanIsInert) {
   EXPECT_EQ(zeroed->fault_plan().stats().attempts, 0u);
 }
 
-/// Vitis relay state: every relay table (topic, peer, age, in link order)
-/// and the relay_path_length buckets.
-std::uint64_t relay_digest(const core::VitisSystem& system) {
+/// Relay state (Vitis' relay paths, RVR's multicast trees): every relay
+/// table (topic, peer, age, in link order) and the relay_path_length
+/// buckets.
+template <typename System>
+std::uint64_t relay_digest(const System& system) {
   std::uint64_t h = 0x72656c6179ULL;
   const std::size_t topics = system.subscriptions().topic_count();
   for (std::size_t i = 0; i < system.node_count(); ++i) {
@@ -169,13 +171,59 @@ std::uint64_t relay_digest(const core::VitisSystem& system) {
   return h;
 }
 
-/// Runs one more cycle and checks its relay refresh against a serial
-/// replay: age every alive node's relay table, then walk each topic's
-/// gateways in ascending order in full over the same frozen routing state
-/// and install every hop of every converged route. The tables must come
-/// out identical, link order included. Returns the number of routes
-/// replayed.
-std::size_t expect_serial_relay_refresh(core::VitisSystem& system) {
+using Walks = std::vector<std::pair<ids::NodeIndex, ids::TopicIndex>>;
+
+/// The walks Vitis' serial relay refresh made in the cycle that just ran,
+/// in its order: each topic's elected gateways ascending, topics ascending.
+Walks serial_walks(const core::VitisSystem& system) {
+  Walks walks;
+  for (std::size_t t = 0; t < system.subscriptions().topic_count(); ++t) {
+    const auto topic = static_cast<ids::TopicIndex>(t);
+    std::vector<ids::NodeIndex> gateways = system.gateways_of(topic);
+    std::sort(gateways.begin(), gateways.end());
+    for (const ids::NodeIndex gateway : gateways) {
+      walks.emplace_back(gateway, topic);
+    }
+  }
+  return walks;
+}
+
+std::uint32_t relay_ttl(const core::VitisSystem& system) {
+  return system.config().relay_ttl;
+}
+
+/// The walks RVR's serial tree refresh made in the cycle that just ran, in
+/// its order: alive subscribers ascending, each with every topic whose
+/// staggered resubscription fell on that cycle.
+Walks serial_walks(const baselines::rvr::RvrSystem& system) {
+  Walks walks;
+  const std::size_t cycle = system.cycle() - 1;
+  const std::size_t interval = system.config().tree_refresh_interval;
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    const auto node = static_cast<ids::NodeIndex>(i);
+    if (!system.is_alive(node)) continue;
+    for (const ids::TopicIndex topic :
+         system.subscriptions().of(node).topics()) {
+      const std::uint64_t stagger =
+          ids::mix64((static_cast<std::uint64_t>(node) << 32) | topic);
+      if ((cycle + stagger) % interval == 0) walks.emplace_back(node, topic);
+    }
+  }
+  return walks;
+}
+
+std::uint32_t relay_ttl(const baselines::rvr::RvrSystem& system) {
+  return system.config().tree_ttl();
+}
+
+/// Runs one more cycle and checks its relay refresh against the serial
+/// algorithm it replaced: age every alive node's relay table, then walk
+/// serial_walks() in order, in full, over the same frozen routing state,
+/// and link both ends of every hop of every converged route one add_link
+/// at a time. The tables must come out identical, link order and ages
+/// included. Returns the number of routes replayed.
+template <typename System>
+std::size_t expect_serial_relay_refresh(System& system) {
   const std::size_t nodes = system.node_count();
   const std::size_t topics = system.subscriptions().topic_count();
   std::vector<core::RelayTable> expected;
@@ -185,22 +233,16 @@ std::size_t expect_serial_relay_refresh(core::VitisSystem& system) {
   system.run_cycles(1);
   for (std::size_t i = 0; i < nodes; ++i) {
     if (system.is_alive(static_cast<ids::NodeIndex>(i))) {
-      expected[i].age_and_expire(system.config().relay_ttl);
+      expected[i].age_and_expire(relay_ttl(system));
     }
   }
-  std::size_t routes = 0;
-  for (std::size_t t = 0; t < topics; ++t) {
-    const auto topic = static_cast<ids::TopicIndex>(t);
-    std::vector<ids::NodeIndex> gateways = system.gateways_of(topic);
-    std::sort(gateways.begin(), gateways.end());
-    routes += gateways.size();
-    for (const ids::NodeIndex gateway : gateways) {
-      const auto route = system.lookup(gateway, ids::topic_ring_id(topic));
-      if (!route.converged) continue;
-      for (std::size_t i = 0; i + 1 < route.path.size(); ++i) {
-        expected[route.path[i]].add_link(topic, route.path[i + 1]);
-        expected[route.path[i + 1]].add_link(topic, route.path[i]);
-      }
+  const Walks walks = serial_walks(system);
+  for (const auto& [requester, topic] : walks) {
+    const auto route = system.lookup(requester, ids::topic_ring_id(topic));
+    if (!route.converged) continue;
+    for (std::size_t i = 0; i + 1 < route.path.size(); ++i) {
+      expected[route.path[i]].add_link(topic, route.path[i + 1]);
+      expected[route.path[i + 1]].add_link(topic, route.path[i]);
     }
   }
   const auto links_of = [](const core::RelayTable& table,
@@ -219,7 +261,7 @@ std::size_t expect_serial_relay_refresh(core::VitisSystem& system) {
           << "node " << i << " topic " << t;
     }
   }
-  return routes;
+  return walks.size();
 }
 
 TEST(FaultDeterminism, DormantActivePlanNeverPerturbs) {
@@ -259,6 +301,42 @@ TEST(FaultDeterminism, DormantActivePlanNeverPerturbs) {
     EXPECT_EQ(stats.drops, 0u);
     EXPECT_EQ(stats.partition_drops, 0u);
     EXPECT_EQ(stats.delays, 0u);
+  }
+}
+
+TEST(FaultDeterminism, RvrTreesMatchTheSerialTreeRefresh) {
+  // RVR's multicast trees run on the host's relay refresh: grouped walks
+  // that end where they meet an earlier route of the topic, and one
+  // rebuild per table. Every cycle must equal the serial tree refresh it
+  // replaced (age every tree, then each alive subscriber's staggered
+  // resubscriptions, ascending, each hop linked both ways), with and
+  // without a dormant plan, at any run_jobs.
+  const auto scenario = many_gateway_scenario(913);
+  const std::size_t topics = scenario.subscriptions.topic_count();
+  sim::FaultConfig dormant;
+  dormant.partitions.push_back(
+      sim::PartitionWindow{1'000'000, 1'000'001, 0x51ULL});
+  for (const std::size_t run_jobs : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("run_jobs " + std::to_string(run_jobs));
+    baselines::rvr::RvrConfig config;
+    config.base.run_jobs = run_jobs;
+    auto plain = workload::make_rvr(scenario, config, 913);
+    auto armed = workload::make_rvr(scenario, config, 913);
+    armed->set_fault_plan(dormant);
+    plain->run_cycles(29);
+    armed->run_cycles(29);
+    // Several resubscriptions per topic, so many walks end on an earlier
+    // route; two cycles cover different stagger classes.
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      EXPECT_GE(expect_serial_relay_refresh(*plain), 3 * topics);
+      EXPECT_GE(expect_serial_relay_refresh(*armed), 3 * topics);
+    }
+    EXPECT_EQ(relay_digest(*plain), relay_digest(*armed));
+    publish_alive(*plain, scenario.schedule);
+    publish_alive(*armed, scenario.schedule);
+    EXPECT_EQ(digest(*plain), digest(*armed));
+    EXPECT_GT(armed->fault_plan().stats().attempts, 0u);
+    EXPECT_EQ(armed->fault_plan().stats().partition_drops, 0u);
   }
 }
 

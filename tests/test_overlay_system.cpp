@@ -3,9 +3,12 @@
 // that run on it — Vitis, RVR and OPT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "baselines/opt/opt_system.hpp"
 #include "baselines/rvr/rvr_system.hpp"
@@ -269,6 +272,72 @@ TYPED_TEST(OverlaySystem, RoutingTablesAreIndependentSlabSlices) {
     if (table.size() == capacity) ++filled;
   }
   EXPECT_GT(filled, 0u);
+}
+
+TYPED_TEST(OverlaySystem, FootprintIsDeterministicAcrossIdenticalRuns) {
+  // The capacity bench prints memory_footprint() on stdout; two identical
+  // (seed, scale) runs must agree byte for byte.
+  const auto scenario = scenario_for(17);
+  const auto footprint = [&] {
+    auto system = Traits<TypeParam>::make(scenario, {}, 17);
+    system->run_cycles(10);
+    return system->memory_footprint();
+  };
+  const std::size_t first = footprint();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(first, footprint());
+}
+
+// Vitis' relay paths and RVR's multicast trees are the host's relay
+// tables; OPT keeps none.
+template <typename System>
+std::size_t relay_links(const System& system, ids::NodeIndex node) {
+  if constexpr (requires { system.relay_table(node); }) {
+    return system.relay_table(node).link_count();
+  }
+  return 0;
+}
+
+template <typename System>
+std::size_t relay_bytes(const System& system, ids::NodeIndex node) {
+  if constexpr (requires { system.relay_table(node); }) {
+    return system.relay_table(node).memory_bytes();
+  }
+  return 0;
+}
+
+TYPED_TEST(OverlaySystem, ChurnClearsRelayTablesAndTheirFootprint) {
+  const auto scenario = scenario_for(19);
+  auto system = Traits<TypeParam>::make(scenario, {}, 19);
+  system->run_cycles(20);
+  // The two nodes holding the most relay links (any two for OPT).
+  std::vector<ids::NodeIndex> nodes(system->node_count());
+  std::iota(nodes.begin(), nodes.end(), ids::NodeIndex{0});
+  std::stable_sort(nodes.begin(), nodes.end(),
+                   [&](ids::NodeIndex a, ids::NodeIndex b) {
+                     return relay_links(*system, a) > relay_links(*system, b);
+                   });
+  const ids::NodeIndex leaver = nodes[0];
+  const ids::NodeIndex crasher = nodes[1];
+  const bool has_relays = relay_links(*system, crasher) > 0;
+  constexpr bool kOpt = std::is_same_v<TypeParam, baselines::opt::OptSystem>;
+  EXPECT_EQ(has_relays, !kOpt);
+
+  // Every other footprint term is fixed per node or waits for the next
+  // cycle, so a leave returns exactly the relay table's live bytes.
+  const std::size_t bytes = relay_bytes(*system, leaver);
+  const std::size_t before = system->memory_footprint();
+  system->node_leave(leaver);
+  EXPECT_EQ(relay_links(*system, leaver), 0u);
+  EXPECT_EQ(before - system->memory_footprint(), bytes);
+
+  // A crash keeps the state (peers must detect the silence); the rejoin
+  // starts from an empty table.
+  const std::size_t held = relay_links(*system, crasher);
+  system->node_crash(crasher);
+  EXPECT_EQ(relay_links(*system, crasher), held);
+  system->node_join(crasher);
+  EXPECT_EQ(relay_links(*system, crasher), 0u);
 }
 
 }  // namespace

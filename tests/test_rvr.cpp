@@ -141,6 +141,29 @@ TEST_F(RvrFixture, TreeStateDecaysAfterLeave) {
   EXPECT_EQ(report.delivered, report.expected);
 }
 
+TEST_F(RvrFixture, FootprintCountsTheTrees) {
+  // The multicast trees are RVR's per-node state: when the node that is a
+  // member of the most trees leaves, its tree links leave the footprint.
+  ids::NodeIndex member = 0;
+  std::size_t most = 0;
+  for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
+    std::size_t trees = 0;
+    for (std::size_t t = 0; t < scenario_.subscriptions.topic_count(); ++t) {
+      if (system_->is_tree_member(n, static_cast<ids::TopicIndex>(t))) {
+        ++trees;
+      }
+    }
+    if (trees > most) {
+      most = trees;
+      member = n;
+    }
+  }
+  ASSERT_GT(most, 0u);
+  const std::size_t before = system_->memory_footprint();
+  system_->node_leave(member);
+  EXPECT_LT(system_->memory_footprint(), before);
+}
+
 TEST(RvrSystem, OverheadInsensitiveToCorrelation) {
   // The paper draws a single RVR line because RVR ignores subscriptions:
   // random vs high-correlation workloads must land within a few points.

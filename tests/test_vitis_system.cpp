@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -268,6 +269,56 @@ TEST(VitisSystem, DeadNodesHoldNoState) {
   system->node_join(5);
   system->node_join(5);
   EXPECT_TRUE(system->is_alive(5));
+}
+
+TEST(VitisSystem, ProfilesStartAsSelfProposalsPerTopic) {
+  // Construction gives every node one proposal slot per subscribed topic,
+  // each proposing the node itself, and an empty relay table.
+  auto scenario =
+      small_scenario(workload::CorrelationPattern::kRandom, 15, 60, 30);
+  auto system = workload::make_vitis(scenario, VitisConfig{}, 15);
+  for (ids::NodeIndex n = 0; n < system->node_count(); ++n) {
+    const auto topics = system->subscriptions().of(n).topics();
+    ASSERT_EQ(system->profile(n).size(), topics.size());
+    for (const ids::TopicIndex topic : topics) {
+      EXPECT_EQ(system->proposal(n, topic)->gateway, n);
+      EXPECT_EQ(system->proposal(n, topic)->hops, 0u);
+    }
+    EXPECT_EQ(system->relay_table(n).link_count(), 0u);
+  }
+}
+
+TEST(VitisSystem, ChurnRestartsProposalsFromSelf) {
+  // Leave and rejoin reset the volatile state: every proposal falls back
+  // to the node itself, while the slots (one per subscribed topic) stay.
+  auto scenario = small_scenario(
+      workload::CorrelationPattern::kHighCorrelation, 17, 150, 60);
+  auto system = workload::make_vitis(scenario, VitisConfig{}, 17);
+  system->run_cycles(20);
+  // A node that adopted a remote gateway for some topic.
+  ids::NodeIndex node = 0;
+  const auto follows_remote_gateway = [&](ids::NodeIndex n) {
+    const auto topics = system->subscriptions().of(n).topics();
+    return std::any_of(topics.begin(), topics.end(),
+                       [&](ids::TopicIndex t) {
+                         return !system->is_gateway(n, t);
+                       });
+  };
+  while (node < system->node_count() && !follows_remote_gateway(node)) {
+    ++node;
+  }
+  ASSERT_LT(node, system->node_count());
+  const auto topics = system->subscriptions().of(node).topics();
+  const auto expect_self_proposals = [&] {
+    ASSERT_EQ(system->profile(node).size(), topics.size());
+    for (const ids::TopicIndex topic : topics) {
+      EXPECT_TRUE(system->is_gateway(node, topic)) << "topic " << topic;
+    }
+  };
+  system->node_leave(node);
+  expect_self_proposals();
+  system->node_join(node);
+  expect_self_proposals();
 }
 
 TEST(VitisSystem, StartOfflineHasNoAliveNodes) {
