@@ -4,9 +4,10 @@
 // capacity model in DESIGN.md. Each system runs a node-count ladder
 // (¼, ½ and 1× the scale's size, topics scaled proportionally) through the
 // standard measurement recipe, then reports its deterministic logical
-// footprint (PubSubSystem::memory_footprint(): arena slabs, gossip views,
-// relay state, adjacency scratch — live sizes and fixed capacities only,
-// never allocator capacity). Bytes/node is the headline column; it should
+// footprint (core::OverlaySystem::memory_footprint(): the routing slab,
+// per-node columns, relay tables, sampling views, adjacency and
+// dissemination stamps — live sizes and fixed capacities only, never
+// allocator capacity). Bytes/node is the headline column; it should
 // stay flat across the ladder (per-node state is O(view + RT + subs), not
 // O(N)). Hit ratio rides along as a works-at-this-size sanity check.
 //
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
           support::RunTelemetry& telemetry) -> CapacityResult {
         const auto& scenario = scenarios[point.rung];
         telemetry.cycles = ctx.scale.cycles;
-        std::unique_ptr<pubsub::PubSubSystem> system;
+        std::unique_ptr<core::OverlaySystem> system;
         switch (point.system) {
           case System::kVitis: {
             core::VitisConfig config = bench::with_run_jobs(ctx);

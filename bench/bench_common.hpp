@@ -202,7 +202,7 @@ inline void add_summary_metrics(support::BenchArtifact::Point& point,
 /// `expected_cycles` pre-sizes the sample buffer; stride 0 resolves to
 /// ~16 samples across the run. No-op (and zero-cost) without --observe.
 inline void enable_recorder(const BenchContext& ctx,
-                            pubsub::PubSubSystem& system,
+                            core::OverlaySystem& system,
                             std::size_t expected_cycles) {
   if (!ctx.observe.enabled) return;
   support::RecorderConfig config = ctx.observe;
@@ -215,32 +215,27 @@ inline void enable_recorder(const BenchContext& ctx,
 
 /// Copy `system`'s per-phase profiler stats and deterministic event
 /// counters (scoring cache, interning) into the point's telemetry.
-/// Call it inside the sweep body, right before the system is destroyed;
-/// no-op for systems without a wired profiler. With the flight recorder
-/// enabled this also captures the health time series and route traces
-/// (both deterministic per (seed, scale)).
+/// Call it inside the sweep body, right before the system is destroyed.
+/// With the flight recorder enabled this also captures the health time
+/// series and route traces (both deterministic per (seed, scale)).
 inline void record_phases(support::RunTelemetry& telemetry,
-                          const pubsub::PubSubSystem& system) {
-  if (const support::Profiler* profiler = system.profiler()) {
-    telemetry.phases = profiler->all();
-    telemetry.counters = profiler->counters();
-  }
+                          const core::OverlaySystem& system) {
+  const support::Profiler& profiler = *system.profiler();
+  telemetry.phases = profiler.all();
+  telemetry.counters = profiler.counters();
   // Schema-v5 throughput gauge; telemetry-only like wall_ms.
   telemetry.cycles_per_second = system.cycles_per_second();
   // Schema-v6 parallelism telemetry: worker count and per-stage busy/span.
   telemetry.run_jobs = system.run_jobs();
   telemetry.parallel = system.parallel_phases();
-  if (const support::Recorder* rec = system.recorder();
-      rec != nullptr && rec->enabled()) {
-    telemetry.series = rec->series();
-    telemetry.traces = rec->traces();
+  if (const support::Recorder& rec = *system.recorder(); rec.enabled()) {
+    telemetry.series = rec.series();
+    telemetry.traces = rec.traces();
   }
   // Schema-v7 distribution channels (lane-merged; deterministic per
   // (seed, scale) — they land in the point's `distributions` block, not in
   // the telemetry object).
-  if (const support::HistogramSet* distributions = system.distributions()) {
-    telemetry.distributions = distributions->merged_all();
-  }
+  telemetry.distributions = system.distributions()->merged_all();
 }
 
 /// With --observe, one stderr digest line per point summarizing the run's

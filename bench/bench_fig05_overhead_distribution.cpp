@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       ctx, points,
       [&](const Point& point, support::RunTelemetry& telemetry) -> Result {
         const auto& scenario = point.correlated ? correlated : random_scenario;
-        std::unique_ptr<pubsub::PubSubSystem> system;
+        std::unique_ptr<core::OverlaySystem> system;
         if (point.vitis) {
           // defaults: RT 15, k 3, d 5
           system = workload::make_vitis(scenario, bench::with_run_jobs(ctx),

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
         telemetry.messages += system.metrics().total_messages();
         system.metrics().reset();
         summaries.push_back(
-            pubsub::measure(system, windows[next_window].schedule));
+            workload::measure(system, windows[next_window].schedule));
         ++next_window;
       }
     }

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
   analysis::TableWriter table({"system", "hit ratio", "traffic overhead",
                                "delay (hops)", "p99 delay", "load gini"});
-  const auto add = [&](pubsub::PubSubSystem& system) {
+  const auto add = [&](core::OverlaySystem& system) {
     const auto summary =
         workload::run_measurement(system, cycles, scenario.schedule);
     table.add_row(

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     const auto schedule = workload::make_schedule(
         scenario.subscriptions, scenario.rates, 40, pub_rng,
         [&](ids::NodeIndex n) { return system->is_alive(n); });
-    const auto summary = pubsub::measure(*system, schedule);
+    const auto summary = workload::measure(*system, schedule);
     if (hour % 4 == 0 ||
         hour == static_cast<std::size_t>(churn.flash_crowd_time_hours)) {
       std::printf("%4zu  %6zu  %6.2f  %9.1f  %5.2f%s\n", hour,

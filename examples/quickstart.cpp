@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   // 4. Publish the schedule and report the paper's three metrics.
   system->metrics().reset();
-  const auto summary = pubsub::measure(*system, scenario.schedule);
+  const auto summary = workload::measure(*system, scenario.schedule);
   std::printf("events published   : %zu\n", scenario.schedule.size());
   std::printf("hit ratio          : %s\n",
               support::format_percent(summary.hit_ratio, 2).c_str());

@@ -83,8 +83,8 @@ pubsub::DisseminationReport OptSystem::publish(ids::TopicIndex topic,
                                    support::Phase::kDelivery);
   pubsub::Dissemination& flood = begin_publish(topic, publisher);
   TopicHops hops{{*this}, *this, flood};
-  flood.seed<pubsub::QueuePolicy::kFifo>(publisher);
-  flood.flood<pubsub::QueuePolicy::kFifo>(hops);
+  flood.seed(publisher);
+  flood.flood(hops);
   return flood.finish();
 }
 

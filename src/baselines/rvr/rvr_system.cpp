@@ -31,14 +31,6 @@ RvrSystem::RvrSystem(RvrConfig config, pubsub::SubscriptionTable subscriptions,
   start(start_online);
 }
 
-std::size_t RvrSystem::tree_size_of(ids::TopicIndex topic) const {
-  std::size_t members = 0;
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    if (is_tree_member(static_cast<ids::NodeIndex>(i), topic)) ++members;
-  }
-  return members;
-}
-
 // Subscription-oblivious Symphony selection: ring links first, every
 // remaining slot a small-world link at a random harmonic distance.
 void RvrSystem::select_neighbors(ids::NodeIndex self,
@@ -95,18 +87,17 @@ pubsub::DisseminationReport RvrSystem::publish(ids::TopicIndex topic,
     if (!hops.admit(route.path[i - 1], route.path[i])) break;
     // Route nodes that are also tree members may disseminate early (they
     // hold tree links); harmless and closer to real Scribe behavior.
-    flood.route_hop<pubsub::QueuePolicy::kFifo>(hops, route.path[i - 1],
-                                                route.path[i]);
+    flood.route_hop(hops, route.path[i - 1], route.path[i]);
   }
   // A publisher that is itself the rendezvous node roots the flood. One
   // whose route was cut before the rendezvous delivers nothing beyond the
   // route nodes it reached.
   if (route.owner == publisher) {
-    flood.seed<pubsub::QueuePolicy::kFifo>(publisher);
+    flood.seed(publisher);
   }
 
   // ...then flood the multicast tree from the root outward.
-  flood.flood<pubsub::QueuePolicy::kFifo>(hops);
+  flood.flood(hops);
   return flood.finish();
 }
 

@@ -40,12 +40,6 @@ class RvrSystem final : public core::OverlaySystem {
   // --- introspection -------------------------------------------------------
   [[nodiscard]] const RvrConfig& config() const { return config_; }
   using OverlaySystem::relay_table;
-  [[nodiscard]] bool is_tree_member(ids::NodeIndex node,
-                                    ids::TopicIndex topic) const {
-    return relay_table(node).is_relay_for(topic);
-  }
-  /// Nodes holding tree state for `topic`, interior relays included.
-  [[nodiscard]] std::size_t tree_size_of(ids::TopicIndex topic) const;
 
  protected:
   void select_neighbors(ids::NodeIndex self,

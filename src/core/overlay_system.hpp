@@ -16,14 +16,17 @@
 //   * churn, crashes and the fault plan;
 //   * the flight recorder, profiler, histograms and dissemination loop.
 //
-// A system derives from it and supplies its neighbor-selection policy, its
-// per-cycle maintenance (which requests relay walks) and its dissemination
-// next hops, plus hooks for its own per-node state.
+// It is also the one system API benches, examples and workload helpers
+// hold. A system derives from it and supplies its name(), its publish()
+// (the dissemination next hops on the shared loop), its neighbor-selection
+// policy and its per-cycle maintenance (which requests relay walks), plus
+// hooks for its own per-node state.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/graph.hpp"
@@ -36,50 +39,73 @@
 #include "overlay/routing_table.hpp"
 #include "pubsub/dissemination.hpp"
 #include "pubsub/subscription_registry.hpp"
-#include "pubsub/system.hpp"
 #include "sim/cycle_engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/outbox.hpp"
 #include "support/check.hpp"
+#include "support/histogram.hpp"
+#include "support/profiler.hpp"
+#include "support/recorder.hpp"
+#include "support/run_stats.hpp"
 
 namespace vitis::core {
 
 class PairUtilityCache;
 
-class OverlaySystem : public pubsub::PubSubSystem {
+class OverlaySystem {
  public:
-  // --- PubSubSystem --------------------------------------------------------
-  void run_cycles(std::size_t cycles) override;
-  [[nodiscard]] pubsub::MetricsCollector& metrics() override {
+  virtual ~OverlaySystem() = default;
+
+  OverlaySystem(const OverlaySystem&) = delete;
+  OverlaySystem& operator=(const OverlaySystem&) = delete;
+
+  // --- what differs per system ---------------------------------------------
+  [[nodiscard]] virtual std::string name() const = 0;
+
+  /// Publish one event and disseminate it through the current overlay.
+  /// Updates metrics() and returns the per-event report.
+  virtual pubsub::DisseminationReport publish(ids::TopicIndex topic,
+                                              ids::NodeIndex publisher) = 0;
+
+  // --- running and measuring -----------------------------------------------
+  /// Advance the gossip/maintenance protocols by `cycles` rounds.
+  void run_cycles(std::size_t cycles);
+  [[nodiscard]] pubsub::MetricsCollector& metrics() { return metrics_; }
+  [[nodiscard]] const pubsub::MetricsCollector& metrics() const {
     return metrics_;
   }
-  [[nodiscard]] const pubsub::MetricsCollector& metrics() const override {
-    return metrics_;
-  }
-  [[nodiscard]] const pubsub::SubscriptionTable& subscriptions()
-      const override {
+  [[nodiscard]] const pubsub::SubscriptionTable& subscriptions() const {
     return subscriptions_;
   }
-  [[nodiscard]] std::size_t alive_count() const override {
+  /// Nodes currently online.
+  [[nodiscard]] std::size_t alive_count() const {
     return engine_.alive_count();
   }
 
-  /// Syncs the interning counters (and the pair_cache() stats, if any)
-  /// into the profiler before returning it, so artifact writers always see
+  /// Per-phase profiler of the cycle engine and the publish path (never
+  /// null). Wall times are telemetry-only; calls are deterministic per
+  /// (seed, scale). Syncs the interning counters (and the pair_cache()
+  /// stats, if any) before returning it, so artifact writers always see
   /// current totals.
-  [[nodiscard]] const support::Profiler* profiler() const override;
+  [[nodiscard]] const support::Profiler* profiler() const;
 
-  /// Syncs the end-of-run channels (per-node message totals) before
-  /// returning the distribution set, mirroring profiler()'s counter sync.
-  [[nodiscard]] const support::HistogramSet* distributions() const override;
+  /// Distribution channels of this run (support::Histogram per
+  /// support::Channel; never null). Bucket counts are exact and
+  /// deterministic per (seed, scale) — bit-identical across
+  /// `--jobs`/`--run-jobs` — and feed the artifact's schema-v7
+  /// `distributions` block. Syncs the end-of-run channels (per-node message
+  /// totals) before returning the set, mirroring profiler()'s counter sync.
+  [[nodiscard]] const support::HistogramSet* distributions() const;
 
   // --- flight recorder (observability) --------------------------------------
-  /// Enable/reconfigure the flight recorder. The engine then samples the
-  /// overlay-health time series on strided cycles; publications trace a
-  /// Bernoulli-sampled subset from the dissemination's own RNG stream
-  /// (never the protocol's rng_, so observation cannot perturb the run).
-  void configure_recorder(const support::RecorderConfig& config) override;
-  [[nodiscard]] const support::Recorder* recorder() const override {
+  /// Enable/reconfigure the flight recorder. Off by default and zero-cost
+  /// when disabled. The engine then samples the overlay-health time series
+  /// on strided cycles; publications trace a Bernoulli-sampled subset from
+  /// the dissemination's own RNG stream (never the protocol's rng_, so
+  /// observation cannot perturb the run).
+  void configure_recorder(const support::RecorderConfig& config);
+  /// The flight recorder (never null).
+  [[nodiscard]] const support::Recorder* recorder() const {
     return &recorder_;
   }
 
@@ -156,23 +182,23 @@ class OverlaySystem : public pubsub::PubSubSystem {
   /// pure function of (seed, scale) — safe for stdout; the OS-level
   /// peak_rss_bytes gauge in the bench artifact is the telemetry-side
   /// counterpart.
-  [[nodiscard]] std::size_t memory_footprint() const override;
+  [[nodiscard]] std::size_t memory_footprint() const;
 
   /// Maintenance throughput over the wall time spent inside run_cycles()
   /// (telemetry only, never printed to stdout). 0 before the first cycle.
-  [[nodiscard]] double cycles_per_second() const override {
+  [[nodiscard]] double cycles_per_second() const {
     return engine_.cycles_per_second();
   }
 
   /// Cycle-engine worker count (`--run-jobs`); output is bit-identical for
   /// any value, so this is telemetry only.
-  [[nodiscard]] std::size_t run_jobs() const override {
+  [[nodiscard]] std::size_t run_jobs() const {
     return engine_.run_jobs();
   }
 
   /// Per-stage busy/span accounting of the sharded engine (telemetry).
   [[nodiscard]] std::vector<support::ParallelPhaseStats> parallel_phases()
-      const override;
+      const;
 
  protected:
   /// Wires the shared substrate: the sampling service, T-Man, and the
@@ -310,20 +336,12 @@ class OverlaySystem : public pubsub::PubSubSystem {
   [[nodiscard]] sim::CycleEngine& engine() { return engine_; }
   [[nodiscard]] const sim::CycleEngine& engine() const { return engine_; }
   [[nodiscard]] support::Profiler& profiler_mut() const { return profiler_; }
-  /// Distribution channels; parallel stage bodies record onto their
-  /// worker's lane, serial callers use lane 0.
-  [[nodiscard]] support::HistogramSet& histograms_mut() const {
-    return histograms_;
-  }
   [[nodiscard]] pubsub::SubscriptionTable& subscriptions_mut() {
     return subscriptions_;
   }
   /// Re-intern `node`'s subscription set after subscriptions_mut() changed
   /// it.
   void refresh_set_id(ids::NodeIndex node);
-  [[nodiscard]] const pubsub::Dissemination& dissemination() const {
-    return dissemination_;
-  }
 
   // --- fault admission helpers for system dissemination paths -------------
   [[nodiscard]] bool fault_active() const { return fault_.active(); }

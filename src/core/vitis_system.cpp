@@ -310,24 +310,15 @@ struct VitisSystem::Hops : FaultAdmission {
     return vitis.fault_active() ? vitis.fault_plan().hop_penalty(from, to)
                                 : 0;
   }
-  // Installed coordinates give each link its latency; without them every
-  // link takes 1 ms.
-  [[nodiscard]] double latency(ids::NodeIndex a, ids::NodeIndex b) const {
-    return vitis.coordinates_.empty()
-               ? 1.0
-               : 1.0 + sim::latency_ms(vitis.coordinates_[a],
-                                       vitis.coordinates_[b]);
-  }
 };
 
-template <pubsub::QueuePolicy P>
-pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
-                                                     ids::NodeIndex publisher) {
+pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
+                                                 ids::NodeIndex publisher) {
   const support::ScopedPhase phase(&profiler_mut(),
                                    support::Phase::kDelivery);
   pubsub::Dissemination& flood = begin_publish(topic, publisher);
   Hops hops{{*this}, *this, flood, topic};
-  flood.seed<P>(publisher);
+  flood.seed(publisher);
 
   // A publisher outside any cluster of the topic (not subscribed, not a
   // relay) hands the event to the rendezvous node by greedy routing first.
@@ -353,23 +344,18 @@ pubsub::DisseminationReport VitisSystem::disseminate(ids::TopicIndex topic,
         if (!succ.has_value() || !is_alive(succ->node)) break;
         const ids::NodeIndex detour = succ->node;
         if (!hops.admit(from, detour)) break;
-        flood.route_hop<P>(hops, from, detour);
+        flood.route_hop(hops, from, detour);
         route = &lookup(detour, target);
         i = 1;
         continue;
       }
-      flood.route_hop<P>(hops, from, route->path[i]);
+      flood.route_hop(hops, from, route->path[i]);
       ++i;
     }
   }
 
-  flood.flood<P>(hops);
+  flood.flood(hops);
   return flood.finish();
-}
-
-pubsub::DisseminationReport VitisSystem::publish(ids::TopicIndex topic,
-                                                 ids::NodeIndex publisher) {
-  return disseminate<pubsub::QueuePolicy::kFifo>(topic, publisher);
 }
 
 // ---------------------------------------------------------------------------
@@ -384,18 +370,6 @@ void VitisSystem::on_join(ids::NodeIndex node) {
 
 void VitisSystem::on_leave(ids::NodeIndex node) {
   profiles_[node].reset_proposals(node, ring_id(node));
-}
-
-// ---------------------------------------------------------------------------
-// Event-driven (latency-aware) dissemination.
-// ---------------------------------------------------------------------------
-TimedDisseminationReport VitisSystem::publish_timed(ids::TopicIndex topic,
-                                                    ids::NodeIndex publisher) {
-  TimedDisseminationReport timed;
-  timed.base = disseminate<pubsub::QueuePolicy::kTimed>(topic, publisher);
-  timed.delay_ms_sum = dissemination().delay_ms_sum();
-  timed.max_delay_ms = dissemination().max_delay_ms();
-  return timed;
 }
 
 // ---------------------------------------------------------------------------

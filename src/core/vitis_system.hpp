@@ -31,19 +31,6 @@
 
 namespace vitis::core {
 
-/// publish_timed() result: hop-based accounting plus wall-clock latency.
-struct TimedDisseminationReport {
-  pubsub::DisseminationReport base;
-  double delay_ms_sum = 0.0;  // over delivered subscribers
-  double max_delay_ms = 0.0;
-
-  [[nodiscard]] double mean_delay_ms() const {
-    return base.delivered == 0
-               ? 0.0
-               : delay_ms_sum / static_cast<double>(base.delivered);
-  }
-};
-
 class VitisSystem final : public OverlaySystem {
  public:
   /// `rates[t]` is topic t's publication rate (drives Eq. 1); pass uniform
@@ -100,22 +87,9 @@ class VitisSystem final : public OverlaySystem {
   /// coordinates are installed or no friend links exist.
   [[nodiscard]] double mean_friend_latency_ms() const;
 
-  /// Event-driven dissemination: identical forwarding rule to publish(),
-  /// but each transmission arrives after its link latency (from the
-  /// installed coordinates; a uniform 1 ms without them), and deliveries
-  /// are timed by earliest arrival. Updates metrics() like publish().
-  [[nodiscard]] TimedDisseminationReport publish_timed(
-      ids::TopicIndex topic, ids::NodeIndex publisher);
-
  private:
   // Vitis' next hops for the shared forwarding loop (defined in the .cpp).
   struct Hops;
-
-  // publish()/publish_timed(): the §III-C dissemination under a queue
-  // policy, with the greedy handoff for publishers outside the topic.
-  template <pubsub::QueuePolicy P>
-  pubsub::DisseminationReport disseminate(ids::TopicIndex topic,
-                                          ids::NodeIndex publisher);
 
   // --- OverlaySystem hooks ------------------------------------------------
   // Algorithm 4. `rng` is the calling exchange's deterministic stream

@@ -6,22 +6,17 @@
 // the fault hop penalty belong to a system; this module owns the rest — the
 // per-publication marks (visited, interested, expected), the
 // per-transmission accounting (message count, route trace, delivery, delay
-// channel), the report — and the one forwarding loop, whose only parameter
-// is the queue policy:
-//
-//   * kFifo (hop-count model): a node is visited when the first
-//     transmission to it is sent. FIFO pops in send order, so the first
-//     send is also the first arrival, and the queue holds each node once.
-//   * kTimed (link-latency model): transmissions are events ordered by
-//     arrival time; a node is visited on its earliest arrival. Later
-//     arrivals still count as messages but forward nothing.
+// channel), the report — and the one forwarding loop. The loop counts
+// delay in overlay hops, as §IV measures it, over a FIFO queue: a node is
+// visited when the first transmission to it is sent. FIFO pops in send
+// order, so the first send is also the first arrival, and the queue holds
+// each node once.
 //
 // A system describes its network to the loop as a `Net`:
 //
 //   template <typename Fn> void for_each_next(ids::NodeIndex node, Fn&& fn);
 //   bool admit(ids::NodeIndex from, ids::NodeIndex to);    // fault drop
 //   std::uint32_t penalty(ids::NodeIndex from, ids::NodeIndex to);
-//   double latency(ids::NodeIndex from, ids::NodeIndex to);  // kTimed only
 //
 // Next hops that filter by topic membership ask the loop's
 // interested(node): an O(1) read of the mark begin() sets on every
@@ -38,13 +33,10 @@
 #include "ids/id.hpp"
 #include "pubsub/metrics.hpp"
 #include "pubsub/subscription.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "support/recorder.hpp"
 
 namespace vitis::pubsub {
-
-enum class QueuePolicy : std::uint8_t { kFifo, kTimed };
 
 class Dissemination {
  public:
@@ -69,12 +61,8 @@ class Dissemination {
     report_ = DisseminationReport{};
     report_.topic = topic;
     report_.publisher = publisher;
-    delay_ms_sum_ = 0.0;
-    max_delay_ms_ = 0.0;
     route_hop_ = 0;
-    route_time_ = 0.0;
     fifo_.clear();
-    timed_.clear();
     traced_ = recorder_.want_trace() &&
               trace_rng_.bernoulli(recorder_.config().trace_rate);
     if (traced_) recorder_.begin_trace(publish_count_, topic, publisher);
@@ -93,72 +81,40 @@ class Dissemination {
   }
 
   /// Queue `node`, which already holds the event, as a flood source.
-  template <QueuePolicy P>
   void seed(ids::NodeIndex node) {
-    if constexpr (P == QueuePolicy::kFifo) {
-      fifo_.push_back(Item{node, ids::kInvalidNode, 0});
-    } else {
-      timed_.schedule(0.0, Arrival{Item{node, ids::kInvalidNode, 0}, false});
-    }
+    fifo_.push_back(Item{node, ids::kInvalidNode, 0});
   }
 
   /// One admitted hop from -> to of the greedy handoff toward the
-  /// rendezvous node. Hop count and arrival time run on along the route,
-  /// across any restarts of the lookup.
-  template <QueuePolicy P, typename Net>
+  /// rendezvous node. The hop count runs on along the route, across any
+  /// restarts of the lookup.
+  template <typename Net>
   void route_hop(Net& net, ids::NodeIndex from, ids::NodeIndex to) {
     route_hop_ += 1 + net.penalty(from, to);
-    if constexpr (P == QueuePolicy::kTimed) {
-      route_time_ += net.latency(from, to);
-    }
-    send<P>(from, to, route_hop_, route_time_, /*route=*/true);
+    send(from, to, route_hop_, /*route=*/true);
   }
 
   /// The forwarding loop: drain the queue, forwarding from every node to
   /// its admitted next hops other than the one it received from.
-  template <QueuePolicy P, typename Net>
+  template <typename Net>
   void flood(Net& net) {
-    [[maybe_unused]] std::size_t head = 0;
+    std::size_t head = 0;
     for (;;) {
-      Item item;
-      double now = 0.0;
-      if constexpr (P == QueuePolicy::kFifo) {
-        if (head == fifo_.size()) break;
-        item = fifo_[head++];
-      } else {
-        if (timed_.empty()) break;
-        const auto event = timed_.pop();
-        item = event.payload.item;
-        now = event.time;
-        // Seeds have no sender: they held the event before the flood.
-        if (item.from != ids::kInvalidNode &&
-            !receive<P>(item.from, item.node, item.hop, now,
-                        event.payload.route)) {
-          continue;
-        }
-      }
+      if (head == fifo_.size()) break;
+      const Item item = fifo_[head++];
       net.for_each_next(item.node, [&](ids::NodeIndex y) {
         if (y == item.from || y == item.node || !net.admit(item.node, y)) {
           return;
         }
         // A delayed transmission is charged extra propagation hops.
         const std::uint32_t hop = item.hop + 1 + net.penalty(item.node, y);
-        double arrival = 0.0;
-        if constexpr (P == QueuePolicy::kTimed) {
-          arrival = now + net.latency(item.node, y);
-        }
-        send<P>(item.node, y, hop, arrival, /*route=*/false);
+        send(item.node, y, hop, /*route=*/false);
       });
     }
   }
 
   /// Close the publication: finish an open trace, record the report.
   DisseminationReport finish();
-
-  /// Link-latency totals of the last kTimed publication (ms, over
-  /// delivered subscribers).
-  [[nodiscard]] double delay_ms_sum() const { return delay_ms_sum_; }
-  [[nodiscard]] double max_delay_ms() const { return max_delay_ms_; }
 
   /// Bytes of the two per-node stamp arrays (memory_footprint's share).
   [[nodiscard]] std::size_t memory_bytes() const {
@@ -171,47 +127,24 @@ class Dissemination {
     ids::NodeIndex from = ids::kInvalidNode;
     std::uint32_t hop = 0;
   };
-  struct Arrival {
-    Item item;
-    bool route = false;  // greedy-handoff hop, for the trace
-  };
 
-  /// Hand a transmission to the queue: kFifo accounts it now and queues a
-  /// first visit; kTimed schedules its arrival at `time`.
-  template <QueuePolicy P>
+  /// Account one transmission from -> to at `hop` (`route`: a greedy-
+  /// handoff hop, for the trace) and queue `to` on its first visit.
   void send(ids::NodeIndex from, ids::NodeIndex to, std::uint32_t hop,
-            double time, bool route) {
-    if constexpr (P == QueuePolicy::kFifo) {
-      if (receive<P>(from, to, hop, time, route)) {
-        fifo_.push_back(Item{to, from, hop});
-      }
-    } else {
-      timed_.schedule(time, Arrival{Item{to, from, hop}, route});
-    }
-  }
-
-  /// Account one transmission from -> to at `hop` (arriving at `time`);
-  /// true when it is `to`'s first.
-  template <QueuePolicy P>
-  bool receive(ids::NodeIndex from, ids::NodeIndex to, std::uint32_t hop,
-               double time, bool route) {
+            bool route) {
     const bool member = interested(to);
     metrics_.on_message(to, member);
     ++report_.messages;
     if (traced_) recorder_.add_hop(from, to, hop, member, route);
-    if (visit_[to] == stamp_) return false;
+    if (visit_[to] == stamp_) return;
     visit_[to] = stamp_;
     if (mark_[to] == ((stamp_ << 1) | 1)) {
       ++report_.delivered;
       report_.delay_sum += hop;
       report_.max_delay = std::max<std::size_t>(report_.max_delay, hop);
       metrics_.on_delivery(hop);
-      if constexpr (P == QueuePolicy::kTimed) {
-        delay_ms_sum_ += time;
-        max_delay_ms_ = std::max(max_delay_ms_, time);
-      }
     }
-    return true;
+    fifo_.push_back(Item{to, from, hop});
   }
 
   const SubscriptionTable& subscriptions_;
@@ -231,15 +164,11 @@ class Dissemination {
 
   DisseminationReport report_;
   bool traced_ = false;
-  double delay_ms_sum_ = 0.0;
-  double max_delay_ms_ = 0.0;
   std::uint32_t route_hop_ = 0;
-  double route_time_ = 0.0;
 
-  // Queues, reused across publications so steady-state publishing does
+  // The queue, reused across publications so steady-state publishing does
   // not allocate.
   std::vector<Item> fifo_;
-  sim::EventQueue<Arrival> timed_;
 };
 
 }  // namespace vitis::pubsub

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ids/hash.hpp"
@@ -143,5 +144,8 @@ class SubscriptionTable {
   std::vector<std::vector<ids::NodeIndex>> subscribers_;
   std::size_t topic_count_ = 0;
 };
+
+/// One planned publication: (topic, publishing node).
+using Publication = std::pair<ids::TopicIndex, ids::NodeIndex>;
 
 }  // namespace vitis::pubsub

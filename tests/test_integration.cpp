@@ -195,7 +195,7 @@ TEST(Integration, ChurnPlaybackKeepsVitisDelivering) {
       const auto schedule = workload::make_schedule(
           scenario.subscriptions, scenario.rates, 20, pub_rng,
           [&](ids::NodeIndex n) { return system->is_alive(n); });
-      const auto summary = pubsub::measure(*system, schedule);
+      const auto summary = workload::measure(*system, schedule);
       hit_sum += summary.hit_ratio;
       ++windows;
     }

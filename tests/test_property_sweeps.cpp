@@ -38,7 +38,7 @@ class VitisSweep : public ::testing::TestWithParam<SweepParam> {
 
 TEST_P(VitisSweep, FullDelivery) {
   system_->metrics().reset();
-  const auto summary = pubsub::measure(*system_, scenario_->schedule);
+  const auto summary = workload::measure(*system_, scenario_->schedule);
   EXPECT_GE(summary.hit_ratio, 0.99);
 }
 

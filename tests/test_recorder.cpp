@@ -221,7 +221,7 @@ support::RecorderConfig observe_config() {
 
 TEST(RecorderIntegration, VitisSeriesAndTracesAreDeterministic) {
   const auto scenario = small_scenario();
-  const auto run = [&](pubsub::PubSubSystem& system) {
+  const auto run = [&](core::OverlaySystem& system) {
     system.configure_recorder(observe_config());
     return workload::run_measurement(system, 20, scenario.schedule);
   };
@@ -305,7 +305,7 @@ TEST(RecorderIntegration, SampledGaugesAreSane) {
 
 TEST(RecorderIntegration, RvrBaselineRecordsDeterministically) {
   const auto scenario = small_scenario();
-  const auto run = [&](pubsub::PubSubSystem& system) {
+  const auto run = [&](core::OverlaySystem& system) {
     system.configure_recorder(observe_config());
     return workload::run_measurement(system, 20, scenario.schedule);
   };

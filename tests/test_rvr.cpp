@@ -21,11 +21,16 @@ workload::SyntheticScenario scenario_for(std::uint64_t seed,
   return workload::make_synthetic_scenario(params);
 }
 
-class RvrFixture : public ::testing::Test {
+// The fixture runs at the cycle-engine worker count it is instantiated
+// with. The output is bit-identical at any count, so every assertion holds
+// at each; at 3 workers the relay refresh that builds the trees runs on
+// the worker pool, which the thread-sanitizer job then races.
+class RvrFixture : public ::testing::TestWithParam<std::size_t> {
  protected:
   RvrFixture() : scenario_(scenario_for(21)) {
     RvrConfig config;
     config.base.routing_table_size = 12;
+    config.base.run_jobs = GetParam();
     config.tree_refresh_interval = 2;
     system_ = workload::make_rvr(scenario_, config, 21);
     system_->run_cycles(35);
@@ -35,7 +40,10 @@ class RvrFixture : public ::testing::Test {
   std::unique_ptr<RvrSystem> system_;
 };
 
-TEST_F(RvrFixture, SelectionIsSubscriptionOblivious) {
+INSTANTIATE_TEST_SUITE_P(RunJobs, RvrFixture,
+                         ::testing::Values(std::size_t{1}, std::size_t{3}));
+
+TEST_P(RvrFixture, SelectionIsSubscriptionOblivious) {
   // RVR tables contain only structural links: ring + small world.
   for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
     for (const auto& e : system_->routing_table(n).entries()) {
@@ -46,17 +54,21 @@ TEST_F(RvrFixture, SelectionIsSubscriptionOblivious) {
   }
 }
 
-TEST_F(RvrFixture, MulticastTreesCoverSubscribers) {
+TEST_P(RvrFixture, MulticastTreesCoverSubscribers) {
   // Every subscriber of a topic must hold tree state for it after refresh.
   std::size_t checked = 0;
   for (std::size_t t = 0; t < 30; ++t) {
     const auto topic = static_cast<ids::TopicIndex>(t);
+    std::size_t tree_size = 0;
+    for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
+      tree_size += system_->relay_table(n).is_relay_for(topic) ? 1 : 0;
+    }
     for (const ids::NodeIndex s :
          system_->subscriptions().subscribers(topic)) {
       // Subscribers with the rendezvous role may have no outgoing links if
       // they are the whole tree; everyone else must be a member.
-      if (system_->tree_size_of(topic) > 1) {
-        EXPECT_TRUE(system_->is_tree_member(s, topic))
+      if (tree_size > 1) {
+        EXPECT_TRUE(system_->relay_table(s).is_relay_for(topic))
             << "subscriber " << s << " missing from tree of topic " << t;
       }
       ++checked;
@@ -65,14 +77,14 @@ TEST_F(RvrFixture, MulticastTreesCoverSubscribers) {
   EXPECT_GT(checked, 0u);
 }
 
-TEST_F(RvrFixture, TreesIncludeRelayInteriorNodes) {
+TEST_P(RvrFixture, TreesIncludeRelayInteriorNodes) {
   // Scribe trees route through uninterested nodes: at least one topic must
   // have non-subscriber tree members (that is RVR's overhead source).
   bool found_relay = false;
   for (std::size_t t = 0; t < scenario_.subscriptions.topic_count() && !found_relay; ++t) {
     const auto topic = static_cast<ids::TopicIndex>(t);
     for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
-      if (system_->is_tree_member(n, topic) &&
+      if (system_->relay_table(n).is_relay_for(topic) &&
           !system_->subscriptions().subscribes(n, topic)) {
         found_relay = true;
         break;
@@ -82,14 +94,14 @@ TEST_F(RvrFixture, TreesIncludeRelayInteriorNodes) {
   EXPECT_TRUE(found_relay);
 }
 
-TEST_F(RvrFixture, FullHitRatio) {
+TEST_P(RvrFixture, FullHitRatio) {
   system_->metrics().reset();
-  const auto summary = pubsub::measure(*system_, scenario_.schedule);
+  const auto summary = workload::measure(*system_, scenario_.schedule);
   EXPECT_DOUBLE_EQ(summary.hit_ratio, 1.0);
   EXPECT_GT(summary.traffic_overhead_pct, 0.0);
 }
 
-TEST_F(RvrFixture, PublishRoutesThroughRendezvous) {
+TEST_P(RvrFixture, PublishRoutesThroughRendezvous) {
   const ids::TopicIndex topic = 3;
   const auto subscribers = system_->subscriptions().subscribers(topic);
   ASSERT_FALSE(subscribers.empty());
@@ -102,7 +114,7 @@ TEST_F(RvrFixture, PublishRoutesThroughRendezvous) {
   }
 }
 
-TEST_F(RvrFixture, CutRouteNeverReachesTheTree) {
+TEST_P(RvrFixture, CutRouteNeverReachesTheTree) {
   // An open partition cuts the first hop of the publisher's route to the
   // rendezvous: the event never reaches the tree root, so nobody receives
   // it (the tree flood must not start at a rendezvous the event missed).
@@ -125,7 +137,7 @@ TEST_F(RvrFixture, CutRouteNeverReachesTheTree) {
   EXPECT_GT(cut, 0u) << "no schedule route crosses the partition";
 }
 
-TEST_F(RvrFixture, TreeStateDecaysAfterLeave) {
+TEST_P(RvrFixture, TreeStateDecaysAfterLeave) {
   // Find a tree member for some topic, make it leave, and verify its state
   // is gone and the overlay still delivers after repair.
   const ids::TopicIndex topic = 5;
@@ -133,7 +145,7 @@ TEST_F(RvrFixture, TreeStateDecaysAfterLeave) {
   ASSERT_GT(subscribers.size(), 1u);
   const ids::NodeIndex victim = subscribers[0];
   system_->node_leave(victim);
-  EXPECT_FALSE(system_->is_tree_member(victim, topic));
+  EXPECT_FALSE(system_->relay_table(victim).is_relay_for(topic));
   system_->run_cycles(10);
   system_->metrics().reset();
   const auto publisher = subscribers[1];
@@ -141,7 +153,7 @@ TEST_F(RvrFixture, TreeStateDecaysAfterLeave) {
   EXPECT_EQ(report.delivered, report.expected);
 }
 
-TEST_F(RvrFixture, FootprintCountsTheTrees) {
+TEST_P(RvrFixture, FootprintCountsTheTrees) {
   // The multicast trees are RVR's per-node state: when the node that is a
   // member of the most trees leaves, its tree links leave the footprint.
   ids::NodeIndex member = 0;
@@ -149,9 +161,8 @@ TEST_F(RvrFixture, FootprintCountsTheTrees) {
   for (ids::NodeIndex n = 0; n < system_->node_count(); ++n) {
     std::size_t trees = 0;
     for (std::size_t t = 0; t < scenario_.subscriptions.topic_count(); ++t) {
-      if (system_->is_tree_member(n, static_cast<ids::TopicIndex>(t))) {
-        ++trees;
-      }
+      const auto topic = static_cast<ids::TopicIndex>(t);
+      if (system_->relay_table(n).is_relay_for(topic)) ++trees;
     }
     if (trees > most) {
       most = trees;
