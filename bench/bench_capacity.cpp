@@ -89,47 +89,55 @@ int main(int argc, char** argv) {
   // tables (which index outcomes[0..8]) are untouched; the extra points are
   // bit-identical in params/metrics and differ only in wall-clock telemetry
   // (telemetry.run_jobs / telemetry.parallel), which is where the --run-jobs
-  // speedup is recorded.
+  // speedup is recorded. They run in a serial sweep of their own after the
+  // ladder: inside the ladder's --jobs sweep their engine workers would
+  // compete with the other points for the same cores.
   const std::size_t kScalingRung = 1;
+  std::vector<Point> scaling;
   for (const std::size_t engine_jobs : {std::size_t{1}, std::size_t{2},
                                         std::size_t{4}, std::size_t{8}}) {
-    points.push_back(Point{System::kVitis, kScalingRung, engine_jobs});
+    scaling.push_back(Point{System::kVitis, kScalingRung, engine_jobs});
   }
 
-  const auto outcomes = bench::sweep(
-      ctx, points,
-      [&](const Point& point,
-          support::RunTelemetry& telemetry) -> CapacityResult {
-        const auto& scenario = scenarios[point.rung];
-        telemetry.cycles = ctx.scale.cycles;
-        std::unique_ptr<core::OverlaySystem> system;
-        switch (point.system) {
-          case System::kVitis: {
-            core::VitisConfig config = bench::with_run_jobs(ctx);
-            if (point.run_jobs > 0) config.run_jobs = point.run_jobs;
-            system = workload::make_vitis(scenario, config, ctx.seed);
-            break;
-          }
-          case System::kRvr:
-            system = workload::make_rvr(
-                scenario, bench::with_run_jobs(ctx, baselines::rvr::RvrConfig{}),
-                ctx.seed);
-            break;
-          case System::kOpt:
-            system = workload::make_opt(
-                scenario, bench::with_run_jobs(ctx, baselines::opt::OptConfig{}),
-                ctx.seed);
-            break;
-        }
-        bench::enable_recorder(ctx, *system, ctx.scale.cycles);
-        CapacityResult result;
-        result.summary = workload::run_measurement(*system, ctx.scale.cycles,
-                                                   scenario.schedule);
-        result.memory_bytes = system->memory_footprint();
-        telemetry.messages = system->metrics().total_messages();
-        bench::record_phases(telemetry, *system);
-        return result;
-      });
+  const auto measure = [&](const Point& point,
+                           support::RunTelemetry& telemetry) -> CapacityResult {
+    const auto& scenario = scenarios[point.rung];
+    telemetry.cycles = ctx.scale.cycles;
+    std::unique_ptr<core::OverlaySystem> system;
+    switch (point.system) {
+      case System::kVitis: {
+        core::VitisConfig config = bench::with_run_jobs(ctx);
+        if (point.run_jobs > 0) config.run_jobs = point.run_jobs;
+        system = workload::make_vitis(scenario, config, ctx.seed);
+        break;
+      }
+      case System::kRvr:
+        system = workload::make_rvr(
+            scenario, bench::with_run_jobs(ctx, baselines::rvr::RvrConfig{}),
+            ctx.seed);
+        break;
+      case System::kOpt:
+        system = workload::make_opt(
+            scenario, bench::with_run_jobs(ctx, baselines::opt::OptConfig{}),
+            ctx.seed);
+        break;
+    }
+    bench::enable_recorder(ctx, *system, ctx.scale.cycles);
+    CapacityResult result;
+    result.summary = workload::run_measurement(*system, ctx.scale.cycles,
+                                               scenario.schedule);
+    result.memory_bytes = system->memory_footprint();
+    telemetry.messages = system->metrics().total_messages();
+    bench::record_phases(telemetry, *system);
+    return result;
+  };
+  auto outcomes = bench::sweep(ctx, points, measure);
+  bench::BenchContext serial = ctx;
+  serial.jobs = 1;
+  for (auto& outcome : bench::sweep(serial, scaling, measure)) {
+    outcomes.push_back(std::move(outcome));
+  }
+  points.insert(points.end(), scaling.begin(), scaling.end());
 
   const auto bytes_per_node = [&](std::size_t i) {
     return static_cast<double>(outcomes[i].result.memory_bytes) /

@@ -23,7 +23,9 @@
 
 namespace vitis::baselines::opt {
 
-class CoverageSelector {
+// Cache-line aligned: OPT keeps one selector per T-Man wave worker, side by
+// side, and selection rewrites the scratch columns' headers.
+class alignas(64) CoverageSelector {
  public:
   /// `subscriptions_of(node)` resolves a candidate's subscription set.
   CoverageSelector(std::size_t coverage_target,
@@ -67,7 +69,7 @@ class CoverageSelector {
   std::size_t target_;
   const pubsub::SubscriptionTable* subscriptions_;
   // prefilter_pool columns; mutable scratch because selection is logically
-  // const and runs in the serial select callback (never a parallel stage).
+  // const. One selector per T-Man wave worker, so no two threads share it.
   mutable std::vector<std::uint64_t> pool_fingerprints_;
   mutable std::vector<std::uint8_t> rejects_;
 };

@@ -35,7 +35,9 @@ OptSystem::OptSystem(OptConfig config, pubsub::SubscriptionTable subscriptions,
                      std::uint64_t seed, bool start_online)
     : OverlaySystem(effective_base(config), std::move(subscriptions), seed),
       config_(config),
-      selector_(config.coverage_target, this->subscriptions()) {
+      selectors_(engine().run_jobs(),
+                 CoverageSelector(config.coverage_target,
+                                  this->subscriptions())) {
   if (config_.unbounded) {
     coverage_.resize(node_count());
     for (std::size_t i = 0; i < node_count(); ++i) {
@@ -48,21 +50,23 @@ OptSystem::OptSystem(OptConfig config, pubsub::SubscriptionTable subscriptions,
 
 void OptSystem::select_neighbors(ids::NodeIndex self,
                                  std::span<const gossip::Descriptor> candidates,
-                                 overlay::RoutingTable& rt, sim::Rng& rng) {
+                                 overlay::RoutingTable& rt, sim::Rng& rng,
+                                 std::size_t worker) {
   (void)rng;  // coverage selection is fully deterministic
-  const support::ScopedPhase phase(&profiler_mut(),
-                                   support::Phase::kRanking);
+  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRanking,
+                                   worker);
+  const CoverageSelector& selector = selectors_[worker];
   const auto& my_subs = subscriptions().of(self);
   if (config_.unbounded) {
     // Additive: keep every existing link, add what coverage still needs.
-    for (const auto& entry : selector_.select_additional(
+    for (const auto& entry : selector.select_additional(
              my_subs, candidates, rt, coverage_[self])) {
       (void)rt.add(entry);
     }
     return;
   }
-  rt.assign(selector_.select_bounded(my_subs, candidates,
-                                     base_config().routing_table_size));
+  rt.assign(selector.select_bounded(my_subs, candidates,
+                                    base_config().routing_table_size));
 }
 
 void OptSystem::on_join(ids::NodeIndex node) {

@@ -48,7 +48,8 @@ class OptSystem final : public core::OverlaySystem {
  protected:
   void select_neighbors(ids::NodeIndex self,
                         std::span<const gossip::Descriptor> candidates,
-                        overlay::RoutingTable& rt, sim::Rng& rng) override;
+                        overlay::RoutingTable& rt, sim::Rng& rng,
+                        std::size_t worker) override;
   void on_join(ids::NodeIndex node) override;
   void on_leave(ids::NodeIndex node) override;
 
@@ -58,7 +59,7 @@ class OptSystem final : public core::OverlaySystem {
   static core::OverlayConfig effective_base(const OptConfig& config);
 
   OptConfig config_;
-  CoverageSelector selector_;
+  std::vector<CoverageSelector> selectors_;  // one per T-Man wave worker
   /// Unbounded mode: per-node per-subscribed-topic coverage counters,
   /// aligned with each node's sorted subscription list.
   std::vector<std::vector<std::uint8_t>> coverage_;

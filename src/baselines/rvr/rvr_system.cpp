@@ -35,20 +35,22 @@ RvrSystem::RvrSystem(RvrConfig config, pubsub::SubscriptionTable subscriptions,
 // remaining slot a small-world link at a random harmonic distance.
 void RvrSystem::select_neighbors(ids::NodeIndex self,
                                  std::span<const gossip::Descriptor> candidates,
-                                 overlay::RoutingTable& rt, sim::Rng& rng) {
-  const support::ScopedPhase phase(&profiler_mut(),
-                                   support::Phase::kRanking);
+                                 overlay::RoutingTable& rt, sim::Rng& rng,
+                                 std::size_t worker) {
+  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRanking,
+                                   worker);
   const ids::RingId self_id = ring_id(self);
-  select_ring_links(self, candidates);
-  while (selected_count() < base_config().routing_table_size &&
-         !unselected().empty()) {
+  Selection& selection = select_ring_links(self, candidates, worker);
+  while (selection.size() < base_config().routing_table_size &&
+         !selection.unselected().empty()) {
     const ids::RingId target = overlay::random_sw_target(
         self_id, std::max<std::size_t>(alive_count(), 2), rng);
-    const auto sw = overlay::closest_to_target(unselected(), target, self);
+    const auto sw =
+        overlay::closest_to_target(selection.unselected(), target, self);
     if (!sw.has_value()) break;
-    take_candidate(*sw, overlay::LinkKind::kSmallWorld);
+    selection.take(*sw, overlay::LinkKind::kSmallWorld);
   }
-  install_selection(rt);
+  selection.install(rt);
 }
 
 void RvrSystem::maintenance_extra() {

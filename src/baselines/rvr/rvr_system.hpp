@@ -44,7 +44,8 @@ class RvrSystem final : public core::OverlaySystem {
  protected:
   void select_neighbors(ids::NodeIndex self,
                         std::span<const gossip::Descriptor> candidates,
-                        overlay::RoutingTable& rt, sim::Rng& rng) override;
+                        overlay::RoutingTable& rt, sim::Rng& rng,
+                        std::size_t worker) override;
   // Requests the staggered resubscriptions of this cycle.
   void maintenance_extra() override;
 

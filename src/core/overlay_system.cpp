@@ -53,8 +53,11 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
   }
   join_cycles_.assign(n, 0);
   undirected_.resize(n);
-  select_buffer_.reserve(64);
-  selected_.reserve(rt_capacity_);
+  selections_.resize(engine_.run_jobs());
+  for (Selection& selection : selections_) {
+    selection.candidates_.reserve(64);
+    selection.selected_.reserve(rt_capacity_);
+  }
 
   set_ids_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -69,11 +72,13 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
       tables_, *sampling_, engine_.alive(),
       [this](ids::NodeIndex self,
              std::span<const gossip::Descriptor> candidates,
-             overlay::RoutingTable& table, sim::Rng& rng) {
-        select_neighbors(self, candidates, table, rng);
+             overlay::RoutingTable& table, sim::Rng& rng,
+             std::size_t worker) {
+        select_neighbors(self, candidates, table, rng, worker);
       },
       gossip::TManProtocol::Config{config_.sample_size},
       ids::mix64(seed ^ 0x746d616eULL));
+  tman_->set_wave_barrier([this] { end_selection_wave(); });
 
   engine_.set_profiler(&profiler_);
   engine_.set_histograms(&histograms_);
@@ -95,12 +100,12 @@ OverlaySystem::OverlaySystem(const OverlayConfig& config,
       [this](ids::NodeIndex node, std::size_t, sim::Rng&,
              std::size_t worker) { refresh_heartbeats(node, worker); });
   // The adjacency rebuild and the system's maintenance (elections, relay
-  // requests) have cross-node read-modify-write dependencies: a serial hook.
+  // requests) have cross-node read-modify-write dependencies: a hook.
   engine_.add_cycle_hook("overlay-maintenance",
                          [this](std::size_t) { cycle_maintenance(); });
 
-  sampling_->set_workers(engine_.run_jobs());
-  tman_->set_workers(engine_.run_jobs());
+  sampling_->set_engine(engine_);
+  tman_->set_engine(engine_);
 }
 
 void OverlaySystem::start(bool start_online) {
@@ -131,14 +136,16 @@ void OverlaySystem::add_relay_refresh(std::uint32_t ttl,
   // name them. A topic's records all sit in one lane in requester order,
   // and per-topic order is all a relay table depends on, so any worker
   // count yields the serial result.
-  engine_.add_sharded_stage(
+  engine_.add_stage(
       "relay-refresh", kSaltRelay,
       [this](ids::NodeIndex node, std::size_t, sim::Rng&,
              std::size_t worker) { refresh_relays(node, worker); },
-      [this](std::size_t, std::size_t worker, sim::NodeRange owned) {
-        apply_relay_installs(worker, owned);
-      },
-      [this](std::size_t) { relay_outbox_.clear(); });
+      [this](std::size_t) {
+        engine_.run_parallel([this](std::size_t worker) {
+          apply_relay_installs(worker, engine_.owned_range(worker));
+        });
+        relay_outbox_.clear();
+      });
 
   const std::size_t n = tables_.size();
   const std::size_t workers = engine_.run_jobs();
@@ -210,30 +217,33 @@ std::span<const ids::NodeIndex> OverlaySystem::random_alive_contacts(
 // ---------------------------------------------------------------------------
 // Neighbor selection: the ring links every policy but OPT's takes first.
 // ---------------------------------------------------------------------------
-void OverlaySystem::select_ring_links(
-    ids::NodeIndex self, std::span<const gossip::Descriptor> candidates) {
-  select_buffer_.assign(candidates.begin(), candidates.end());
-  selected_.clear();
+OverlaySystem::Selection& OverlaySystem::select_ring_links(
+    ids::NodeIndex self, std::span<const gossip::Descriptor> candidates,
+    std::size_t worker) {
+  Selection& selection = selections_[worker];
+  selection.candidates_.assign(candidates.begin(), candidates.end());
+  selection.selected_.clear();
   // Lookup consistency depends on the ring neighbors.
   const ids::RingId self_id = ring_ids_[self];
-  if (const auto succ = overlay::best_successor(select_buffer_, self_id,
-                                                self)) {
-    take_candidate(*succ, overlay::LinkKind::kSuccessor);
+  if (const auto succ = overlay::best_successor(selection.candidates_,
+                                                self_id, self)) {
+    selection.take(*succ, overlay::LinkKind::kSuccessor);
   }
-  if (const auto pred = overlay::best_predecessor(select_buffer_, self_id,
-                                                  self)) {
-    take_candidate(*pred, overlay::LinkKind::kPredecessor);
+  if (const auto pred = overlay::best_predecessor(selection.candidates_,
+                                                  self_id, self)) {
+    selection.take(*pred, overlay::LinkKind::kPredecessor);
   }
+  return selection;
 }
 
-void OverlaySystem::take_candidate(std::size_t index, overlay::LinkKind kind) {
-  add_candidate(index, kind);
-  select_buffer_.erase(select_buffer_.begin() +
-                       static_cast<std::ptrdiff_t>(index));
+void OverlaySystem::Selection::take(std::size_t index,
+                                    overlay::LinkKind kind) {
+  add(index, kind);
+  candidates_.erase(candidates_.begin() + static_cast<std::ptrdiff_t>(index));
 }
 
-void OverlaySystem::add_candidate(std::size_t index, overlay::LinkKind kind) {
-  const gossip::Descriptor& d = select_buffer_[index];
+void OverlaySystem::Selection::add(std::size_t index, overlay::LinkKind kind) {
+  const gossip::Descriptor& d = candidates_[index];
   selected_.push_back(overlay::RoutingEntry{d.node, d.id, kind, 0});
 }
 

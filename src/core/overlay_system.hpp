@@ -166,9 +166,10 @@ class OverlaySystem {
                                                     ids::RingId target) const;
 
   /// One gossip activation for `node` — a peer-sampling prepare/apply pair
-  /// followed by a T-Man pair, with the same counter-based RNG forks the
-  /// cycle engine would use at the current cycle. Test hook for the
-  /// allocation audit of the steady-state step.
+  /// followed by a T-Man pair (each apply a one-exchange wave on the
+  /// engine's pool), with the same counter-based RNG forks the cycle engine
+  /// would use at the current cycle. Test hook for the allocation audit of
+  /// the steady-state step.
   void gossip_step(ids::NodeIndex node);
 
   /// Undirected snapshot of the current overlay (alive nodes only).
@@ -241,16 +242,24 @@ class OverlaySystem {
   }
 
   // --- system hooks ----------------------------------------------------------
-  /// Neighbor-selection policy, called from T-Man's serial merge. `rng` is
-  /// the calling exchange's deterministic stream; policies that draw
-  /// (small-world targets) must use it, never a shared member stream.
+  /// Neighbor-selection policy, called from T-Man's merge. Exchanges of one
+  /// wave run concurrently, so a policy writes only `table` and worker
+  /// `worker`'s scratch (select_ring_links() hands out the host's), and
+  /// reads only frozen state: subscriptions, SetIds, ring ids, liveness.
+  /// `rng` is the calling exchange's deterministic stream; policies that
+  /// draw (small-world targets) must use it, never a shared member stream.
   virtual void select_neighbors(
       ids::NodeIndex self, std::span<const gossip::Descriptor> candidates,
-      overlay::RoutingTable& table, sim::Rng& rng) = 0;
+      overlay::RoutingTable& table, sim::Rng& rng, std::size_t worker) = 0;
 
-  /// Per-cycle maintenance after the adjacency rebuild, in the serial
-  /// maintenance hook (Vitis' election sweep, RVR's staggered
-  /// resubscriptions); it queues the cycle's relay walks.
+  /// Runs on the calling thread after each wave of T-Man exchanges, before
+  /// the next wave starts (Vitis commits its pair memo's deferred inserts).
+  virtual void end_selection_wave() {}
+
+  /// Per-cycle maintenance after the adjacency rebuild, in the maintenance
+  /// hook (Vitis' election sweep, RVR's staggered resubscriptions); it
+  /// queues the cycle's relay walks. It may shard work with
+  /// engine().run_parallel().
   virtual void maintenance_extra() {}
 
   /// System-specific invariant monitors per alive node, after the shared
@@ -277,27 +286,39 @@ class OverlaySystem {
   [[nodiscard]] virtual std::size_t extra_memory_bytes() const { return 0; }
 
   // --- neighbor-selection working set ---------------------------------------
+  /// One worker's selection working set: the candidates not taken yet and
+  /// the entries selected so far. Members, so selection is allocation-free
+  /// at steady state; cache-line aligned, so workers share no line.
+  class alignas(64) Selection {
+   public:
+    /// Candidates not taken yet.
+    [[nodiscard]] std::span<const gossip::Descriptor> unselected() const {
+      return candidates_;
+    }
+    [[nodiscard]] std::size_t size() const { return selected_.size(); }
+    /// Select unselected()[index] as a `kind` link and drop it from the
+    /// candidates.
+    void take(std::size_t index, overlay::LinkKind kind);
+    /// Select unselected()[index] as a `kind` link, keeping the candidate
+    /// indices stable.
+    void add(std::size_t index, overlay::LinkKind kind);
+    void install(overlay::RoutingTable& table) const {
+      table.assign(std::span<const overlay::RoutingEntry>(selected_));
+    }
+
+   private:
+    friend class OverlaySystem;
+    std::vector<gossip::Descriptor> candidates_;
+    std::vector<overlay::RoutingEntry> selected_;
+  };
+
   /// Shared head of the ring-aware policies (Algorithm 4 lines 2-7, RVR's
-  /// Symphony selection): loads `candidates` into the member working set
-  /// and takes the best successor and predecessor. The policy continues
-  /// with take_candidate()/add_candidate() and install_selection(); the
-  /// buffers are members, so selection is allocation-free at steady state.
-  void select_ring_links(ids::NodeIndex self,
-                         std::span<const gossip::Descriptor> candidates);
-  /// Candidates not taken yet.
-  [[nodiscard]] std::span<const gossip::Descriptor> unselected() const {
-    return select_buffer_;
-  }
-  [[nodiscard]] std::size_t selected_count() const { return selected_.size(); }
-  /// Select unselected()[index] as a `kind` link and drop it from the
-  /// candidates.
-  void take_candidate(std::size_t index, overlay::LinkKind kind);
-  /// Select unselected()[index] as a `kind` link, keeping the candidate
-  /// indices stable.
-  void add_candidate(std::size_t index, overlay::LinkKind kind);
-  void install_selection(overlay::RoutingTable& table) const {
-    table.assign(std::span<const overlay::RoutingEntry>(selected_));
-  }
+  /// Symphony selection): loads `candidates` into worker `worker`'s
+  /// working set and takes the best successor and predecessor. The policy
+  /// continues with the returned Selection's take()/add() and install().
+  Selection& select_ring_links(ids::NodeIndex self,
+                               std::span<const gossip::Descriptor> candidates,
+                               std::size_t worker);
 
   // --- dissemination -------------------------------------------------------
   /// Open a publication on the shared forwarding loop: the publisher is
@@ -489,7 +510,7 @@ class OverlaySystem {
   // Per-worker buffers for the relay-refresh stage (lookup_result_ serves
   // serial callers only). `marks` holds the remaining route lengths of the
   // fully installed routes of the topic being walked.
-  struct LookupCtx {
+  struct alignas(64) LookupCtx {
     overlay::LookupResult result;
     overlay::RouteMarks marks;
   };
@@ -498,8 +519,7 @@ class OverlaySystem {
   // Scratch buffers, reused to keep the hot paths allocation-free; like
   // the relay refresh's, memory_footprint() leaves them out.
   mutable overlay::LookupResult lookup_result_;  // lookup() buffer
-  std::vector<gossip::Descriptor> select_buffer_;
-  std::vector<overlay::RoutingEntry> selected_;
+  std::vector<Selection> selections_;            // per T-Man wave worker
   std::vector<ids::NodeIndex> contacts_;
 };
 

@@ -34,6 +34,7 @@ void PairUtilityCache::reset(std::size_t min_slots) {
   slots_.clear();
   mask_ = 0;
   stats_ = {};
+  configure_lanes(lanes_.size());
   if (min_slots == 0) return;
   std::size_t size = 1;
   while (size < min_slots) size <<= 1;
@@ -64,13 +65,10 @@ void PairUtilityCache::prefetch_batch(
   }
 }
 
-bool PairUtilityCache::lookup(pubsub::SetId a, pubsub::SetId b,
-                              double& value) {
+bool PairUtilityCache::probe(pubsub::SetId a, pubsub::SetId b,
+                             double& value) const {
   VITIS_DCHECK(a != pubsub::kInvalidSetId && b != pubsub::kInvalidSetId);
-  if (!enabled()) {
-    ++stats_.misses;
-    return false;
-  }
+  if (!enabled()) return false;
   const std::uint64_t key = pair_key(a, b);
   const std::uint64_t start = ids::mix64(key) & mask_;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
@@ -78,19 +76,69 @@ bool PairUtilityCache::lookup(pubsub::SetId a, pubsub::SetId b,
     // A valid pair's key is never kEmptyKey, so empty slots cannot hit.
     if (slot.key == key) {
       value = slot.value;
-      ++stats_.hits;
       return true;
     }
   }
-  ++stats_.misses;
   return false;
+}
+
+bool PairUtilityCache::lookup(pubsub::SetId a, pubsub::SetId b,
+                              double& value) {
+  const bool hit = probe(a, b, value);
+  ++(hit ? stats_.hits : stats_.misses);
+  return hit;
+}
+
+bool PairUtilityCache::lookup(pubsub::SetId a, pubsub::SetId b, double& value,
+                              std::size_t lane) {
+  const bool hit = probe(a, b, value);
+  Lane& counts = lanes_[lane];
+  ++(hit ? counts.hits : counts.misses);
+  return hit;
+}
+
+void PairUtilityCache::configure_lanes(std::size_t lanes) {
+  lanes_.assign(lanes == 0 ? 1 : lanes, Lane{});
+}
+
+void PairUtilityCache::defer_insert(pubsub::SetId a, pubsub::SetId b,
+                                    double value, std::size_t lane) {
+  VITIS_DCHECK(a != pubsub::kInvalidSetId && b != pubsub::kInvalidSetId);
+  lanes_[lane].inserts.push_back(Pending{pair_key(a, b), value});
+}
+
+void PairUtilityCache::commit_lanes() {
+  // A queued insert lands on a probe window its lookup touched a whole
+  // wave ago, which has left the cache since: hint each window a few
+  // inserts ahead so the misses overlap instead of serializing.
+  constexpr std::size_t kAhead = 8;
+  for (Lane& lane : lanes_) {
+    const std::vector<Pending>& inserts = lane.inserts;
+    for (std::size_t i = 0; enabled() && i < inserts.size(); ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+      if (i + kAhead < inserts.size()) {
+        const std::uint64_t ahead = ids::mix64(inserts[i + kAhead].key);
+        __builtin_prefetch(&slots_[ahead & mask_], /*rw=*/1, /*locality=*/1);
+      }
+#endif
+      insert_key(inserts[i].key, inserts[i].value);
+    }
+    lane.inserts.clear();
+    stats_.hits += lane.hits;
+    stats_.misses += lane.misses;
+    lane.hits = 0;
+    lane.misses = 0;
+  }
 }
 
 void PairUtilityCache::insert(pubsub::SetId a, pubsub::SetId b,
                               double value) {
   VITIS_DCHECK(a != pubsub::kInvalidSetId && b != pubsub::kInvalidSetId);
   if (!enabled()) return;
-  const std::uint64_t key = pair_key(a, b);
+  insert_key(pair_key(a, b), value);
+}
+
+void PairUtilityCache::insert_key(std::uint64_t key, double value) {
   const std::uint64_t start = ids::mix64(key) & mask_;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     Slot& slot = slots_[(start + i) & mask_];
@@ -177,9 +225,9 @@ double UtilityFunction::score(const pubsub::SubscriptionSet& b,
       return 0.0;
     }
     double cached = 0.0;
-    if (cache_->lookup(prepared_id_, b_id, cached)) return cached;
+    if (memo_lookup(b_id, cached)) return cached;
     const double fresh = score_merge(b);
-    cache_->insert(prepared_id_, b_id, fresh);
+    memo_insert(b_id, fresh);
     return fresh;
   }
   return score_fresh(b);

@@ -26,8 +26,11 @@
 //    repeated (set, set) evaluation is one probe instead of a merge.
 //    SetIds are canonical and never reused, so a cached value can never
 //    drift from the fresh score and the memo is never dropped, not even
-//    when a node's subscriptions change. `VITIS_UTILITY_CACHE=off`
-//    disables it with byte-identical stdout.
+//    when a node's subscriptions change. Rankings that run concurrently
+//    (the T-Man waves) read the table as it stood at the last wave barrier
+//    and queue their inserts on per-worker lanes, which the barrier
+//    commits in worker order. `VITIS_UTILITY_CACHE=off` disables it with
+//    byte-identical stdout.
 #pragma once
 
 #include <cstdint>
@@ -106,6 +109,28 @@ class PairUtilityCache {
   /// probe window; otherwise evicts the probe-start slot. Never allocates.
   void insert(pubsub::SetId a, pubsub::SetId b, double value);
 
+  // --- deferred lanes: concurrent readers, one writer at the barrier ------
+  /// Size the deferred lanes (>= 1), one per worker that scores
+  /// concurrently. Queued inserts and counts are dropped.
+  void configure_lanes(std::size_t lanes);
+
+  /// lookup() for a concurrent reader: probes the table as it stood at the
+  /// last commit_lanes() without writing it, and counts the hit or miss on
+  /// `lane`.
+  [[nodiscard]] bool lookup(pubsub::SetId a, pubsub::SetId b, double& value,
+                            std::size_t lane);
+
+  /// Queue the memoization of {a, b} on `lane`; commit_lanes() inserts it.
+  /// Allocation-free once the lane reached its high-water size.
+  void defer_insert(pubsub::SetId a, pubsub::SetId b, double value,
+                    std::size_t lane);
+
+  /// Insert every queued pair with insert()'s rule — lanes in order, each
+  /// in queue order — and fold the lanes' hit and miss counts into
+  /// stats(). Call when no lane reader runs (the wave barrier).
+  void commit_lanes();
+
+  /// Totals as of the last commit_lanes() (exact between waves).
   [[nodiscard]] const UtilityCacheStats& stats() const { return stats_; }
 
  private:
@@ -119,9 +144,25 @@ class PairUtilityCache {
 
   static constexpr std::size_t kProbeWindow = 8;
 
+  struct Pending {
+    std::uint64_t key;  // pair_key of the pair
+    double value;
+  };
+  // Cache-line aligned, so concurrent lanes share no line.
+  struct alignas(64) Lane {
+    std::vector<Pending> inserts;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
+  [[nodiscard]] bool probe(pubsub::SetId a, pubsub::SetId b,
+                           double& value) const;
+  void insert_key(std::uint64_t key, double value);
+
   std::vector<Slot> slots_;  // power-of-two size; empty = disabled
   std::uint64_t mask_ = 0;
   UtilityCacheStats stats_;
+  std::vector<Lane> lanes_{Lane{}};
 };
 
 /// The `VITIS_UTILITY_CACHE` kill switch: "off" or "0" disables the
@@ -194,8 +235,15 @@ class UtilityFunction {
   [[nodiscard]] pubsub::SetId prepared_set_id() const { return prepared_id_; }
 
   /// Attach a memo (not owned; nullptr detaches). Its keys must come from
-  /// one SubscriptionRegistry, whose ids never change meaning.
-  void set_cache(PairUtilityCache* cache) { cache_ = cache; }
+  /// one SubscriptionRegistry, whose ids never change meaning. With a
+  /// `lane`, lookups read the table as of its last commit_lanes() and
+  /// misses queue their inserts on that lane, so instances on distinct
+  /// lanes may score concurrently; without one, both act at once.
+  static constexpr std::size_t kNoLane = ~std::size_t{0};
+  void set_cache(PairUtilityCache* cache, std::size_t lane = kNoLane) {
+    cache_ = cache;
+    lane_ = lane;
+  }
   [[nodiscard]] PairUtilityCache* cache() const { return cache_; }
 
   /// Test hook: with the prefilter off, every pair pays the exact merge.
@@ -213,13 +261,28 @@ class UtilityFunction {
   [[nodiscard]] double score_fresh(const pubsub::SubscriptionSet& b) const;
   [[nodiscard]] double score_merge(const pubsub::SubscriptionSet& b) const;
 
+  // The memo probe and insert of score()/score_prefiltered(), on the lane
+  // when one is set.
+  [[nodiscard]] bool memo_lookup(pubsub::SetId b_id, double& value) const {
+    return lane_ == kNoLane ? cache_->lookup(prepared_id_, b_id, value)
+                            : cache_->lookup(prepared_id_, b_id, value, lane_);
+  }
+  void memo_insert(pubsub::SetId b_id, double value) const {
+    if (lane_ == kNoLane) {
+      cache_->insert(prepared_id_, b_id, value);
+    } else {
+      cache_->defer_insert(prepared_id_, b_id, value, lane_);
+    }
+  }
+
   std::vector<double> rates_;
   bool all_ones_ = true;  // every rate == 1.0: Jaccard counts are exact
   bool prefilter_enabled_ = true;
   PairUtilityCache* cache_ = nullptr;  // not owned
+  std::size_t lane_ = kNoLane;
 
   // prepare()/score() scratch; mutable because scoring is logically const.
-  // Single-threaded per sweep point, like every simulation structure.
+  // One instance per concurrent scorer (Vitis keeps one per wave worker).
   mutable std::vector<std::uint32_t> stamp_;  // indexed by TopicIndex
   mutable std::uint32_t epoch_ = 0;
   mutable const pubsub::SubscriptionSet* prepared_ = nullptr;
@@ -253,9 +316,9 @@ inline double UtilityFunction::score_prefiltered(
       prepared_id_ != pubsub::kInvalidSetId &&
       b_id != pubsub::kInvalidSetId) {
     double cached = 0.0;
-    if (cache_->lookup(prepared_id_, b_id, cached)) return cached;
+    if (memo_lookup(b_id, cached)) return cached;
     const double fresh = score_merge(b);
-    cache_->insert(prepared_id_, b_id, fresh);
+    memo_insert(b_id, fresh);
     return fresh;
   }
   return score_merge(b);

@@ -14,17 +14,26 @@ VitisSystem::VitisSystem(VitisConfig config,
                          std::vector<double> rates, std::uint64_t seed,
                          bool start_online)
     : OverlaySystem(config, std::move(subscriptions), seed),
-      config_(config),
-      utility_(rates) {
+      config_(config) {
   config_.validate();
   VITIS_CHECK(rates.size() == this->subscriptions().topic_count());
 
+  const std::size_t workers = engine().run_jobs();
+  rankers_.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    rankers_.push_back(Ranker{UtilityFunction(rates), {}, {}});
+    rankers_.back().ranked.reserve(64);
+  }
   // Uniform rates never consult the memo (UtilityFunction::score), so they
-  // get no table.
-  if (!utility_.uniform_rates() && config_.utility_cache_slots > 0 &&
-      utility_cache_env_enabled()) {
+  // get no table. Each worker's rankings read it and queue their inserts
+  // on the worker's lane; the wave barrier commits them.
+  if (!rankers_.front().utility.uniform_rates() &&
+      config_.utility_cache_slots > 0 && utility_cache_env_enabled()) {
     utility_cache_.reset(config_.utility_cache_slots);
-    utility_.set_cache(&utility_cache_);
+    utility_cache_.configure_lanes(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      rankers_[w].utility.set_cache(&utility_cache_, w);
+    }
   }
 
   const std::size_t n = node_count();
@@ -37,10 +46,18 @@ VitisSystem::VitisSystem(VitisConfig config,
   add_relay_refresh(config_.relay_ttl, config_.relay_retransmit);
 
   const std::size_t topics = this->subscriptions().topic_count();
-  topic_stamp_.assign(topics, 0);
-  topic_pos_.assign(topics, 0);
-  neighbor_mark_.assign(n, 0);
-  ranked_.reserve(64);
+  election_.resize(workers);
+  for (ElectionShard& shard : election_) {
+    shard.end = static_cast<ids::TopicIndex>(topics);
+    shard.topic_stamp.assign(topics, 0);
+    shard.topic_pos.assign(topics, 0);
+    shard.neighbor_mark.assign(n, 0);
+    if (workers > 1) {
+      shard.first.assign(n, 0);
+      shard.last.assign(n, 0);
+    }
+  }
+  request_cursor_.resize(workers);
   if (config_.gateway_silence_limit > 0) {
     silence_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -56,21 +73,23 @@ VitisSystem::VitisSystem(VitisConfig config,
 // ---------------------------------------------------------------------------
 void VitisSystem::select_neighbors(
     ids::NodeIndex self, std::span<const gossip::Descriptor> candidates,
-    overlay::RoutingTable& table, sim::Rng& rng) {
-  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRanking);
+    overlay::RoutingTable& table, sim::Rng& rng, std::size_t worker) {
+  const support::ScopedPhase phase(&profiler_mut(), support::Phase::kRanking,
+                                   worker);
   const ids::RingId self_id = ring_id(self);
 
   // Lines 2-7: ring neighbors first (lookup consistency depends on them).
-  select_ring_links(self, candidates);
+  Selection& selection = select_ring_links(self, candidates, worker);
 
   // Lines 8-10: small-world links at random harmonic distances.
   const std::size_t sw_links = config_.structural_links - 2;
-  for (std::size_t i = 0; i < sw_links && !unselected().empty(); ++i) {
+  for (std::size_t i = 0; i < sw_links && !selection.unselected().empty();
+       ++i) {
     const ids::RingId target = overlay::random_sw_target(
         self_id, std::max<std::size_t>(alive_count(), 2), rng);
-    if (const auto sw = overlay::closest_to_target(unselected(), target,
-                                                   self)) {
-      take_candidate(*sw, overlay::LinkKind::kSmallWorld);
+    if (const auto sw = overlay::closest_to_target(selection.unselected(),
+                                                   target, self)) {
+      selection.take(*sw, overlay::LinkKind::kSmallWorld);
     }
   }
 
@@ -83,21 +102,22 @@ void VitisSystem::select_neighbors(
   // SIMD prefilter and memo-prefetch passes, then scores in pool order —
   // bit-identical to the former per-candidate loop (see
   // core/batch_score.hpp).
-  const std::span<const gossip::Descriptor> pool = unselected();
+  Ranker& ranker = rankers_[worker];
+  const std::span<const gossip::Descriptor> pool = selection.unselected();
   const bool use_proximity =
       config_.proximity_weight > 0.0 && !coordinates_.empty();
-  utility_.prepare(subscriptions().of(self), set_id(self));
-  batch_.clear();
+  ranker.utility.prepare(subscriptions().of(self), set_id(self));
+  ranker.batch.clear();
   for (const gossip::Descriptor& d : pool) {
     const pubsub::SubscriptionSet& subs = subscriptions().of(d.node);
-    batch_.add(d.node, &subs, subs.fingerprint(), set_id(d.node));
+    ranker.batch.add(d.node, &subs, subs.fingerprint(), set_id(d.node));
   }
-  batch_.score_all(utility_);
+  ranker.batch.score_all(ranker.utility);
   // With coordinates installed and proximity_weight > 0, physically distant
   // candidates are discounted (§III-A2's network-topology extension) — a
   // post-pass over the raw utilities, exactly as the inline loop applied.
   if (use_proximity) {
-    const std::span<double> scores = batch_.mutable_scores();
+    const std::span<double> scores = ranker.batch.mutable_scores();
     for (std::size_t i = 0; i < scores.size(); ++i) {
       if (scores[i] > 0.0) {
         const double normalized =
@@ -112,56 +132,142 @@ void VitisSystem::select_neighbors(
   // order — e.g. by node index — would funnel every tie toward the same
   // few nodes and grow pathological hubs.
   const std::uint64_t tie_salt = ids::mix64(self ^ 0x7469656272656b00ULL);
-  rank_top_k(batch_.scores(), batch_.nodes(), tie_salt,
-             config_.friend_links(), ranked_);
-  for (const auto& [score, index] : ranked_) {
-    add_candidate(index, overlay::LinkKind::kFriend);
+  rank_top_k(ranker.batch.scores(), ranker.batch.nodes(), tie_salt,
+             config_.friend_links(), ranker.ranked);
+  for (const auto& [score, index] : ranker.ranked) {
+    selection.add(index, overlay::LinkKind::kFriend);
   }
 
-  install_selection(table);
+  selection.install(table);
 }
+
+void VitisSystem::end_selection_wave() { utility_cache_.commit_lanes(); }
 
 // ---------------------------------------------------------------------------
 // Per-cycle maintenance: gateway election.
 // ---------------------------------------------------------------------------
 void VitisSystem::maintenance_extra() {
   // Attributed per cycle, not per node: one election sweep is one phase
-  // activation (profiling found it to be the largest unattributed slice
-  // of figure-bench wall — see DESIGN.md "Hot path & determinism").
+  // activation on lane 0 (profiling found it to be the largest
+  // unattributed slice of figure-bench wall — see DESIGN.md "Hot path &
+  // determinism"); the other workers add their share without a call.
   const support::ScopedPhase phase(&profiler_mut(), support::Phase::kElection);
-  for (const ids::NodeIndex node : engine().active_nodes()) {
-    run_election(node);
+  cut_election_shards();
+  engine().run_parallel([this](std::size_t worker) {
+    const std::int64_t start = support::monotonic_ns();
+    ElectionShard& shard = election_[worker];
+    shard.requests.clear();
+    if (!shard.all_topics) {
+      // Where the range starts and ends in each alive node's topic list,
+      // found once per node instead of once per (node, neighbor) pair.
+      for (const ids::NodeIndex node : engine().active_nodes()) {
+        const auto topics = subscriptions().of(node).topics();
+        const auto lo =
+            std::lower_bound(topics.begin(), topics.end(), shard.begin);
+        const auto hi = std::lower_bound(lo, topics.end(), shard.end);
+        shard.first[node] = static_cast<std::uint32_t>(lo - topics.begin());
+        shard.last[node] = static_cast<std::uint32_t>(hi - topics.begin());
+      }
+    }
+    for (const ids::NodeIndex node : engine().active_nodes()) {
+      run_election(node, shard);
+    }
+    if (worker != 0) {
+      profiler_mut().add(
+          support::Phase::kElection,
+          static_cast<std::uint64_t>(support::monotonic_ns() - start), 0,
+          worker);
+    }
+  });
+  // Each shard's requests ascend by (node, topic), and the shards' topic
+  // ranges ascend with the worker index: per node, taking the shards in
+  // order yields its topics ascending.
+  std::fill(request_cursor_.begin(), request_cursor_.end(), 0);
+  for (;;) {
+    ids::NodeIndex node = ids::kInvalidNode;
+    for (std::size_t w = 0; w < election_.size(); ++w) {
+      const std::vector<RelayRequest>& requests = election_[w].requests;
+      if (request_cursor_[w] < requests.size()) {
+        node = std::min(node, requests[request_cursor_[w]].node);
+      }
+    }
+    if (node == ids::kInvalidNode) break;
+    for (std::size_t w = 0; w < election_.size(); ++w) {
+      const std::vector<RelayRequest>& requests = election_[w].requests;
+      std::size_t& cursor = request_cursor_[w];
+      for (; cursor < requests.size() && requests[cursor].node == node;
+           ++cursor) {
+        request_relay(node, requests[cursor].topic);
+      }
+    }
   }
 }
 
-void VitisSystem::run_election(ids::NodeIndex node) {
+void VitisSystem::cut_election_shards() {
+  const std::size_t workers = election_.size();
+  if (workers == 1) return;  // one range covers every topic
+  // Cut w sits at the first topic where the subscriber prefix reaches
+  // w/J of the total, so each range holds about as many (node, topic)
+  // pairs as the others.
+  const std::size_t topics = subscriptions().topic_count();
+  std::size_t total = 0;
+  for (std::size_t t = 0; t < topics; ++t) {
+    total += subscriptions().subscribers(static_cast<ids::TopicIndex>(t))
+                 .size();
+  }
+  std::size_t prefix = 0;
+  std::size_t t = 0;
+  for (std::size_t w = 0; w < workers; ++w) {
+    ElectionShard& shard = election_[w];
+    shard.begin = static_cast<ids::TopicIndex>(t);
+    const std::size_t target = total * (w + 1) / workers;
+    while (t < topics && (w + 1 == workers || prefix < target)) {
+      prefix +=
+          subscriptions().subscribers(static_cast<ids::TopicIndex>(t)).size();
+      ++t;
+    }
+    shard.end = static_cast<ids::TopicIndex>(t);
+    shard.all_topics = shard.begin == 0 && t == topics;
+  }
+}
+
+void VitisSystem::run_election(ids::NodeIndex node, ElectionShard& shard) {
+  // The positions [first, last) of an alive node's sorted topic list that
+  // fall in the shard's range.
+  const auto in_range = [&shard](ids::NodeIndex x, std::size_t size) {
+    return shard.all_topics
+               ? std::pair<std::size_t, std::size_t>{0, size}
+               : std::pair<std::size_t, std::size_t>{shard.first[x],
+                                                     shard.last[x]};
+  };
   const pubsub::SubscriptionSet& my_subs = subscriptions().of(node);
   const auto my_topics = my_subs.topics();
-  if (my_topics.empty()) return;
+  const auto [first, last] = in_range(node, my_topics.size());
+  if (first == last) return;
 
   // Stamp the positions of this node's topics and the node's neighbors
   // once: a neighbor's (sorted) topic list is then scanned with O(1)
   // membership tests, and the line-7 scope test is one compare.
-  if (++topic_epoch_ == 0) {
-    std::fill(topic_stamp_.begin(), topic_stamp_.end(), 0U);
-    std::fill(neighbor_mark_.begin(), neighbor_mark_.end(), 0U);
-    topic_epoch_ = 1;
+  if (++shard.epoch == 0) {
+    std::fill(shard.topic_stamp.begin(), shard.topic_stamp.end(), 0U);
+    std::fill(shard.neighbor_mark.begin(), shard.neighbor_mark.end(), 0U);
+    shard.epoch = 1;
   }
-  const std::uint32_t epoch = topic_epoch_;
+  const std::uint32_t epoch = shard.epoch;
   const ids::RingId self_id = ring_id(node);
-  if (ballots_.size() < my_topics.size()) ballots_.resize(my_topics.size());
-  for (std::size_t i = 0; i < my_topics.size(); ++i) {
-    topic_stamp_[my_topics[i]] = epoch;
-    topic_pos_[my_topics[i]] = i;
-    ballots_[i] = Ballot{ids::topic_ring_id(my_topics[i]),
-                         GatewayProposal{node, self_id, node, 0}};
+  if (shard.ballots.size() < last - first) shard.ballots.resize(last - first);
+  for (std::size_t i = first; i < last; ++i) {
+    shard.topic_stamp[my_topics[i]] = epoch;
+    shard.topic_pos[my_topics[i]] = i;
+    shard.ballots[i - first] = Ballot{ids::topic_ring_id(my_topics[i]),
+                                      GatewayProposal{node, self_id, node, 0}};
   }
   const auto& my_neighbors = undirected(node);
   for (const ids::NodeIndex neighbor : my_neighbors) {
-    neighbor_mark_[neighbor] = epoch;
+    shard.neighbor_mark[neighbor] = epoch;
   }
-  const auto in_scope = [this, epoch](ids::NodeIndex parent) {
-    return neighbor_mark_[parent] == epoch;
+  const auto in_scope = [&shard, epoch](ids::NodeIndex parent) {
+    return shard.neighbor_mark[parent] == epoch;
   };
 
   // Fold each neighbor's proposal for a shared topic into that topic's
@@ -178,18 +284,20 @@ void VitisSystem::run_election(ids::NodeIndex node) {
     }
     const Profile& their_profile = profiles_[neighbor];
     const auto their_topics = their_subs.topics();
-    if (shared_pos_.size() < their_topics.size()) {
-      shared_pos_.resize(their_topics.size());
+    const auto [their_first, their_last] =
+        in_range(neighbor, their_topics.size());
+    if (shard.shared_pos.size() < their_last - their_first) {
+      shard.shared_pos.resize(their_last - their_first);
     }
     // Positions of the shared topics, collected without branches.
     std::size_t shared = 0;
-    for (std::size_t b = 0; b < their_topics.size(); ++b) {
-      shared_pos_[shared] = static_cast<std::uint32_t>(b);
-      shared += topic_stamp_[their_topics[b]] == epoch ? 1 : 0;
+    for (std::size_t b = their_first; b < their_last; ++b) {
+      shard.shared_pos[shared] = static_cast<std::uint32_t>(b);
+      shared += shard.topic_stamp[their_topics[b]] == epoch ? 1 : 0;
     }
     for (std::size_t k = 0; k < shared; ++k) {
-      const std::size_t b = shared_pos_[k];
-      const std::size_t a = topic_pos_[their_topics[b]];
+      const std::size_t b = shard.shared_pos[k];
+      const std::size_t a = shard.topic_pos[their_topics[b]];
       const GatewayProposal& candidate = their_profile.proposal_at(b);
       if (!silence_.empty()) {
         TopicSilence& ts = silence_[node][a];
@@ -204,7 +312,7 @@ void VitisSystem::run_election(ids::NodeIndex node) {
           }
         }
       }
-      Ballot& ballot = ballots_[a];
+      Ballot& ballot = shard.ballots[a - first];
       consider_proposal(
           ElectionInput{node, self_id, ballot.topic_hash,
                         config_.gateway_depth},
@@ -213,16 +321,16 @@ void VitisSystem::run_election(ids::NodeIndex node) {
   }
 
   Profile& my_profile = profiles_[node];
-  for (std::size_t i = 0; i < my_topics.size(); ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     const GatewayProposal previous = my_profile.proposal_at(i);
-    my_profile.set_proposal_at(i, ballots_[i].proposal);
+    my_profile.set_proposal_at(i, shard.ballots[i - first].proposal);
     if (config_.gateway_silence_limit > 0) {
       apply_gateway_silence(node, i, previous);
     }
     if (is_self_gateway(node, my_profile.proposal_at(i))) {
       // Algorithm 5 lines 20-22, deferred: the relay-refresh stage serves
       // the requests after the sweep (lookups over stable routing state).
-      request_relay(node, my_topics[i]);
+      shard.requests.push_back(RelayRequest{node, my_topics[i]});
     }
   }
 }
@@ -268,8 +376,10 @@ void VitisSystem::check_node_invariants(ids::NodeIndex node) const {
 std::size_t VitisSystem::extra_memory_bytes() const {
   std::size_t bytes = profiles_.size() * sizeof(Profile);
   for (const Profile& profile : profiles_) bytes += profile.memory_bytes();
-  return bytes + topic_stamp_.size() * sizeof(std::uint32_t) +
-         topic_pos_.size() * sizeof(std::size_t);
+  // One copy of the election's topic stamps and positions, whatever the
+  // worker count.
+  return bytes + subscriptions().topic_count() *
+                     (sizeof(std::uint32_t) + sizeof(std::size_t));
 }
 
 // ---------------------------------------------------------------------------

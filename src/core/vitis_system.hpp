@@ -92,16 +92,22 @@ class VitisSystem final : public OverlaySystem {
   struct Hops;
 
   // --- OverlaySystem hooks ------------------------------------------------
-  // Algorithm 4. `rng` is the calling exchange's deterministic stream
-  // (drives the small-world target draws).
+  // Algorithm 4 on worker `worker`'s ranking scratch. `rng` is the calling
+  // exchange's deterministic stream (drives the small-world target draws).
   void select_neighbors(ids::NodeIndex self,
                         std::span<const gossip::Descriptor> candidates,
-                        overlay::RoutingTable& table, sim::Rng& rng) override;
+                        overlay::RoutingTable& table, sim::Rng& rng,
+                        std::size_t worker) override;
+
+  // The wave barrier: commit the pair memo's deferred inserts.
+  void end_selection_wave() override;
 
   // Gateway-election sweep after the host's adjacency rebuild, once per
-  // cycle (elections have cross-node read-modify-write dependencies).
-  // Requests the elected self-gateways' relay walks for the host's
-  // relay-refresh stage instead of serving them inline.
+  // cycle. Nodes go in ascending order (each reads proposals its lower
+  // neighbors already rewrote), but topics are independent, so the sweep
+  // runs on the pool sharded by topic range. Requests the elected
+  // self-gateways' relay walks for the host's relay-refresh stage instead
+  // of serving them inline.
   void maintenance_extra() override;
 
   // Gateway proposals stay within the depth threshold d.
@@ -123,7 +129,13 @@ class VitisSystem final : public OverlaySystem {
   // silence bookkeeping (subscription change and churn rejoin are the
   // callers).
   void reintern(ids::NodeIndex node);
-  void run_election(ids::NodeIndex node);
+
+  struct ElectionShard;
+  // Cut the topic index space into one contiguous range per worker,
+  // balanced by subscriber counts.
+  void cut_election_shards();
+  // Algorithm 5 for `node`'s topics in `shard`'s range.
+  void run_election(ids::NodeIndex node, ElectionShard& shard);
 
   /// Gateway-silence bookkeeping for topic position `pos` of `node` after
   /// an election round adopted `previous` -> current. Detects the echo
@@ -134,7 +146,6 @@ class VitisSystem final : public OverlaySystem {
                              const GatewayProposal& previous);
 
   VitisConfig config_;
-  UtilityFunction utility_;
   PairUtilityCache utility_cache_;  // memoized Eq.-1 scores over SetId pairs
   std::vector<Profile> profiles_;    // gateway proposals, by node
 
@@ -153,30 +164,55 @@ class VitisSystem final : public OverlaySystem {
   std::vector<sim::Coordinate> coordinates_;
 
   // Scratch buffers, reused to keep the hot paths allocation-free.
-  // Algorithm 4's ranking working set (the host holds the candidates and
-  // the selection). batch_ owns the SoA candidate pool the SIMD scoring
-  // passes stream over; ranked_ receives rank_top_k's (score, pool index)
-  // prefix. Members (not locals) so the per-exchange ranking is
-  // allocation-free at steady state.
-  BatchScorer batch_;
-  std::vector<std::pair<double, std::size_t>> ranked_;
-  // Gateway election: positions of this node's topics, epoch-stamped so the
-  // per-neighbor merge is O(|their topics|) with O(1) membership tests.
-  std::vector<std::uint32_t> topic_stamp_;
-  std::vector<std::size_t> topic_pos_;
-  std::uint32_t topic_epoch_ = 0;
-  // The sweep's scratch, which memory_footprint() leaves out: one running
-  // proposal per own topic position, the positions of one neighbor's
-  // shared topics, and a mark of this node's neighbors (the line-7 scope
-  // test) valid while it equals topic_epoch_. The first two grow only to
-  // the largest topic count.
+  // Algorithm 4's ranking working set, one per T-Man wave worker (the host
+  // holds the candidates and the selection): the utility function with its
+  // prepared stamps, attached to the memo on the worker's lane; batch owns
+  // the SoA candidate pool the SIMD scoring passes stream over; ranked
+  // receives rank_top_k's (score, pool index) prefix. Cache-line aligned,
+  // so workers share no line.
+  struct alignas(64) Ranker {
+    UtilityFunction utility;
+    BatchScorer batch;
+    std::vector<std::pair<double, std::size_t>> ranked;
+  };
+  std::vector<Ranker> rankers_;
+
+  // The election sweep's per-worker scratch, which memory_footprint()
+  // leaves out but for one copy of the topic stamps and positions. A
+  // worker owns the topics [begin, end) (all of them at run_jobs 1); above
+  // run_jobs 1, first/last hold where the range sits in each alive node's
+  // topic list this cycle. The positions of a node's topics in the range
+  // are epoch-stamped, so a
+  // neighbor's merge is O(|their topics in range|) with O(1) membership
+  // tests; one running proposal per own topic position in the range; the
+  // positions of one neighbor's shared topics; a mark of the node's
+  // neighbors (the line-7 scope test) valid while it equals the epoch; and
+  // the worker's relay requests, ascending by (node, topic). The vectors
+  // grow only to the largest topic count.
   struct Ballot {
     ids::RingId topic_hash = 0;
     GatewayProposal proposal;
   };
-  std::vector<Ballot> ballots_;
-  std::vector<std::uint32_t> shared_pos_;
-  std::vector<std::uint32_t> neighbor_mark_;
+  struct RelayRequest {
+    ids::NodeIndex node;
+    ids::TopicIndex topic;
+  };
+  struct alignas(64) ElectionShard {
+    ids::TopicIndex begin = 0;
+    ids::TopicIndex end = 0;
+    bool all_topics = true;
+    std::vector<std::uint32_t> first;
+    std::vector<std::uint32_t> last;
+    std::vector<std::uint32_t> topic_stamp;
+    std::vector<std::size_t> topic_pos;
+    std::uint32_t epoch = 0;
+    std::vector<Ballot> ballots;
+    std::vector<std::uint32_t> shared_pos;
+    std::vector<std::uint32_t> neighbor_mark;
+    std::vector<RelayRequest> requests;
+  };
+  std::vector<ElectionShard> election_;
+  std::vector<std::size_t> request_cursor_;  // the requests' merge, by shard
   // Sorted live relay peers of one dissemination visit
   // (Hops::for_each_next).
   std::vector<ids::NodeIndex> relay_peers_;

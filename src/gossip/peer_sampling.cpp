@@ -46,15 +46,26 @@ PeerSampling::PeerSampling(SamplingPolicy policy,
   for (std::size_t i = 0; i < ring_ids_.size(); ++i) {
     views_.emplace_back(view_slab_.get() + i * view_size_, view_size_);
   }
-  mine_.reserve(view_size_ + 1);
-  theirs_.reserve(view_size_ + 1);
+  buffers_.resize(1);
+  buffers_[0].mine.reserve(view_size_ + 1);
+  buffers_[0].theirs.reserve(view_size_ + 1);
+}
+
+void PeerSampling::set_engine(sim::CycleEngine& engine) {
+  engine_ = &engine;
+  outbox_.configure(engine.run_jobs());
+  buffers_.resize(engine.run_jobs());
+  for (Buffers& buffers : buffers_) {
+    buffers.mine.reserve(view_size_ + 1);
+    buffers.theirs.reserve(view_size_ + 1);
+  }
 }
 
 std::size_t PeerSampling::memory_bytes() const {
   // Logical footprint from sizes and fixed capacities only (never
   // vector::capacity(), whose growth policy is implementation-defined):
-  // the descriptor slab, the view handles and the two exchange buffers
-  // (the ring ids are the caller's).
+  // the descriptor slab, the view handles and one copy of the two exchange
+  // buffers, whatever the worker count (the ring ids are the caller's).
   return ring_ids_.size() * view_size_ * sizeof(Descriptor) +
          views_.size() * sizeof(PartialView) +
          2 * (view_size_ + 1) * sizeof(Descriptor);
@@ -102,61 +113,71 @@ void PeerSampling::prepare(ids::NodeIndex node, sim::Rng& rng,
 }
 
 void PeerSampling::apply(std::size_t cycle) {
-  outbox_.drain([&](const Exchange& exchange) {
-    if (policy_ == SamplingPolicy::kNewscast) {
-      swap_views(exchange);
-    } else {
-      swap_subsets(exchange, cycle);
-    }
-  });
+  schedule_.build(outbox_);
+  outbox_.clear();
+  sim::run_waves(
+      engine_, schedule_,
+      [this, cycle](const Exchange& exchange, std::size_t worker) {
+        if (policy_ == SamplingPolicy::kNewscast) {
+          swap_views(exchange, buffers_[worker]);
+        } else {
+          swap_subsets(exchange, cycle, buffers_[worker]);
+        }
+      },
+      [] {});
 }
 
-void PeerSampling::swap_views(const Exchange& exchange) {
+void PeerSampling::swap_views(const Exchange& exchange, Buffers& buffers) {
   PartialView& view = views_[exchange.initiator];
   PartialView& partner_view = views_[exchange.partner];
 
   // Snapshot both sides before mutation (a real exchange is symmetric).
-  mine_.assign(view.entries().begin(), view.entries().end());
-  mine_.push_back(self_descriptor(exchange.initiator));
-  theirs_.assign(partner_view.entries().begin(), partner_view.entries().end());
-  theirs_.push_back(self_descriptor(exchange.partner));
+  std::vector<Descriptor>& mine = buffers.mine;
+  std::vector<Descriptor>& theirs = buffers.theirs;
+  mine.assign(view.entries().begin(), view.entries().end());
+  mine.push_back(self_descriptor(exchange.initiator));
+  theirs.assign(partner_view.entries().begin(), partner_view.entries().end());
+  theirs.push_back(self_descriptor(exchange.partner));
 
-  view.merge(theirs_);
+  view.merge(theirs);
   view.remove(exchange.initiator);  // never keep self
-  partner_view.merge(mine_);
+  partner_view.merge(mine);
   partner_view.remove(exchange.partner);
 }
 
-void PeerSampling::swap_subsets(const Exchange& exchange, std::size_t cycle) {
+void PeerSampling::swap_subsets(const Exchange& exchange, std::size_t cycle,
+                                Buffers& buffers) {
   const ids::NodeIndex node = exchange.initiator;
   const ids::NodeIndex partner = exchange.partner;
   sim::Rng rng =
       sim::Rng::at(seed_, kApplySalt, pack_pair(node, partner), cycle);
   PartialView& view = views_[node];
   PartialView& partner_view = views_[partner];
+  std::vector<Descriptor>& mine = buffers.mine;
+  std::vector<Descriptor>& theirs = buffers.theirs;
 
   // Initiator subset: up to shuffle_size-1 random entries plus self (the
   // partner's slot was freed in prepare()).
-  mine_.assign(view.entries().begin(), view.entries().end());
-  rng.shuffle(mine_);
-  if (mine_.size() > shuffle_size_ - 1) mine_.resize(shuffle_size_ - 1);
-  mine_.push_back(self_descriptor(node));
+  mine.assign(view.entries().begin(), view.entries().end());
+  rng.shuffle(mine);
+  if (mine.size() > shuffle_size_ - 1) mine.resize(shuffle_size_ - 1);
+  mine.push_back(self_descriptor(node));
 
   // Partner subset.
-  theirs_.assign(partner_view.entries().begin(), partner_view.entries().end());
-  rng.shuffle(theirs_);
-  if (theirs_.size() > shuffle_size_) theirs_.resize(shuffle_size_);
+  theirs.assign(partner_view.entries().begin(), partner_view.entries().end());
+  rng.shuffle(theirs);
+  if (theirs.size() > shuffle_size_) theirs.resize(shuffle_size_);
 
   // Initiator drops what it sent (except self) to make room, then merges.
-  for (const auto& d : mine_) {
+  for (const auto& d : mine) {
     if (d.node != node) view.remove(d.node);
   }
-  for (const auto& d : theirs_) {
+  for (const auto& d : theirs) {
     if (d.node != node) view.insert(d);
   }
 
   // Partner merges the initiator's subset symmetrically.
-  for (const auto& d : mine_) {
+  for (const auto& d : mine) {
     if (d.node != partner) partner_view.insert(d);
   }
   partner_view.remove(partner);

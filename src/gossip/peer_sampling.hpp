@@ -17,12 +17,15 @@
 // Exchanges follow the engine's two-phase protocol: prepare() is the
 // parallel stage body (own-view writes only — aging, partner pick, timeout
 // eviction — plus a thin {initiator, partner} record appended to the
-// worker's outbox lane), and apply() is the serial barriered merge that
-// re-executes every recorded two-sided exchange from live state in lane
-// order. Prepare draws from the caller's counter-based per-(node, cycle)
-// stream and Cyclon's swap forks from (seed, initiator, partner, cycle), so
-// the whole exchange schedule is a pure function of the run seed,
-// independent of `--run-jobs`.
+// worker's outbox lane), and apply() is the barriered merge that
+// re-executes every recorded two-sided exchange from live state. An
+// exchange reads and writes only its two nodes' views, so apply() runs the
+// lane-order stream in node-disjoint waves on the engine's pool
+// (sim::WaveSchedule): every view sees its exchanges in lane order. Prepare
+// draws from the caller's counter-based per-(node, cycle) stream and
+// Cyclon's swap forks from (seed, initiator, partner, cycle), so the whole
+// exchange schedule is a pure function of the run seed, independent of
+// `--run-jobs`.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +34,10 @@
 #include <vector>
 
 #include "gossip/view.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/outbox.hpp"
 #include "sim/rng.hpp"
+#include "sim/wave_schedule.hpp"
 
 namespace vitis::sim {
 class FaultPlan;
@@ -71,14 +76,16 @@ class PeerSampling {
   /// only node-local state; safe to call concurrently for distinct nodes.
   void prepare(ids::NodeIndex node, sim::Rng& rng, std::size_t worker);
 
-  /// Serial barriered merge: execute every exchange recorded by prepare(),
-  /// lanes in worker order, records in append order (= ascending initiator
-  /// order for any worker count).
+  /// Barriered merge: execute every exchange recorded by prepare() — lanes
+  /// in worker order, records in append order (= ascending initiator order
+  /// for any worker count) — in node-disjoint waves on the engine's pool,
+  /// or inline without an engine.
   void apply(std::size_t cycle);
 
-  /// Size the per-worker outbox lanes (>= 1); call before the first
-  /// prepare() whenever the engine's run_jobs differs from 1.
-  void set_workers(std::size_t workers) { outbox_.configure(workers); }
+  /// Run the merge on `engine`'s pool: sizes the outbox lanes and the
+  /// per-worker exchange buffers to its run_jobs. Call before the first
+  /// prepare(); `engine` must outlive the service.
+  void set_engine(sim::CycleEngine& engine);
 
   /// Appends up to `k` uniformly random descriptors of alive peers from the
   /// view to `out` (not cleared), drawing the subsample from `rng`; the
@@ -109,17 +116,22 @@ class PeerSampling {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  struct Exchange {
-    ids::NodeIndex initiator = ids::kInvalidNode;
-    ids::NodeIndex partner = ids::kInvalidNode;
+  using Exchange = sim::Exchange;
+
+  // One worker's exchange buffers: the initiator's and the partner's
+  // outgoing descriptors. Cache-line aligned, so workers share no line.
+  struct alignas(64) Buffers {
+    std::vector<Descriptor> mine;
+    std::vector<Descriptor> theirs;
   };
 
   /// Newscast: symmetric freshest-entries merge of the two full views.
-  void swap_views(const Exchange& exchange);
+  void swap_views(const Exchange& exchange, Buffers& buffers);
 
   /// Cyclon: swap random subsets, drawn from a fork of the exchange
   /// identity so the replay is independent of how exchanges were recorded.
-  void swap_subsets(const Exchange& exchange, std::size_t cycle);
+  void swap_subsets(const Exchange& exchange, std::size_t cycle,
+                    Buffers& buffers);
 
   SamplingPolicy policy_;
   std::span<const ids::RingId> ring_ids_;  // the caller's column
@@ -132,12 +144,12 @@ class PeerSampling {
   std::unique_ptr<Descriptor[]> view_slab_;
   std::vector<PartialView> views_;
   const sim::FaultPlan* fault_ = nullptr;  // optional admission (not owned)
+  sim::CycleEngine* engine_ = nullptr;     // runs the waves (not owned)
   sim::Outbox<Exchange> outbox_;
-  // Exchange buffers, hoisted out of apply() (scratch-buffer convention:
-  // the per-cycle path must not allocate in steady state): the initiator's
-  // and the partner's outgoing descriptors.
-  std::vector<Descriptor> mine_;
-  std::vector<Descriptor> theirs_;
+  sim::WaveSchedule schedule_;
+  // Per-worker exchange buffers, hoisted out of apply() (scratch-buffer
+  // convention: the per-cycle path must not allocate in steady state).
+  std::vector<Buffers> buffers_;
 };
 
 }  // namespace vitis::gossip

@@ -29,51 +29,54 @@ TManProtocol::TManProtocol(std::span<overlay::RoutingTable> tables,
       select_(std::move(select)),
       config_(config),
       seed_(seed),
-      prepare_scratch_(1) {
+      scratch_(1) {
   VITIS_CHECK(select_ != nullptr);
 }
 
-void TManProtocol::set_workers(std::size_t workers) {
-  outbox_.configure(workers);
-  prepare_scratch_.resize(workers == 0 ? 1 : workers);
+void TManProtocol::set_engine(sim::CycleEngine& engine) {
+  engine_ = &engine;
+  outbox_.configure(engine.run_jobs());
+  scratch_.resize(engine.run_jobs());
 }
 
-void TManProtocol::begin_buffer(std::vector<Descriptor>& buffer) const {
+void TManProtocol::begin_buffer(Scratch& scratch,
+                                std::vector<Descriptor>& buffer) {
   buffer.clear();
-  if (++seen_epoch_ == 0) {  // wrapped: invalidate every stale stamp
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0U);
-    seen_epoch_ = 1;
+  if (++scratch.seen_epoch == 0) {  // wrapped: invalidate every stale stamp
+    std::fill(scratch.seen_stamp.begin(), scratch.seen_stamp.end(), 0U);
+    scratch.seen_epoch = 1;
   }
 }
 
-void TManProtocol::merge_unique(std::vector<Descriptor>& buffer,
+void TManProtocol::merge_unique(Scratch& scratch,
+                                std::vector<Descriptor>& buffer,
                                 const Descriptor& d,
                                 ids::NodeIndex exclude) const {
   if (d.node == exclude || !alive_[d.node]) return;
-  if (d.node >= seen_stamp_.size()) {
+  if (d.node >= scratch.seen_stamp.size()) {
     // Grows once per newly seen node index, not per cycle.
-    seen_stamp_.resize(d.node + 1, 0U);
-    seen_slot_.resize(d.node + 1, 0);
+    scratch.seen_stamp.resize(d.node + 1, 0U);
+    scratch.seen_slot.resize(d.node + 1, 0);
   }
-  if (seen_stamp_[d.node] == seen_epoch_) {
-    Descriptor& existing = buffer[seen_slot_[d.node]];
+  if (scratch.seen_stamp[d.node] == scratch.seen_epoch) {
+    Descriptor& existing = buffer[scratch.seen_slot[d.node]];
     if (d.age < existing.age) existing = d;
     return;
   }
-  seen_stamp_[d.node] = seen_epoch_;
-  seen_slot_[d.node] = buffer.size();
+  scratch.seen_stamp[d.node] = scratch.seen_epoch;
+  scratch.seen_slot[d.node] = buffer.size();
   buffer.push_back(d);
 }
 
-void TManProtocol::build_buffer_into(ids::NodeIndex node,
+void TManProtocol::build_buffer_into(Scratch& scratch, ids::NodeIndex node,
                                      ids::NodeIndex exclude,
                                      std::span<const Descriptor> sample,
                                      std::vector<Descriptor>& buffer) const {
-  begin_buffer(buffer);
+  begin_buffer(scratch, buffer);
   buffer.reserve(sample.size() + tables_[node].size() + 1);
-  for (const auto& d : sample) merge_unique(buffer, d, exclude);
+  for (const auto& d : sample) merge_unique(scratch, buffer, d, exclude);
   for (const auto& e : tables_[node].entries()) {
-    merge_unique(buffer, Descriptor{e.node, e.id, e.age}, exclude);
+    merge_unique(scratch, buffer, Descriptor{e.node, e.id, e.age}, exclude);
   }
 }
 
@@ -81,7 +84,7 @@ std::vector<Descriptor> TManProtocol::build_buffer(
     ids::NodeIndex node, ids::NodeIndex exclude,
     std::span<const Descriptor> sample) const {
   std::vector<Descriptor> buffer;
-  build_buffer_into(node, exclude, sample, buffer);
+  build_buffer_into(scratch_[0], node, exclude, sample, buffer);
   return buffer;
 }
 
@@ -96,10 +99,10 @@ void TManProtocol::prepare(ids::NodeIndex node, sim::Rng& rng,
   if (!table.empty()) {
     partner = table.entries()[rng.index(table.size())].node;
   } else {
-    std::vector<Descriptor>& scratch = prepare_scratch_[worker];
-    scratch.clear();
-    sampling_->sample_into(node, 1, scratch, rng);
-    if (!scratch.empty()) partner = scratch.front().node;
+    std::vector<Descriptor>& fallback = scratch_[worker].fallback;
+    fallback.clear();
+    sampling_->sample_into(node, 1, fallback, rng);
+    if (!fallback.empty()) partner = fallback.front().node;
   }
   if (partner == ids::kInvalidNode) return;
   if (!alive_[partner]) {
@@ -114,38 +117,50 @@ void TManProtocol::prepare(ids::NodeIndex node, sim::Rng& rng,
 }
 
 void TManProtocol::apply(std::size_t cycle) {
-  outbox_.drain([&](const Exchange& exchange) {
-    const ids::NodeIndex node = exchange.initiator;
-    const ids::NodeIndex partner = exchange.partner;
-    // Every draw in the replay — sampling subsets for both buffers and the
-    // selection policy's randomness — forks from the exchange identity.
-    sim::Rng rng =
-        sim::Rng::at(seed_, kApplySalt, pack_pair(node, partner), cycle);
-    overlay::RoutingTable& table = tables_[node];
+  schedule_.build(outbox_);
+  outbox_.clear();
+  sim::run_waves(
+      engine_, schedule_,
+      [this, cycle](const Exchange& record, std::size_t worker) {
+        exchange(record, cycle, worker);
+      },
+      [this] {
+        if (wave_barrier_ != nullptr) wave_barrier_();
+      });
+}
 
-    // Algorithm 2 lines 3-4 / Algorithm 3 lines 3-4: both sides assemble
-    // sample ∪ own RT (the initiator's sample is drawn first); then each
-    // merges the other's buffer plus the other's own descriptor (lines 6-8).
-    sample_.clear();
-    sampling_->sample_into(node, config_.sample_size, sample_, rng);
-    build_buffer_into(node, /*exclude=*/partner, sample_, mine_);
-    sample_.clear();
-    sampling_->sample_into(partner, config_.sample_size, sample_, rng);
-    build_buffer_into(partner, /*exclude=*/node, sample_, theirs_);
+void TManProtocol::exchange(const Exchange& exchange, std::size_t cycle,
+                            std::size_t worker) {
+  const ids::NodeIndex node = exchange.initiator;
+  const ids::NodeIndex partner = exchange.partner;
+  Scratch& s = scratch_[worker];
+  // Every draw in the replay — sampling subsets for both buffers and the
+  // selection policy's randomness — forks from the exchange identity.
+  sim::Rng rng =
+      sim::Rng::at(seed_, kApplySalt, pack_pair(node, partner), cycle);
 
-    begin_buffer(for_me_);
-    for (const auto& d : mine_) merge_unique(for_me_, d, node);
-    for (const auto& d : theirs_) merge_unique(for_me_, d, node);
-    merge_unique(for_me_, sampling_->self_descriptor(partner), node);
+  // Algorithm 2 lines 3-4 / Algorithm 3 lines 3-4: both sides assemble
+  // sample ∪ own RT (the initiator's sample is drawn first); then each
+  // merges the other's buffer plus the other's own descriptor (lines 6-8).
+  s.sample.clear();
+  sampling_->sample_into(node, config_.sample_size, s.sample, rng);
+  build_buffer_into(s, node, /*exclude=*/partner, s.sample, s.mine);
+  s.sample.clear();
+  sampling_->sample_into(partner, config_.sample_size, s.sample, rng);
+  build_buffer_into(s, partner, /*exclude=*/node, s.sample, s.theirs);
 
-    begin_buffer(for_partner_);
-    for (const auto& d : theirs_) merge_unique(for_partner_, d, partner);
-    for (const auto& d : mine_) merge_unique(for_partner_, d, partner);
-    merge_unique(for_partner_, sampling_->self_descriptor(node), partner);
+  begin_buffer(s, s.for_me);
+  for (const auto& d : s.mine) merge_unique(s, s.for_me, d, node);
+  for (const auto& d : s.theirs) merge_unique(s, s.for_me, d, node);
+  merge_unique(s, s.for_me, sampling_->self_descriptor(partner), node);
 
-    select_(node, for_me_, table, rng);
-    select_(partner, for_partner_, tables_[partner], rng);
-  });
+  begin_buffer(s, s.for_partner);
+  for (const auto& d : s.theirs) merge_unique(s, s.for_partner, d, partner);
+  for (const auto& d : s.mine) merge_unique(s, s.for_partner, d, partner);
+  merge_unique(s, s.for_partner, sampling_->self_descriptor(node), partner);
+
+  select_(node, s.for_me, tables_[node], rng, worker);
+  select_(partner, s.for_partner, tables_[partner], rng, worker);
 }
 
 }  // namespace vitis::gossip

@@ -7,11 +7,14 @@
 //
 // Split per the engine's two-phase protocol: prepare() picks the exchange
 // partner from the node's counter-based stream (own-table writes only) and
-// records the exchange; apply() replays every recorded exchange serially in
-// deterministic lane order, forking each exchange's draws — buffer
-// subsampling and the selection policy's randomness — from
-// (seed, initiator, partner, cycle). Liveness is read from the engine's
-// bitmap, which is frozen during stages.
+// records the exchange; apply() replays the recorded exchanges in lane
+// order, forking each exchange's draws — buffer subsampling and the
+// selection policy's randomness — from (seed, initiator, partner, cycle).
+// An exchange reads frozen state (views, liveness from the engine's bitmap,
+// and whatever the selection policy reads) and writes only its two nodes'
+// routing tables, so apply() runs the stream in node-disjoint waves on the
+// engine's pool (sim::WaveSchedule), each worker with its own buffers and
+// seen-array: every table sees its exchanges in lane order.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +24,10 @@
 
 #include "gossip/peer_sampling.hpp"
 #include "overlay/routing_table.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/outbox.hpp"
 #include "sim/rng.hpp"
+#include "sim/wave_schedule.hpp"
 
 namespace vitis::gossip {
 
@@ -30,11 +35,13 @@ class TManProtocol {
  public:
   /// Rebuilds `table` for node `self` from the merged candidate buffer.
   /// Candidates never include `self` and are unique by node. `rng` is the
-  /// exchange's deterministic stream (small-world draws etc.).
+  /// exchange's deterministic stream (small-world draws etc.); `worker`
+  /// names the wave worker running it, whose scratch the policy must use
+  /// (other exchanges of the wave run concurrently).
   using SelectFn = std::function<void(ids::NodeIndex self,
                                       std::span<const Descriptor> candidates,
                                       overlay::RoutingTable& table,
-                                      sim::Rng& rng)>;
+                                      sim::Rng& rng, std::size_t worker)>;
 
   struct Config {
     std::size_t sample_size = 10;  // fresh descriptors drawn per exchange
@@ -54,12 +61,22 @@ class TManProtocol {
   /// `node`'s own table.
   void prepare(ids::NodeIndex node, sim::Rng& rng, std::size_t worker);
 
-  /// Serial barriered merge: replay the recorded exchanges — buffer
-  /// construction and two-sided selection — from live state.
+  /// Barriered merge: replay the recorded exchanges — buffer construction
+  /// and two-sided selection — from live state, in node-disjoint waves on
+  /// the engine's pool (inline without an engine). The wave barrier runs
+  /// after each wave.
   void apply(std::size_t cycle);
 
-  /// Size the per-worker outbox lanes and prepare scratch (>= 1).
-  void set_workers(std::size_t workers);
+  /// Run the merge on `engine`'s pool: sizes the outbox lanes and the
+  /// per-worker scratch to its run_jobs. Call before the first prepare();
+  /// `engine` must outlive the protocol.
+  void set_engine(sim::CycleEngine& engine);
+
+  /// Work to run on the calling thread after each wave of exchanges, before
+  /// the next one starts (the host commits its pair memo's inserts there).
+  void set_wave_barrier(std::function<void()> barrier) {
+    wave_barrier_ = std::move(barrier);
+  }
 
   /// The merged candidate buffer node would build this instant from a
   /// peer-sampling batch `sample` (exposed for tests): `sample` ∪ node's
@@ -75,21 +92,40 @@ class TManProtocol {
   void set_fault_plan(const sim::FaultPlan* plan) { fault_ = plan; }
 
  private:
-  struct Exchange {
-    ids::NodeIndex initiator = ids::kInvalidNode;
-    ids::NodeIndex partner = ids::kInvalidNode;
+  using Exchange = sim::Exchange;
+
+  // One worker's exchange scratch, hoisted out of apply() (allocation-free
+  // steady state). The dedup seen-array is indexed by node:
+  // `seen_stamp[n] == seen_epoch` means n is already in the buffer opened
+  // by the last begin_buffer(), at position `seen_slot[n]`; it grows on
+  // demand. Cache-line aligned, so workers share no line.
+  struct alignas(64) Scratch {
+    std::vector<std::uint32_t> seen_stamp;
+    std::vector<std::size_t> seen_slot;
+    std::uint32_t seen_epoch = 0;
+    std::vector<Descriptor> sample;
+    std::vector<Descriptor> mine;
+    std::vector<Descriptor> theirs;
+    std::vector<Descriptor> for_me;
+    std::vector<Descriptor> for_partner;
+    std::vector<Descriptor> fallback;  // prepare()'s sampling fallback
   };
+
+  /// One exchange of apply(), on worker `worker`'s scratch.
+  void exchange(const Exchange& exchange, std::size_t cycle,
+                std::size_t worker);
 
   /// Opens a fresh dedup scope on `buffer`: clears it and advances the
   /// epoch so the seen-array forgets every previous membership in O(1).
-  void begin_buffer(std::vector<Descriptor>& buffer) const;
+  static void begin_buffer(Scratch& scratch, std::vector<Descriptor>& buffer);
 
   /// O(1) amortized merge: skips `exclude` and dead nodes; a duplicate
   /// keeps the youngest age (epoch-stamped seen-array, not a linear scan).
-  void merge_unique(std::vector<Descriptor>& buffer, const Descriptor& d,
-                    ids::NodeIndex exclude) const;
+  void merge_unique(Scratch& scratch, std::vector<Descriptor>& buffer,
+                    const Descriptor& d, ids::NodeIndex exclude) const;
 
-  void build_buffer_into(ids::NodeIndex node, ids::NodeIndex exclude,
+  void build_buffer_into(Scratch& scratch, ids::NodeIndex node,
+                         ids::NodeIndex exclude,
                          std::span<const Descriptor> sample,
                          std::vector<Descriptor>& buffer) const;
 
@@ -97,29 +133,16 @@ class TManProtocol {
   const PeerSampling* sampling_;
   const std::vector<bool>& alive_;  // the engine's bitmap
   SelectFn select_;
+  std::function<void()> wave_barrier_;
   Config config_;
   std::uint64_t seed_;  // roots the apply-time per-exchange forks
   const sim::FaultPlan* fault_ = nullptr;  // optional admission (not owned)
+  sim::CycleEngine* engine_ = nullptr;     // runs the waves (not owned)
   sim::Outbox<Exchange> outbox_;
-  // Per-worker scratch for prepare()'s sampling fallback (bootstrap path).
-  std::vector<std::vector<Descriptor>> prepare_scratch_;
-
-  // Dedup seen-array, indexed by node: `seen_stamp_[n] == seen_epoch_`
-  // means n is already in the buffer opened by the last begin_buffer(),
-  // at position `seen_slot_[n]`. Grown on demand; mutable because
-  // build_buffer is logically const. Touched only from serial contexts
-  // (apply and test helpers), never from prepare().
-  mutable std::vector<std::uint32_t> seen_stamp_;
-  mutable std::vector<std::size_t> seen_slot_;
-  mutable std::uint32_t seen_epoch_ = 0;
-
-  // Exchange buffers, hoisted out of apply() (allocation-free steady
-  // state); serial-context only, like the seen-array.
-  std::vector<Descriptor> sample_;
-  std::vector<Descriptor> mine_;
-  std::vector<Descriptor> theirs_;
-  std::vector<Descriptor> for_me_;
-  std::vector<Descriptor> for_partner_;
+  sim::WaveSchedule schedule_;
+  // Per-worker scratch; mutable because build_buffer (a test hook, worker
+  // 0's) is logically const.
+  mutable std::vector<Scratch> scratch_;
 };
 
 }  // namespace vitis::gossip

@@ -29,16 +29,6 @@ void CycleEngine::add_stage(std::string name, std::uint64_t salt,
   steps_.push_back(std::move(step));
 }
 
-void CycleEngine::add_sharded_stage(std::string name, std::uint64_t salt,
-                                    NodeStageFn body,
-                                    ShardedMergeFn sharded_merge,
-                                    MergeFn merge,
-                                    std::optional<support::Phase> phase) {
-  VITIS_CHECK(sharded_merge != nullptr);
-  add_stage(std::move(name), salt, std::move(body), std::move(merge), phase);
-  steps_.back().sharded_merge = std::move(sharded_merge);
-}
-
 void CycleEngine::add_cycle_hook(std::string name, CycleHook hook) {
   VITIS_CHECK(hook != nullptr);
   Step step;
@@ -104,7 +94,7 @@ void CycleEngine::run_stage(Step& step) {
     histograms_->record(support::Channel::kStageActivations, total);
   }
   // Stage-level phase attribution on worker lane 0 (covers the parallel
-  // section and the serial merge); one call per stage per cycle, so the
+  // section and the merge); one call per stage per cycle, so the
   // deterministic call counts are independent of the worker count.
   const support::ScopedPhase scope(step.phase ? profiler_ : nullptr,
                                    step.phase.value_or(support::Phase::kSampling),
@@ -125,15 +115,11 @@ void CycleEngine::run_stage(Step& step) {
     }
     worker_busy_ns_[worker] = support::monotonic_ns() - busy_start;
   });
-  if (step.sharded_merge != nullptr) {
-    // A second pool pass: every lane is complete once the barrier above
-    // returned, and each worker writes only the nodes it owns.
-    pool_.run([this, &step](std::size_t worker) {
-      const std::int64_t busy_start = support::monotonic_ns();
-      step.sharded_merge(cycle_, worker, owned_range(worker));
-      worker_busy_ns_[worker] += support::monotonic_ns() - busy_start;
-    });
-  }
+  // The merge runs inside the span: its run_parallel work (a sharded
+  // merge, the gossip waves) adds to each worker's busy time.
+  merging_ = &step;
+  if (step.merge != nullptr) step.merge(cycle_);
+  merging_ = nullptr;
   step.span_ns += static_cast<std::uint64_t>(support::monotonic_ns() -
                                              span_start);
   for (std::size_t worker = 0; worker < worker_busy_ns_.size(); ++worker) {
@@ -141,7 +127,6 @@ void CycleEngine::run_stage(Step& step) {
     step.busy_ns += busy;
     step.worker_busy_ns[worker] += busy;
   }
-  if (step.merge != nullptr) step.merge(cycle_);
 }
 
 NodeRange CycleEngine::owned_range(std::size_t worker) const {

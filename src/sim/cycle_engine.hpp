@@ -12,19 +12,24 @@
 //     identities, so a node's draws are schedule- and thread-independent.
 //     Stage bodies may write only node-local state and append exchange
 //     records to their worker's outbox lane; after the stage barrier an
-//     optional serial **merge** drains the lanes in worker order. Because
-//     the slices are contiguous over an ascending snapshot, lane
-//     concatenation is globally ascending by initiating node for ANY worker
-//     count — the merge order, and therefore the whole run, is bit-identical
-//     whatever `--run-jobs` is.
-//   * a **sharded stage** adds a merge the pool runs after the barrier: each
-//     worker reads every lane in lane order but writes only the nodes of its
-//     owner range (the index range its own stage slice covers). Every node
-//     then sees exactly the subsequence of the global record stream that
-//     names it, in the global order — the serial merge's result for any
-//     worker count. At `run_jobs = 1` the one range covers every index.
-//   * a **hook** runs serially once per cycle (elections, crash delivery,
-//     anything with cross-node read-modify-write dependencies).
+//     optional **merge** reads the lanes in worker order. Because the slices
+//     are contiguous over an ascending snapshot, lane concatenation is
+//     globally ascending by initiating node for ANY worker count. A merge
+//     may run its own work on the pool (run_parallel); the gossip merges
+//     replay the lanes' exchanges in node-disjoint waves (run_waves), each
+//     wave split into contiguous per-worker slices, so every node still sees
+//     its exchanges in lane order — the merge order, and therefore the whole
+//     run, is bit-identical whatever `--run-jobs` is.
+//     A merge that applies records by node runs sharded: on the pool, each
+//     worker reads every lane in lane order but writes only the nodes of
+//     its owned_range() (the index range its own stage slice covers).
+//     Every node then sees exactly the subsequence of the global record
+//     stream that names it, in the global order — the serial merge's
+//     result for any worker count. At `run_jobs = 1` the one range covers
+//     every index.
+//   * a **hook** runs once per cycle on the calling thread (elections,
+//     crash delivery, anything with cross-node read-modify-write
+//     dependencies); it too may shard independent work with run_parallel.
 //
 // The activation schedule is event-driven: `set_alive` maintains a dense,
 // ascending activation list incrementally, so a cycle costs O(active ×
@@ -44,6 +49,7 @@
 
 #include "ids/id.hpp"
 #include "sim/rng.hpp"
+#include "sim/wave_schedule.hpp"
 #include "sim/worker_pool.hpp"
 #include "support/histogram.hpp"
 #include "support/profiler.hpp"
@@ -52,8 +58,8 @@
 namespace vitis::sim {
 
 /// The half-open node-index range [begin, end) one worker owns during a
-/// sharded merge. The last worker's range is open-ended (end is
-/// ids::kInvalidNode, which names no node).
+/// sharded merge (CycleEngine::owned_range). The last worker's range is
+/// open-ended (end is ids::kInvalidNode, which names no node).
 struct NodeRange {
   ids::NodeIndex begin = 0;
   ids::NodeIndex end = ids::kInvalidNode;
@@ -80,39 +86,25 @@ class CycleEngine {
                                          std::size_t cycle, Rng& rng,
                                          std::size_t worker)>;
 
-  /// A serial merge run after the stage barrier (drains outbox lanes).
+  /// A merge run after the stage barrier on the calling thread (reads the
+  /// outbox lanes; may shard its work with run_parallel / run_waves).
   using MergeFn = std::function<void(std::size_t cycle)>;
 
-  /// A sharded merge, run by every worker after the stage barrier. It may
-  /// read every outbox lane but write state only for nodes in `owned`.
-  using ShardedMergeFn = std::function<void(
-      std::size_t cycle, std::size_t worker, NodeRange owned)>;
-
-  /// A per-cycle hook: invoked serially once per cycle, in step order.
+  /// A per-cycle hook: invoked once per cycle on the calling thread, in
+  /// step order.
   using CycleHook = std::function<void(std::size_t cycle)>;
 
   /// Append a parallel node stage to the per-cycle step list. `salt`
   /// namespaces the stage's RNG forks (distinct per stage). `phase`
   /// (optional) attributes the stage's pass — parallel section plus merge —
-  /// to a profiler phase on worker lane 0 when a profiler is attached.
+  /// to a profiler phase on worker lane 0 when a profiler is attached; the
+  /// merge's run_parallel work on the other lanes counts toward the same
+  /// phase without a call.
   void add_stage(std::string name, std::uint64_t salt, NodeStageFn body,
                  MergeFn merge = nullptr,
                  std::optional<support::Phase> phase = std::nullopt);
 
-  /// Append a parallel node stage whose merge runs on the pool: after the
-  /// barrier, `sharded_merge` runs once per worker with that worker's owner
-  /// range, then the optional serial `merge` (e.g. clearing the lanes).
-  /// Owner ranges are cut from the ascending activation snapshot at the
-  /// worker slice boundaries: worker 0's starts at index 0, worker w's at
-  /// the first node of its slice, and the ranges partition every index.
-  /// The sharded merge's wall and busy time count toward the stage's
-  /// stage_timings().
-  void add_sharded_stage(std::string name, std::uint64_t salt,
-                         NodeStageFn body, ShardedMergeFn sharded_merge,
-                         MergeFn merge = nullptr,
-                         std::optional<support::Phase> phase = std::nullopt);
-
-  /// Append a serial hook to the per-cycle step list.
+  /// Append a hook to the per-cycle step list.
   void add_cycle_hook(std::string name, CycleHook hook);
 
   /// Attach (or detach, with nullptr) the per-phase profiler; its worker
@@ -157,6 +149,21 @@ class CycleEngine {
   /// Run `cycles` more cycles.
   void run(std::size_t cycles);
 
+  /// Invoke `task(worker)` once per worker of the pool (worker 0 on the
+  /// calling thread) and return after all finished — for a merge or hook
+  /// whose work shards. Allocation-free. Inside a stage's merge, each
+  /// worker's time counts toward the stage's busy time, and workers 1..J-1
+  /// add theirs to the stage's profiler phase without a call.
+  template <typename Task>
+  void run_parallel(Task&& task);
+
+  /// `worker`'s owner range over the running stage's activation snapshot,
+  /// for a merge that applies records by node (valid inside the merge).
+  /// Ranges are cut at the worker slice boundaries: worker 0's starts at
+  /// index 0, worker w's at the first node of its slice, and the last is
+  /// open-ended, so the ranges partition every index.
+  [[nodiscard]] NodeRange owned_range(std::size_t worker) const;
+
   /// Number of completed cycles since construction.
   [[nodiscard]] std::size_t cycle() const { return cycle_; }
 
@@ -194,8 +201,9 @@ class CycleEngine {
 
   /// Per-stage parallel-efficiency accounting, accumulated across run()
   /// calls: busy_ns sums every worker's time inside the stage's parallel
-  /// section (a sharded merge included); span_ns is the section's wall
-  /// time. Telemetry only (feeds the schema-v6 `parallel` block);
+  /// section and its merge's run_parallel work (a sharded merge, the
+  /// gossip waves); span_ns is the wall time of section plus merge.
+  /// Telemetry only (feeds the schema-v6 `parallel` block);
   /// busy/(span × run_jobs) ≈ efficiency.
   struct StageTiming {
     std::string name;
@@ -212,7 +220,6 @@ class CycleEngine {
     std::string name;
     std::uint64_t salt = 0;
     NodeStageFn body;  // null for hooks
-    ShardedMergeFn sharded_merge;
     MergeFn merge;
     CycleHook hook;  // null for stages
     std::optional<support::Phase> phase;
@@ -222,9 +229,6 @@ class CycleEngine {
   };
 
   void run_stage(Step& step);
-
-  /// `worker`'s owner range over the current stage snapshot.
-  [[nodiscard]] NodeRange owned_range(std::size_t worker) const;
 
   std::vector<bool> alive_;  // O(1) is_alive for the full index universe
   std::vector<ids::NodeIndex> active_;  // dense ascending activation list
@@ -240,6 +244,53 @@ class CycleEngine {
   CycleHook observer_;  // fires on sampled cycles, after the cycle hooks
   std::vector<ids::NodeIndex> order_scratch_;   // per-stage snapshot
   std::vector<std::int64_t> worker_busy_ns_;    // per-stage scratch
+  const Step* merging_ = nullptr;  // the stage whose merge is running
 };
+
+template <typename Task>
+void CycleEngine::run_parallel(Task&& task) {
+  if (merging_ == nullptr) {
+    pool_.run(task);
+    return;
+  }
+  pool_.run([this, &task](std::size_t worker) {
+    const std::int64_t start = support::monotonic_ns();
+    {
+      // Lane 0 already times the whole stage pass as one call.
+      const bool share = worker != 0 && merging_->phase.has_value();
+      const support::ScopedPhase phase(
+          share ? profiler_ : nullptr,
+          merging_->phase.value_or(support::Phase::kSampling), worker,
+          /*calls=*/0);
+      task(worker);
+    }
+    worker_busy_ns_[worker] += support::monotonic_ns() - start;
+  });
+}
+
+/// Replay the exchanges of `schedule` wave by wave: `exchange(record,
+/// worker)` for every record, worker w taking the w-th contiguous slice of
+/// each wave, then `barrier()` on the calling thread before the next wave
+/// starts. On `engine`'s pool when one is given; inline as worker 0
+/// otherwise (unit tests that drive a protocol without an engine).
+template <typename ExchangeFn, typename BarrierFn>
+void run_waves(CycleEngine* engine, const WaveSchedule& schedule,
+               ExchangeFn&& exchange, BarrierFn&& barrier) {
+  const std::size_t workers = engine != nullptr ? engine->run_jobs() : 1;
+  for (std::size_t w = 0; w < schedule.waves(); ++w) {
+    const std::span<const Exchange> wave = schedule.wave(w);
+    const auto share = [&](std::size_t worker) {
+      for (const Exchange& record : WaveSchedule::slice(wave, worker, workers)) {
+        exchange(record, worker);
+      }
+    };
+    if (engine != nullptr) {
+      engine->run_parallel(share);
+    } else {
+      share(0);
+    }
+    barrier();
+  }
+}
 
 }  // namespace vitis::sim

@@ -2,12 +2,13 @@
 //
 // During a parallel node stage each worker appends exchange records to its
 // own lane — no synchronization, no allocation after warm-up (lanes retain
-// capacity across cycles). After the stage barrier the serial merge drains
-// lanes in worker order (a sharded merge has every worker walk them in that
-// order with for_each). Because the engine slices the ascending activation
-// snapshot into contiguous per-worker chunks, lane concatenation in worker
-// order is globally ascending by initiating node for ANY worker count —
-// which is exactly why the merge (and therefore the whole run) is
+// capacity across cycles). After the stage barrier the merge reads the
+// lanes in worker order with for_each: the gossip merges schedule the
+// records into node-disjoint waves (sim::WaveSchedule), and a sharded merge
+// has every worker walk every lane. Because the engine slices the ascending
+// activation snapshot into contiguous per-worker chunks, lane concatenation
+// in worker order is globally ascending by initiating node for ANY worker
+// count — which is exactly why the merge (and therefore the whole run) is
 // bit-identical whatever `--run-jobs` is.
 #pragma once
 
@@ -28,37 +29,34 @@ class Outbox {
 
   /// The calling worker's private lane (append-only during a stage).
   [[nodiscard]] std::vector<Record>& lane(std::size_t worker) {
-    return lanes_[worker];
+    return lanes_[worker].records;
   }
   /// A lane's records — the read side of a sharded merge.
   [[nodiscard]] const std::vector<Record>& lane(std::size_t worker) const {
-    return lanes_[worker];
+    return lanes_[worker].records;
   }
 
-  /// Invoke `fn(record)` for every record, lanes in worker order, records
-  /// in append order, then clear all lanes (capacity retained).
-  template <typename Fn>
-  void drain(Fn&& fn) {
-    for_each(fn);
-    clear();
-  }
-
-  /// Invoke `fn(record)` for every record in drain order without clearing —
-  /// the read side of a sharded merge, where every worker walks all lanes.
+  /// Invoke `fn(record)` for every record, lanes in worker order, records in
+  /// append order (the canonical stream); clear() empties the lanes after.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const std::vector<Record>& lane : lanes_) {
-      for (const Record& record : lane) fn(record);
+    for (const Lane& lane : lanes_) {
+      for (const Record& record : lane.records) fn(record);
     }
   }
 
   /// Clear all lanes (capacity retained).
   void clear() {
-    for (std::vector<Record>& lane : lanes_) lane.clear();
+    for (Lane& lane : lanes_) lane.records.clear();
   }
 
  private:
-  std::vector<std::vector<Record>> lanes_{std::vector<Record>{}};
+  // Cache-line aligned: every append writes the lane's end pointer, and
+  // workers appending concurrently must not share that line.
+  struct alignas(64) Lane {
+    std::vector<Record> records;
+  };
+  std::vector<Lane> lanes_{Lane{}};
 };
 
 }  // namespace vitis::sim

@@ -11,7 +11,7 @@ WorkerPool::~WorkerPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-void WorkerPool::run(const std::function<void(std::size_t)>& task) {
+void WorkerPool::dispatch(TaskRef task) {
   if (jobs_ == 1) {
     task(0);
     return;
@@ -24,7 +24,7 @@ void WorkerPool::run(const std::function<void(std::size_t)>& task) {
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    task_ = &task;
+    task_ = task;
     pending_ = jobs_ - 1;
     error_ = nullptr;
     ++generation_;
@@ -38,7 +38,7 @@ void WorkerPool::run(const std::function<void(std::size_t)>& task) {
   }
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
-  task_ = nullptr;
+  task_ = TaskRef{};
   if (error_ != nullptr) {
     std::exception_ptr error = error_;
     error_ = nullptr;
@@ -50,7 +50,7 @@ void WorkerPool::run(const std::function<void(std::size_t)>& task) {
 void WorkerPool::thread_main(std::size_t worker) {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* task = nullptr;
+    TaskRef task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
@@ -59,7 +59,7 @@ void WorkerPool::thread_main(std::size_t worker) {
       task = task_;
     }
     try {
-      (*task)(worker);
+      task(worker);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (error_ == nullptr) error_ = std::current_exception();

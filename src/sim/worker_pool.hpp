@@ -6,7 +6,9 @@
 // exact same code path as N > 1, just without peers. Threads for workers
 // 1..N-1 are spawned lazily on the first multi-worker run() and parked on a
 // condition variable between runs (a generation counter wakes them), so the
-// per-stage dispatch cost is two lock/notify pairs, not thread creation.
+// per-dispatch cost is two lock/notify pairs, not thread creation. run()
+// takes the task by reference and never copies it into a std::function, so
+// a dispatch allocates nothing: merges run one dispatch per exchange wave.
 //
 // run() is a barrier: it returns only after every worker finished the task.
 // The first exception thrown by any worker is captured and rethrown on the
@@ -19,9 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace vitis::sim {
@@ -41,9 +43,25 @@ class WorkerPool {
   /// Invoke `task(worker)` once per worker in [0, jobs) — worker 0 on the
   /// calling thread — and block until all finished. Rethrows the first
   /// worker exception after the barrier.
-  void run(const std::function<void(std::size_t worker)>& task);
+  template <typename Task>
+  void run(Task&& task) {
+    using Fn = std::remove_reference_t<Task>;
+    dispatch(TaskRef{const_cast<void*>(static_cast<const void*>(&task)),
+                     [](void* fn, std::size_t worker) {
+                       (*static_cast<Fn*>(fn))(worker);
+                     }});
+  }
 
  private:
+  // A non-owning reference to the caller's task, valid for one run().
+  struct TaskRef {
+    void* fn = nullptr;
+    void (*call)(void* fn, std::size_t worker) = nullptr;
+
+    void operator()(std::size_t worker) const { call(fn, worker); }
+  };
+
+  void dispatch(TaskRef task);
   void thread_main(std::size_t worker);
 
   std::size_t jobs_;
@@ -51,7 +69,7 @@ class WorkerPool {
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
+  TaskRef task_;
   std::uint64_t generation_ = 0;  // bumped per run(); wakes parked workers
   std::size_t pending_ = 0;       // peer workers still inside the task
   bool stop_ = false;

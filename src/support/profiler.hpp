@@ -95,15 +95,16 @@ class Profiler {
   }
 
   /// Enter a phase on `worker`'s lane: pauses the enclosing phase (if any)
-  /// and starts attributing wall time to `phase`. Counts one call.
-  void enter(Phase phase, std::size_t worker = 0) {
+  /// and starts attributing wall time to `phase`. Counts `calls` calls (a
+  /// worker's share of an activation counted on another lane passes 0).
+  void enter(Phase phase, std::size_t worker = 0, std::uint64_t calls = 1) {
     Lane& lane = lanes_[worker];
     const std::int64_t now = monotonic_ns();
     if (lane.depth > 0) accumulate(lane, now);
     VITIS_DCHECK(lane.depth < lane.stack.size());
     lane.stack[lane.depth++] = phase;
     lane.mark = now;
-    ++lane.stats[static_cast<std::size_t>(phase)].calls;
+    lane.stats[static_cast<std::size_t>(phase)].calls += calls;
   }
 
   /// Leave the innermost phase on `worker`'s lane and resume its parent.
@@ -183,9 +184,10 @@ class Profiler {
 /// worker index so the scope lands on that worker's lane.
 class ScopedPhase {
  public:
-  ScopedPhase(Profiler* profiler, Phase phase, std::size_t worker = 0)
+  ScopedPhase(Profiler* profiler, Phase phase, std::size_t worker = 0,
+              std::uint64_t calls = 1)
       : profiler_(profiler), worker_(worker) {
-    if (profiler_ != nullptr) profiler_->enter(phase, worker_);
+    if (profiler_ != nullptr) profiler_->enter(phase, worker_, calls);
   }
 
   ScopedPhase(const ScopedPhase&) = delete;

@@ -164,9 +164,10 @@ TEST(CycleEngine, MergeDrainsLanesInAscendingInitiatorOrder) {
           outbox.lane(worker).push_back(node);
         },
         [&](std::size_t) {
-          outbox.drain([&](const ids::NodeIndex& node) {
+          outbox.for_each([&](const ids::NodeIndex& node) {
             merged.push_back(node);
           });
+          outbox.clear();
         });
     engine.run(2);
     ASSERT_EQ(merged.size(), 62u) << "jobs=" << jobs;
@@ -192,9 +193,10 @@ TEST(CycleEngine, RunIsBitIdenticalAcrossWorkerCounts) {
         },
         [&](std::size_t) {
           // Serial merge: cross-node writes happen only here.
-          outbox.drain([&](const auto& record) {
+          outbox.for_each([&](const auto& record) {
             state[(record.first + 1) % 40] += record.second;
           });
+          outbox.clear();
         });
     engine.add_cycle_hook("churn", [&](std::size_t cycle) {
       if (cycle == 3) engine.set_alive(7, false);
@@ -257,10 +259,11 @@ Applied serial_drain_reference() {
       [&](ids::NodeIndex node, std::size_t cycle, Rng& rng,
           std::size_t worker) { emit_pairs(outbox, node, cycle, rng, worker); },
       [&](std::size_t) {
-        outbox.drain([&](const PairRecord& r) {
+        outbox.for_each([&](const PairRecord& r) {
           applied[r.a].push_back(r.value);
           applied[r.b].push_back(r.value);
         });
+        outbox.clear();
       });
   engine.run(6);
   return applied;
@@ -278,21 +281,24 @@ TEST(CycleEngine, ShardedMergeMatchesSerialDrainPerOwner) {
     Applied applied(kShardNodes);
     std::vector<NodeRange> ranges(jobs);
     std::vector<std::size_t> slice_worker(kShardNodes, jobs);
-    engine.add_sharded_stage(
+    engine.add_stage(
         "pairs", 0x77,
         [&](ids::NodeIndex node, std::size_t cycle, Rng& rng,
             std::size_t worker) {
           slice_worker[node] = worker;
           emit_pairs(outbox, node, cycle, rng, worker);
         },
-        [&](std::size_t, std::size_t worker, NodeRange owned) {
-          ranges[worker] = owned;
-          outbox.for_each([&](const PairRecord& r) {
-            if (owned.contains(r.a)) applied[r.a].push_back(r.value);
-            if (owned.contains(r.b)) applied[r.b].push_back(r.value);
+        [&](std::size_t) {
+          engine.run_parallel([&](std::size_t worker) {
+            const NodeRange owned = engine.owned_range(worker);
+            ranges[worker] = owned;
+            outbox.for_each([&](const PairRecord& r) {
+              if (owned.contains(r.a)) applied[r.a].push_back(r.value);
+              if (owned.contains(r.b)) applied[r.b].push_back(r.value);
+            });
           });
-        },
-        [&](std::size_t) { outbox.clear(); });
+          outbox.clear();
+        });
     engine.add_cycle_hook("check-ranges", [&](std::size_t cycle) {
       // The ranges tile the index universe in worker order...
       EXPECT_EQ(ranges.front().begin, 0u);
@@ -322,10 +328,12 @@ TEST(CycleEngine, ShardedMergeMatchesSerialDrainPerOwner) {
 TEST(CycleEngine, ShardedMergeTimeCountsTowardTheStage) {
   CycleEngine engine(8, 15, 2);
   for (ids::NodeIndex i = 0; i < 8; ++i) engine.set_alive(i, true);
-  engine.add_sharded_stage(
+  engine.add_stage(
       "merge-heavy", 0x1, [](ids::NodeIndex, std::size_t, Rng&, std::size_t) {},
-      [](std::size_t, std::size_t, NodeRange) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      [&engine](std::size_t) {
+        engine.run_parallel([](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        });
       });
   engine.run(2);
   const auto timings = engine.stage_timings();

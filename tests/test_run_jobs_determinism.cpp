@@ -81,7 +81,10 @@ void mix(std::uint64_t& h, std::uint64_t v) {
 /// Full protocol-visible state. Any worker-count-dependent divergence
 /// cascades into the routing tables within a cycle or two. Vitis relay
 /// tables are hashed too (every topic's links, peer and age, in link
-/// order), so a relay reorder that leaves deliveries unchanged is caught.
+/// order), so a relay reorder that leaves deliveries unchanged is caught;
+/// so are Vitis' gateway proposals, which catch an election error before it
+/// spreads into relay tables, and the pair memo's counters, which pin the
+/// deferred insert lanes.
 template <typename System>
 std::uint64_t digest(const System& system, std::size_t topics) {
   std::uint64_t h = 0x72756e6a6f6273ULL;
@@ -92,6 +95,15 @@ std::uint64_t digest(const System& system, std::size_t topics) {
       mix(h, entry.node);
       mix(h, static_cast<std::uint64_t>(entry.kind));
       mix(h, entry.age);
+    }
+    if constexpr (requires { system.profile(node); }) {
+      const auto& profile = system.profile(node);
+      for (std::size_t p = 0; p < profile.size(); ++p) {
+        const auto& proposal = profile.proposal_at(p);
+        mix(h, proposal.gateway);
+        mix(h, proposal.parent);
+        mix(h, proposal.hops);
+      }
     }
     if constexpr (requires { system.relay_table(node); }) {
       const auto& relay = system.relay_table(node);
@@ -108,6 +120,12 @@ std::uint64_t digest(const System& system, std::size_t topics) {
   mix(h, system.metrics().total_messages());
   mix(h, system.metrics().expected_total());
   mix(h, system.metrics().delivered_total());
+  if constexpr (requires { system.utility_cache(); }) {
+    const auto& memo = system.utility_cache().stats();
+    mix(h, memo.hits);
+    mix(h, memo.misses);
+    mix(h, memo.evictions);
+  }
   return h;
 }
 
@@ -243,7 +261,8 @@ TEST(RunJobsDeterminism, VitisIsBitIdenticalAcrossWorkerCounts) {
 // never touches the pairwise memo. Skewed publication rates flip it onto the
 // weighted merge + memo cache, so this variant drives the batch-scoring
 // kernel's prefetch_batch/score_prefiltered sequence — memo lookups,
-// insertions and evictions included — under every worker count.
+// deferred inserts and evictions included — under every worker count; the
+// digest folds the memo's counters, so the lanes' commit order is pinned.
 TEST(RunJobsDeterminism, VitisSkewedRatesIsBitIdenticalAcrossWorkerCounts) {
   expect_worker_count_invariance(
       [](const auto& scenario, std::size_t jobs) {

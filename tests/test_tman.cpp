@@ -35,7 +35,7 @@ class TManRingFixture : public ::testing::Test {
     tman_ = std::make_unique<TManProtocol>(
         tables_, *sampling_, alive_,
         [this](ids::NodeIndex self, std::span<const Descriptor> candidates,
-               overlay::RoutingTable& table, sim::Rng&) {
+               overlay::RoutingTable& table, sim::Rng&, std::size_t) {
           select_ring(self, candidates, table);
         },
         TManProtocol::Config{6}, /*seed=*/6);

@@ -38,7 +38,7 @@ class TManMergeFixture {
     tman_ = std::make_unique<TManProtocol>(
         tables_, *sampling_, alive_,
         [](ids::NodeIndex, std::span<const Descriptor>,
-           overlay::RoutingTable&, sim::Rng&) {},
+           overlay::RoutingTable&, sim::Rng&, std::size_t) {},
         TManProtocol::Config{}, /*seed=*/3);
   }
 

@@ -166,6 +166,33 @@ TEST(PairUtilityCache, OverwritingSameKeyUpdatesInPlace) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
+// The lanes of a T-Man wave: a lane lookup never sees inserts queued in the
+// same wave, counts only on its lane until the commit, and the commit
+// applies the lanes in order with insert()'s rule — a later lane's value
+// for the same pair wins, as a serial replay in exchange order would leave
+// it.
+TEST(PairUtilityCache, DeferredLanesCommitInLaneOrder) {
+  PairUtilityCache cache(64);
+  cache.configure_lanes(2);
+  cache.insert(1, 2, 0.5);
+  double value = 0.0;
+  EXPECT_TRUE(cache.lookup(1, 2, value, 1));
+  EXPECT_EQ(value, 0.5);
+  EXPECT_FALSE(cache.lookup(3, 4, value, 0));
+  cache.defer_insert(3, 4, 0.25, 0);
+  cache.defer_insert(4, 3, 0.75, 1);
+  EXPECT_FALSE(cache.lookup(3, 4, value, 1));  // queued, not yet visible
+  EXPECT_EQ(cache.stats().lookups(), 0u);      // lane counts wait too
+  cache.commit_lanes();
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_TRUE(cache.lookup(3, 4, value));
+  EXPECT_EQ(value, 0.75);
+  cache.commit_lanes();  // nothing queued: no change
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
 TEST(PairUtilityCache, UncachedIdsBypassTheMemo) {
   UtilityFunction u = UtilityFunction::uniform(100);
   PairUtilityCache cache(64);

@@ -466,14 +466,23 @@ void expect_sweep_matches_replay(VitisSystem& system) {
   EXPECT_GT(remote, compared / 2);
 }
 
+// Both replays run at run_jobs 1, where one worker sweeps every topic, and
+// at run_jobs 3, where the sweep is sharded by topic range: the node-major
+// replay is the reference for both.
+constexpr std::size_t kElectionRunJobs[] = {1, 3};
+
 TEST(VitisSystem, ElectionSweepMatchesBufferedReplayOnUniformTable) {
   auto scenario =
       small_scenario(workload::CorrelationPattern::kRandom, 19, 300, 100);
-  VitisConfig config;
-  config.routing_table_size = 12;
-  auto system = workload::make_vitis(scenario, config, 19);
-  system->run_cycles(8);
-  expect_sweep_matches_replay(*system);
+  for (const std::size_t jobs : kElectionRunJobs) {
+    SCOPED_TRACE(testing::Message() << "run_jobs " << jobs);
+    VitisConfig config;
+    config.routing_table_size = 12;
+    config.run_jobs = jobs;
+    auto system = workload::make_vitis(scenario, config, 19);
+    system->run_cycles(8);
+    expect_sweep_matches_replay(*system);
+  }
 }
 
 TEST(VitisSystem, ElectionSweepMatchesBufferedReplayOnTwitterTable) {
@@ -485,10 +494,15 @@ TEST(VitisSystem, ElectionSweepMatchesBufferedReplayOnTwitterTable) {
   params.min_out = 6;
   params.max_out = 120;
   const auto table = workload::make_twitter_subscriptions(params, rng);
-  VitisSystem system(VitisConfig{}, table,
-                     std::vector<double>(table.topic_count(), 1.0), 23);
-  system.run_cycles(8);
-  expect_sweep_matches_replay(system);
+  for (const std::size_t jobs : kElectionRunJobs) {
+    SCOPED_TRACE(testing::Message() << "run_jobs " << jobs);
+    VitisConfig config;
+    config.run_jobs = jobs;
+    VitisSystem system(config, table,
+                       std::vector<double>(table.topic_count(), 1.0), 23);
+    system.run_cycles(8);
+    expect_sweep_matches_replay(system);
+  }
 }
 
 }  // namespace
