@@ -120,24 +120,41 @@ BENCHMARK(BM_UtilityBatchScore)
 // of merit on an AVX2 build; on a VITIS_SIMD=scalar build both land within
 // noise of each other (same scalar loops, batched memory layout). The
 // identical seed stream makes the pools — and therefore the deterministic
-// prefilter_reject_rate counter — equal between the twins.
+// prefilter_reject_rate counter — equal between the twins (arg2 = 0).
+//
+// arg2 = 1 is the skewed-rate twin of BM_UtilityBatchScoreMemo/0: its
+// seed stream, rates and 50-topic pool, no memo, so every overlapping
+// candidate pays the exact union kernel, four merges interleaved, where
+// the twin pays one weighted_union each.
 void BM_BatchScoreKernel(benchmark::State& state) {
-  sim::Rng rng(11);  // same stream as BM_UtilityBatchScore: identical pools
-  auto u = core::UtilityFunction::uniform(5000);
+  const bool skewed = state.range(2) != 0;
+  // Same streams as the twins: identical pools.
+  sim::Rng rng(skewed ? 13 : 11);
+  std::vector<double> rates(5000, 1.0);
+  if (skewed) {
+    for (std::size_t t = 0; t < rates.size(); ++t) {
+      rates[t] = 1.0 / static_cast<double>(t + 1);
+    }
+  }
+  core::UtilityFunction u{std::span<const double>(rates)};
   u.set_prefilter_enabled(state.range(0) != 0);
   const auto subs_count = static_cast<std::size_t>(state.range(1));
+  pubsub::SubscriptionRegistry registry;
   const auto self = random_subs(rng, subs_count, 5000);
+  const pubsub::SetId self_id = registry.intern(self);
   std::vector<pubsub::SubscriptionSet> pool;
+  std::vector<pubsub::SetId> pool_ids;
   for (int i = 0; i < 64; ++i) {
     pool.push_back(random_subs(rng, subs_count, 5000));
+    pool_ids.push_back(registry.intern(pool.back()));
   }
   core::BatchScorer scorer;
   for (auto _ : state) {
-    u.prepare(self);
+    u.prepare(self, self_id);
     scorer.clear();
     for (std::size_t i = 0; i < pool.size(); ++i) {
       scorer.add(static_cast<ids::NodeIndex>(i), &pool[i],
-                 pool[i].fingerprint(), pubsub::kInvalidSetId);
+                 pool[i].fingerprint(), pool_ids[i]);
     }
     scorer.score_all(u);
     double sum = 0.0;
@@ -151,10 +168,11 @@ void BM_BatchScoreKernel(benchmark::State& state) {
                              static_cast<double>(stats.calls));
 }
 BENCHMARK(BM_BatchScoreKernel)
-    ->Args({0, 50})
-    ->Args({1, 50})
-    ->Args({0, 8})
-    ->Args({1, 8});
+    ->Args({0, 50, 0})
+    ->Args({1, 50, 0})
+    ->Args({0, 8, 0})
+    ->Args({1, 8, 0})
+    ->Args({1, 50, 1});
 
 // Subscription interning: 1024 intern() calls round-robin over a pool of D
 // distinct sets (arg0 = D), as in a node loop where many nodes share a
@@ -191,10 +209,12 @@ BENCHMARK(BM_SubscriptionInterning)->Arg(16)->Arg(256);
 // Cached vs cold batch ranking: the same prepared-profile × 64-candidate
 // pool as BM_UtilityBatchScore, with interned SetIds and the pairwise memo
 // off (arg0 = 0) or on (arg0 = 1). The benchmark loop repeats the same
-// pairs, so the cached variant times the steady-state hit path figure
-// benches reach after the first ranking cycle. The memo_hit_rate counter is
-// measured over one dedicated post-warmup pass against a fresh cache —
-// exactly 1.0 cached / 0.0 cold, independent of the iteration count.
+// pairs and commits the memo's lane after each pass, as the T-Man wave
+// barrier does, so the cached variant times the steady-state hit path
+// figure benches reach after the first ranking cycle. The memo_hit_rate
+// counter is measured over one dedicated post-warmup pass against a fresh
+// cache — exactly 1.0 cached / 0.0 cold, independent of the iteration
+// count.
 void BM_UtilityBatchScoreMemo(benchmark::State& state) {
   sim::Rng rng(13);
   // Skewed rates: the memo only engages on the weighted-merge path (with
@@ -224,10 +244,11 @@ void BM_UtilityBatchScoreMemo(benchmark::State& state) {
       sum += u.score(pool[i], pool_ids[i]);
     }
     benchmark::DoNotOptimize(sum);
+    if (cached) cache.commit_lanes();
   }
-  // Dedicated measurement passes over a fresh cache: a cold pass fills it,
-  // the second pass is then all hits (first-pass hits are zero, so the
-  // accumulated hit count is exactly the second pass's).
+  // Dedicated measurement passes over a fresh cache: a cold pass fills it
+  // once committed, the second pass is then all hits (first-pass hits are
+  // zero, so the accumulated hit count is exactly the second pass's).
   core::PairUtilityCache fresh(std::size_t{1} << 12);
   if (cached) u.set_cache(&fresh);
   for (int pass = 0; pass < 2; ++pass) {
@@ -235,6 +256,7 @@ void BM_UtilityBatchScoreMemo(benchmark::State& state) {
     for (std::size_t i = 0; i < pool.size(); ++i) {
       benchmark::DoNotOptimize(u.score(pool[i], pool_ids[i]));
     }
+    fresh.commit_lanes();
   }
   state.counters["memo_hit_rate"] = benchmark::Counter(
       cached ? static_cast<double>(fresh.stats().hits) /

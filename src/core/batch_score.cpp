@@ -1,10 +1,10 @@
 #include "core/batch_score.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "ids/hash.hpp"
 #include "support/check.hpp"
-#include "support/simd.hpp"
 
 namespace vitis::core {
 
@@ -13,22 +13,84 @@ void BatchScorer::score_all(const UtilityFunction& utility) {
   scores_.resize(n);
   rejects_.resize(n);
   if (n == 0) return;
-  if (utility.prefilter_enabled()) {
-    support::simd::disjoint_mask(utility.prepared_fingerprint(),
-                                 fingerprints_.data(), n, rejects_.data());
-  } else {
-    // Prefilter off: every candidate pays the merge, exactly like the
-    // per-candidate path (and disjoint pairs still probe the memo).
-    std::fill_n(rejects_.data(), n, std::uint8_t{0});
+  utility.prefilter_batch(fingerprints_.data(), n, rejects_.data());
+  if (!utility.uniform_rates()) {
+    score_skewed(utility);
+    return;
   }
-  if (utility.memo_engaged()) {
+  // All-ones rates: the stamped count costs tens of ns, and no memo is
+  // consulted, so each candidate is scored in place.
+  for (std::size_t i = 0; i < n; ++i) {
+    scores_[i] = rejects_[i] != 0 ? 0.0 : utility.score_merge(*sets_[i]);
+  }
+}
+
+void BatchScorer::score_skewed(const UtilityFunction& utility) {
+  const std::size_t n = nodes_.size();
+  const bool memo = utility.memo_engaged();
+  if (memo) {
     utility.cache()->prefetch_batch(utility.prepared_set_id(),
                                     {ids_.data(), n}, {rejects_.data(), n},
                                     key_scratch_);
   }
+  // Pass 1, in pool order: every lookup before any insert. The lane reads
+  // the table as of the last commit, so this is the hit/miss sequence of
+  // score() per candidate.
+  queued_.clear();
+  std::size_t rest_capacity = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    scores_[i] =
-        utility.score_prefiltered(*sets_[i], ids_[i], rejects_[i] != 0);
+    if (rejects_[i] != 0) {
+      scores_[i] = 0.0;
+      continue;
+    }
+    if (memo && ids_[i] != pubsub::kInvalidSetId &&
+        utility.memo_lookup(ids_[i], scores_[i])) {
+      continue;
+    }
+    queued_.push_back(i);
+    rest_capacity += sets_[i]->size() + 1;
+  }
+
+  // Pass 2: split each queued candidate into its shared sum and the topics
+  // the prepared set lacks; a pair with nothing shared scores 0.0 with no
+  // union work. The rest are merged four at a time.
+  rest_.resize(rest_capacity);
+  merges_.clear();
+  std::size_t rest_end = 0;
+  for (const std::size_t i : queued_) {
+    std::size_t rest_size = 0;
+    const double shared =
+        utility.split_shared(*sets_[i], rest_.data() + rest_end, rest_size);
+    if (shared == 0.0) {
+      scores_[i] = 0.0;
+      continue;
+    }
+    merges_.push_back(Merge{i, shared, rest_end, rest_size});
+    rest_end += rest_size + 1;
+  }
+  std::array<std::span<const ids::TopicIndex>, 4> rests;
+  std::array<double, 4> combined{};
+  for (std::size_t group = 0; group < merges_.size(); group += 4) {
+    const std::size_t width = std::min<std::size_t>(4, merges_.size() - group);
+    for (std::size_t k = 0; k < width; ++k) {
+      const Merge& merge = merges_[group + k];
+      rests[k] = {rest_.data() + merge.rest_begin, merge.rest_size};
+    }
+    utility.union_sums({rests.data(), width}, combined.data());
+    for (std::size_t k = 0; k < width; ++k) {
+      const Merge& merge = merges_[group + k];
+      scores_[merge.index] =
+          combined[k] == 0.0 ? 0.0 : merge.shared / combined[k];
+    }
+  }
+
+  // Pass 3: the misses' memo inserts, queued on the lane in pool order.
+  if (memo) {
+    for (const std::size_t i : queued_) {
+      if (ids_[i] != pubsub::kInvalidSetId) {
+        utility.memo_insert(ids_[i], scores_[i]);
+      }
+    }
   }
 }
 

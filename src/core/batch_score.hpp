@@ -1,23 +1,27 @@
 // Batched utility scoring over a contiguous candidate pool.
 //
-// Ranking (Vitis' Algorithm 4 and the OPT coverage selector) evaluates one
-// prepared set against many candidates. The per-candidate path chases one
-// subscription-set pointer per fingerprint and decides prefilter, memo
-// probe, and merge one candidate at a time. BatchScorer instead lays the
-// pool out as structure-of-arrays columns (fingerprints, SetIds; the same
-// layout discipline as the host's per-node columns) so the three
-// integer-exact decisions run as SIMD passes over the whole pool
-// (support/simd.hpp):
+// Ranking (Vitis' Algorithm 4) evaluates one prepared set against many
+// candidates. BatchScorer lays the pool out as structure-of-arrays columns
+// (fingerprints, SetIds; the same layout discipline as the host's per-node
+// columns) and scores it in passes:
 //
-//   1. one disjoint_mask pass computes every prefilter verdict (4
-//      fingerprints per AVX2 step);
-//   2. one mix64_batch pass hashes every memo-probe key and issues the
-//      prefetches (PairUtilityCache::prefetch_batch);
-//   3. the scoring loop then visits candidates in pool order, handing each
-//      precomputed verdict to UtilityFunction::score_prefiltered — the
-//      merges themselves (and all floating-point) stay scalar, so scores,
-//      counters, and memo history are bit-identical to the per-candidate
-//      path on every ISA.
+//   1. one SIMD disjoint_mask pass computes every prefilter verdict (4
+//      fingerprints per AVX2 step; UtilityFunction::prefilter_batch);
+//   2. uniform rates: each passing candidate pays the stamped count (8
+//      gathered stamps per AVX2 step), in pool order; no memo exists;
+//   3. skewed rates: one mix64_batch pass hashes the memo-probe keys and
+//      prefetches their slots; then every passing candidate looks its pair
+//      up on the worker's lane, in pool order, and a hit takes the cached
+//      double. The misses, and candidates without a SetId, are merged four
+//      at a time: each split into its shared rate sum and the topics the
+//      prepared set lacks, then one loop interleaves four exact union
+//      merges (UtilityFunction::union_sums), one accumulator each. Last,
+//      the misses' memo inserts are queued on the lane in pool order.
+//
+// Every floating-point sum stays one left fold in ascending topic order,
+// and the memo sees the same lookups and the same queued inserts as
+// score() per candidate in pool order, so scores, counters, and memo
+// history are bit-identical to the per-candidate path on every ISA.
 //
 // All buffers are members: steady-state ranking performs zero allocations
 // (tests/test_alloc_free.cpp audits this through gossip_step and directly).
@@ -63,7 +67,8 @@ class BatchScorer {
   /// Score every pooled candidate against utility.prepare()'s set, writing
   /// scores() in pool order. Equivalent to calling utility.score() per
   /// candidate in the same order — bit-identical scores, prefilter stats,
-  /// and memo traffic — with the prefilter and probe-key work batched.
+  /// and memo traffic — with the prefilter, probe keys and skewed-rate
+  /// merges batched.
   void score_all(const UtilityFunction& utility);
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
@@ -81,10 +86,24 @@ class BatchScorer {
   std::vector<const pubsub::SubscriptionSet*> sets_;
   std::vector<std::uint64_t> fingerprints_;
   std::vector<pubsub::SetId> ids_;
+  // A queued skewed-rate merge: its pool index, its shared rate sum, and
+  // where split_shared wrote its topics outside the prepared set in rest_.
+  struct Merge {
+    std::size_t index;
+    double shared;
+    std::size_t rest_begin;
+    std::size_t rest_size;
+  };
+
+  void score_skewed(const UtilityFunction& utility);
+
   // score_all scratch.
   std::vector<std::uint8_t> rejects_;       // SIMD prefilter verdicts
   std::vector<std::uint64_t> key_scratch_;  // memo-probe hash lane
   std::vector<double> scores_;
+  std::vector<std::size_t> queued_;     // pool indices left to merge
+  std::vector<Merge> merges_;           // the queued with a shared topic
+  std::vector<ids::TopicIndex> rest_;   // sentinel-ended rest lists
 };
 
 /// Top-k selection over a batched score vector: fills `ranked` with

@@ -1,6 +1,7 @@
 #include "core/utility.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -20,6 +21,45 @@ inline std::uint64_t pair_key(pubsub::SetId a, pubsub::SetId b) {
   const pubsub::SetId lo = a < b ? a : b;
   const pubsub::SetId hi = a < b ? b : a;
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+
+// W exact union merges of one prepared list with W candidates' rest lists
+// (all ascending, sentinel-ended; each rest disjoint from the prepared
+// list), interleaved: the step count all W share runs every chain per
+// iteration, so their independent dependency chains overlap in the
+// pipeline; then each chain finishes its own remaining steps.
+template <std::size_t W>
+void union_group(const ids::TopicIndex* prepared, std::size_t prepared_size,
+                 std::span<const std::span<const ids::TopicIndex>> rests,
+                 const double* rates, double* sums) {
+  std::array<const ids::TopicIndex*, W> rest;
+  std::array<std::size_t, W> ia{};
+  std::array<std::size_t, W> ib{};
+  std::array<double, W> sum{};
+  std::size_t common = rests[0].size();
+  for (std::size_t k = 0; k < W; ++k) {
+    rest[k] = rests[k].data();
+    common = std::min(common, rests[k].size());
+  }
+  // One step adds the rate of the smaller head and advances that side by a
+  // compare. Indexing the rates by the min topic compiles to cmov and adc,
+  // free of branches; selecting between two loaded rates, or advancing
+  // pointers, compiled to a branch. The heads differ until both lists reach
+  // their sentinels, which the counted steps never consume.
+  const auto step = [&](std::size_t k) {
+    const ids::TopicIndex head_a = prepared[ia[k]];
+    const ids::TopicIndex head_b = rest[k][ib[k]];
+    sum[k] += rates[std::min(head_a, head_b)];
+    ia[k] += head_a < head_b;
+    ib[k] += head_b < head_a;
+  };
+  for (std::size_t s = 0; s < prepared_size + common; ++s) {
+    for (std::size_t k = 0; k < W; ++k) step(k);
+  }
+  for (std::size_t k = 0; k < W; ++k) {
+    for (std::size_t s = common; s < rests[k].size(); ++s) step(k);
+    sums[k] = sum[k];
+  }
 }
 
 }  // namespace
@@ -162,6 +202,7 @@ bool utility_cache_env_enabled() {
 
 UtilityFunction::UtilityFunction(std::span<const double> rates)
     : rates_(rates.begin(), rates.end()), stamp_(rates_.size(), 0) {
+  VITIS_CHECK(rates_.size() < kTopicSentinel);
   for (const double r : rates_) {
     VITIS_CHECK(r >= 0.0);
     if (r != 1.0) all_ones_ = false;
@@ -197,6 +238,11 @@ void UtilityFunction::prepare(const pubsub::SubscriptionSet& a,
     VITIS_DCHECK(topic < stamp_.size());
     stamp_[topic] = epoch_;
   }
+  if (!all_ones_) {
+    // Amortized allocation-free: keeps its high-water capacity.
+    prepared_topics_.assign(a.begin(), a.end());
+    prepared_topics_.push_back(kTopicSentinel);
+  }
   prepared_ = &a;
   prepared_fp_ = a.fingerprint();
   prepared_size_ = a.size();
@@ -206,11 +252,11 @@ void UtilityFunction::prepare(const pubsub::SubscriptionSet& a,
 double UtilityFunction::score(const pubsub::SubscriptionSet& b,
                               pubsub::SetId b_id) const {
   // The memo only engages when the merge it replaces is expensive: skewed
-  // rates pay a two-sided weighted_union per overlapping pair. With
-  // all-ones rates the stamped count path costs ~tens of ns — cheaper
-  // than a probe into a figure-scale table — so uniform-rate workloads
-  // keep the plain path (measured: an always-on memo regressed uniform
-  // fig04 ranking ~1.5x while winning on skewed fig07).
+  // rates pay a union sum per overlapping pair. With all-ones rates the
+  // stamped count path costs ~tens of ns — cheaper than a probe into a
+  // figure-scale table — so uniform-rate workloads keep the plain path
+  // (measured: an always-on memo regressed uniform fig04 ranking ~1.5x
+  // while winning on skewed fig07).
   if (!all_ones_ && cache_ != nullptr && cache_->enabled() &&
       prepared_id_ != pubsub::kInvalidSetId &&
       b_id != pubsub::kInvalidSetId) {
@@ -264,8 +310,9 @@ double UtilityFunction::score_merge(const pubsub::SubscriptionSet& b) const {
     return static_cast<double>(shared) / static_cast<double>(combined);
   }
   // Skewed rates: the shared topics are visited ascending (b is sorted),
-  // matching the merge's addition order exactly. The union sum has no such
-  // one-sided ordering, so keep the exact two-sided merge for it.
+  // matching the merge's addition order exactly. The per-candidate
+  // reference keeps the two-sided merge for the union sum; BatchScorer
+  // runs the exact union kernel instead (split_shared, union_sums).
   double shared = 0.0;
   for (const ids::TopicIndex topic : b) {
     VITIS_DCHECK(topic < stamp_.size());
@@ -274,6 +321,75 @@ double UtilityFunction::score_merge(const pubsub::SubscriptionSet& b) const {
   if (shared == 0.0) return 0.0;
   const double combined = pubsub::weighted_union(*prepared_, b, rates_);
   return combined == 0.0 ? 0.0 : shared / combined;
+}
+
+void UtilityFunction::prefilter_batch(const std::uint64_t* fingerprints,
+                                      std::size_t n,
+                                      std::uint8_t* rejected) const {
+  VITIS_DCHECK(prepared_ != nullptr);
+  prefilter_stats_.calls += n;
+  if (!prefilter_enabled_) {
+    // Every candidate pays the merge, exactly like score() (and disjoint
+    // pairs still probe the memo).
+    std::fill_n(rejected, n, std::uint8_t{0});
+    return;
+  }
+  support::simd::disjoint_mask(prepared_fp_, fingerprints, n, rejected);
+  std::uint64_t rejects = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    // The SIMD mask must agree with the scalar prefilter exactly — the
+    // verdict is batched, never relaxed.
+    VITIS_DCHECK((rejected[i] != 0) ==
+                 pubsub::fingerprints_disjoint(prepared_fp_, fingerprints[i]));
+    rejects += rejected[i];
+  }
+  prefilter_stats_.rejects += rejects;
+}
+
+double UtilityFunction::split_shared(const pubsub::SubscriptionSet& b,
+                                     ids::TopicIndex* rest,
+                                     std::size_t& rest_size) const {
+  VITIS_DCHECK(prepared_ != nullptr && !all_ones_);
+  double shared = 0.0;
+  std::size_t n = 0;
+  for (const ids::TopicIndex topic : b) {
+    VITIS_DCHECK(topic < stamp_.size());
+    const bool in_a = stamp_[topic] == epoch_;
+    if (in_a) shared += rates_[topic];
+    rest[n] = topic;
+    n += !in_a;
+  }
+  rest[n] = kTopicSentinel;
+  rest_size = n;
+  return shared;
+}
+
+void UtilityFunction::union_sums(
+    std::span<const std::span<const ids::TopicIndex>> rests,
+    double* sums) const {
+  VITIS_DCHECK(prepared_ != nullptr && !all_ones_);
+#if !defined(NDEBUG)
+  for (const std::span<const ids::TopicIndex> rest : rests) {
+    VITIS_DCHECK(rest.data()[rest.size()] == kTopicSentinel);
+  }
+#endif
+  VITIS_CHECK(!rests.empty() && rests.size() <= 4);
+  const ids::TopicIndex* prepared = prepared_topics_.data();
+  const double* rates = rates_.data();
+  switch (rests.size()) {
+    case 1:
+      union_group<1>(prepared, prepared_size_, rests, rates, sums);
+      break;
+    case 2:
+      union_group<2>(prepared, prepared_size_, rests, rates, sums);
+      break;
+    case 3:
+      union_group<3>(prepared, prepared_size_, rests, rates, sums);
+      break;
+    default:
+      union_group<4>(prepared, prepared_size_, rests, rates, sums);
+      break;
+  }
 }
 
 }  // namespace vitis::core

@@ -8,7 +8,7 @@
 // skewed rates weight shared hot topics up, so clusters consolidate around
 // high-traffic topics first (evaluated in Fig. 7).
 //
-// Two hot-path accelerations, both bit-identical to the plain linear-merge
+// Hot-path accelerations, all bit-identical to the plain linear-merge
 // evaluation (DESIGN.md "Hot path & determinism"):
 //
 //  * Fingerprint prefilter — disjoint subscription fingerprints prove an
@@ -20,16 +20,28 @@
 //    array; score(b) then finds the shared topics in O(|b|) while visiting
 //    them in the same ascending order as the merge, so the floating-point
 //    sums (and with all-ones rates, the integer counts) are unchanged.
+//  * Exact union kernel — under skewed rates the Eq.-1 denominator is a
+//    left fold of the rates over a ∪ b in ascending topic order.
+//    split_shared(b) writes the topics of b that a lacks to a
+//    sentinel-ended list, and union_sums() merges that list with a's
+//    sentinel-ended copy in exactly |a| + |b \ a| branch-free steps: each
+//    step adds the rate of the smaller head and advances its side by a
+//    compare. The two lists are disjoint and ascending, so every union
+//    topic is added once, in ascending order — the same IEEE additions as
+//    pubsub::weighted_union. core::BatchScorer runs up to four such merges
+//    interleaved in one loop, one accumulator each; score() and
+//    operator() stay on weighted_union as the per-candidate reference.
 //  * Pairwise memoization — subscription sets are hash-consed into dense
 //    SetIds (pubsub::SubscriptionRegistry); a PairUtilityCache keyed on the
 //    unordered id pair stores the exact double the merge produced, so a
 //    repeated (set, set) evaluation is one probe instead of a merge.
 //    SetIds are canonical and never reused, so a cached value can never
 //    drift from the fresh score and the memo is never dropped, not even
-//    when a node's subscriptions change. Rankings that run concurrently
-//    (the T-Man waves) read the table as it stood at the last wave barrier
-//    and queue their inserts on per-worker lanes, which the barrier
-//    commits in worker order. `VITIS_UTILITY_CACHE=off` disables it with
+//    when a node's subscriptions change. Scoring reads the table as it
+//    stood at the last commit_lanes() and queues its inserts on its lane
+//    (lane 0 unless set_cache names another); the T-Man wave barrier
+//    commits the lanes in worker order, so concurrent rankings never
+//    write the table. `VITIS_UTILITY_CACHE=off` disables it with
 //    byte-identical stdout.
 #pragma once
 
@@ -37,6 +49,7 @@
 #include <span>
 #include <vector>
 
+#include "ids/id.hpp"
 #include "pubsub/subscription.hpp"
 #include "pubsub/subscription_registry.hpp"
 #include "support/check.hpp"
@@ -91,6 +104,8 @@ class PairUtilityCache {
 
   /// If the pair {a, b} is cached, write its score to `value` and count a
   /// hit; otherwise count a miss. Both ids must be valid. Never allocates.
+  /// This and insert() are the bare table primitives; scoring uses only
+  /// the lane API below.
   [[nodiscard]] bool lookup(pubsub::SetId a, pubsub::SetId b, double& value);
 
   /// Hint the probe-start slots of {a, bs[i]} into cache ahead of lookup(),
@@ -172,6 +187,10 @@ class PairUtilityCache {
 
 class UtilityFunction {
  public:
+  /// Above every TopicIndex (the constructor checks the topic count): ends
+  /// the topic lists the exact union kernel merges.
+  static constexpr ids::TopicIndex kTopicSentinel = ids::kInvalidTopic;
+
   /// `rates[t]` is the publication rate of topic t. Rates must be
   /// non-negative; they need not be normalized (Eq. 1 is scale-free).
   explicit UtilityFunction(std::span<const double> rates);
@@ -193,33 +212,64 @@ class UtilityFunction {
   /// than any probe, so zero-score pairs never consume memo slots — then
   /// consults the memo: a hit returns the stored double (the exact value a
   /// previous merge produced) and skips the merge entirely; a miss
-  /// computes the score as before and memoizes it. With uniform (all-ones)
-  /// rates the memo is bypassed entirely: the stamped count merge costs
-  /// ~tens of ns, cheaper than probing a figure-scale table, so there is
-  /// nothing worth memoizing (the skewed path's two-sided weighted_union
-  /// is what the memo actually amortizes). Passing kInvalidSetId (the
-  /// default) bypasses the cache, so un-interned callers behave exactly as
-  /// they always have.
+  /// computes the score as before and queues its memoization on the lane.
+  /// With uniform (all-ones) rates the memo is bypassed entirely: the
+  /// stamped count merge costs ~tens of ns, cheaper than probing a
+  /// figure-scale table, so there is nothing worth memoizing (the skewed
+  /// path's union sum is what the memo actually amortizes). Passing
+  /// kInvalidSetId (the default) bypasses the cache, so un-interned callers
+  /// behave exactly as they always have.
   void prepare(const pubsub::SubscriptionSet& a,
                pubsub::SetId a_id = pubsub::kInvalidSetId) const;
   [[nodiscard]] double score(const pubsub::SubscriptionSet& b,
                              pubsub::SetId b_id = pubsub::kInvalidSetId) const;
 
-  /// Batched scoring entry (core::BatchScorer): identical to score(b, b_id)
-  /// bit for bit and counter for counter, except the prefilter verdict was
-  /// already computed — by one SIMD disjoint_mask pass over the pool's
-  /// fingerprint column — and arrives as `rejected`. The caller must pass
-  /// exactly prefilter_enabled() && fingerprints_disjoint(prepared, b)
-  /// (DCHECKed), so the stats and memo traffic cannot drift from the
-  /// per-candidate path.
-  [[nodiscard]] double score_prefiltered(const pubsub::SubscriptionSet& b,
-                                         pubsub::SetId b_id,
-                                         bool rejected) const;
+  // --- core::BatchScorer's passes over a candidate pool ------------------
+  // Together they equal score() per candidate in pool order: the same score
+  // bits, prefilter counts and memo traffic.
+
+  /// The prefilter over a pool's fingerprint column in one SIMD
+  /// disjoint_mask pass: rejected[i] = 1 when fingerprints[i] proves the
+  /// candidate disjoint from the prepared set (never with the prefilter
+  /// off). Counts n calls and the rejects, as n score() calls would.
+  void prefilter_batch(const std::uint64_t* fingerprints, std::size_t n,
+                       std::uint8_t* rejected) const;
+
+  /// The memo probe of the pair (prepared set, b_id) on this instance's
+  /// lane, counted there; memo_engaged() and a valid b_id are required.
+  [[nodiscard]] bool memo_lookup(pubsub::SetId b_id, double& value) const {
+    return cache_->lookup(prepared_id_, b_id, value, lane_);
+  }
+  /// Queue the memoization of (prepared set, b_id) on the lane.
+  void memo_insert(pubsub::SetId b_id, double value) const {
+    cache_->defer_insert(prepared_id_, b_id, value, lane_);
+  }
+
+  /// Exact Eq. 1 against the prepared set for a candidate the prefilter
+  /// passed, memo aside: the stamped count under uniform rates, the
+  /// stamped shared sum over weighted_union under skewed ones.
+  [[nodiscard]] double score_merge(const pubsub::SubscriptionSet& b) const;
+
+  /// Skewed rates, one ascending pass over b: returns the shared rate sum,
+  /// added in b's order exactly as score() adds it, and writes b's topics
+  /// that the prepared set lacks to `rest` followed by kTopicSentinel
+  /// (`rest` holds b.size() + 1 entries). `rest_size` receives |b \ a|.
+  [[nodiscard]] double split_shared(const pubsub::SubscriptionSet& b,
+                                    ids::TopicIndex* rest,
+                                    std::size_t& rest_size) const;
+
+  /// Skewed rates: sums[k] = Σ rate(t) over the union of the prepared set
+  /// and rests[k], for 1 to 4 lists split_shared wrote (each span excludes
+  /// its sentinel). The merges run interleaved in one loop, each its own
+  /// left fold in ascending topic order: bit for bit weighted_union of the
+  /// prepared set and the candidate.
+  void union_sums(std::span<const std::span<const ids::TopicIndex>> rests,
+                  double* sums) const;
 
   /// True when score() would consult the memo for valid candidate ids:
   /// skewed rates, a cache attached and enabled, and a prepared() set with
   /// a valid SetId. Lets the batch kernel decide once per pool whether to
-  /// run the prefetch_batch pass.
+  /// probe at all.
   [[nodiscard]] bool memo_engaged() const {
     return !all_ones_ && cache_ != nullptr && cache_->enabled() &&
            prepared_id_ != pubsub::kInvalidSetId;
@@ -235,12 +285,12 @@ class UtilityFunction {
   [[nodiscard]] pubsub::SetId prepared_set_id() const { return prepared_id_; }
 
   /// Attach a memo (not owned; nullptr detaches). Its keys must come from
-  /// one SubscriptionRegistry, whose ids never change meaning. With a
-  /// `lane`, lookups read the table as of its last commit_lanes() and
-  /// misses queue their inserts on that lane, so instances on distinct
-  /// lanes may score concurrently; without one, both act at once.
-  static constexpr std::size_t kNoLane = ~std::size_t{0};
-  void set_cache(PairUtilityCache* cache, std::size_t lane = kNoLane) {
+  /// one SubscriptionRegistry, whose ids never change meaning. Lookups read
+  /// the table as of its last commit_lanes() and misses queue their
+  /// inserts on `lane`, so instances on distinct lanes may score
+  /// concurrently; a hit on a score this instance computed needs a
+  /// commit_lanes() in between (the wave barrier, in Vitis).
+  void set_cache(PairUtilityCache* cache, std::size_t lane = 0) {
     cache_ = cache;
     lane_ = lane;
   }
@@ -259,69 +309,24 @@ class UtilityFunction {
 
  private:
   [[nodiscard]] double score_fresh(const pubsub::SubscriptionSet& b) const;
-  [[nodiscard]] double score_merge(const pubsub::SubscriptionSet& b) const;
-
-  // The memo probe and insert of score()/score_prefiltered(), on the lane
-  // when one is set.
-  [[nodiscard]] bool memo_lookup(pubsub::SetId b_id, double& value) const {
-    return lane_ == kNoLane ? cache_->lookup(prepared_id_, b_id, value)
-                            : cache_->lookup(prepared_id_, b_id, value, lane_);
-  }
-  void memo_insert(pubsub::SetId b_id, double value) const {
-    if (lane_ == kNoLane) {
-      cache_->insert(prepared_id_, b_id, value);
-    } else {
-      cache_->defer_insert(prepared_id_, b_id, value, lane_);
-    }
-  }
 
   std::vector<double> rates_;
   bool all_ones_ = true;  // every rate == 1.0: Jaccard counts are exact
   bool prefilter_enabled_ = true;
   PairUtilityCache* cache_ = nullptr;  // not owned
-  std::size_t lane_ = kNoLane;
+  std::size_t lane_ = 0;
 
   // prepare()/score() scratch; mutable because scoring is logically const.
   // One instance per concurrent scorer (Vitis keeps one per wave worker).
   mutable std::vector<std::uint32_t> stamp_;  // indexed by TopicIndex
   mutable std::uint32_t epoch_ = 0;
+  // Skewed rates: the prepared topics, ascending, then kTopicSentinel.
+  mutable std::vector<ids::TopicIndex> prepared_topics_;
   mutable const pubsub::SubscriptionSet* prepared_ = nullptr;
   mutable std::uint64_t prepared_fp_ = 0;
   mutable std::size_t prepared_size_ = 0;
   mutable pubsub::SetId prepared_id_ = pubsub::kInvalidSetId;
   mutable PrefilterStats prefilter_stats_;
 };
-
-// Inline: called once per pooled candidate from BatchScorer::score_all's
-// loop — the call overhead is measurable at 64-candidate pool sizes.
-inline double UtilityFunction::score_prefiltered(
-    const pubsub::SubscriptionSet& b, pubsub::SetId b_id,
-    bool rejected) const {
-  VITIS_DCHECK(prepared_ != nullptr);
-  // The caller's SIMD mask must agree with the scalar prefilter exactly —
-  // the verdict is hoisted out of this function, never relaxed.
-  VITIS_DCHECK(rejected == (prefilter_enabled_ &&
-                            pubsub::fingerprints_disjoint(prepared_fp_,
-                                                          b.fingerprint())));
-  ++prefilter_stats_.calls;
-  if (rejected) {
-    ++prefilter_stats_.rejects;
-    return 0.0;
-  }
-  // Identical memo gate and lookup/insert sequence as score(); processing
-  // the pool in insertion order keeps the cache's eviction history — and
-  // with it every recorded counter — byte-identical to the per-candidate
-  // path.
-  if (!all_ones_ && cache_ != nullptr && cache_->enabled() &&
-      prepared_id_ != pubsub::kInvalidSetId &&
-      b_id != pubsub::kInvalidSetId) {
-    double cached = 0.0;
-    if (memo_lookup(b_id, cached)) return cached;
-    const double fresh = score_merge(b);
-    memo_insert(b_id, fresh);
-    return fresh;
-  }
-  return score_merge(b);
-}
 
 }  // namespace vitis::core

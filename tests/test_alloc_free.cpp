@@ -164,10 +164,12 @@ TEST(AllocationAudit, CyclonGossipStepIsAllocationFree) {
 
 TEST(AllocationAudit, BatchScorerSteadyStateIsAllocationFree) {
   // Direct audit of the batch-scoring kernel, independent of gossip_step:
-  // once the SoA pool columns, the memo key scratch and the ranking vector
-  // reached steady-state capacity, a full clear/add/score_all/rank_top_k
-  // round — prefilter mask, in-place key hashing, memo probes, insertions
-  // and evictions, top-k selection — must be allocation-free.
+  // once the SoA pool columns, the memo key scratch, the merge scratch, the
+  // lane's insert queue and the ranking vector reached steady-state
+  // capacity, a full clear/add/score_all/commit/rank_top_k round —
+  // prefilter mask, in-place key hashing, memo probes, interleaved union
+  // merges, queued insertions committed with evictions, top-k selection —
+  // must be allocation-free.
   constexpr std::size_t kTopics = 300;
   constexpr std::size_t kCandidates = 96;
   constexpr std::size_t kPrepared = 8;
@@ -208,6 +210,7 @@ TEST(AllocationAudit, BatchScorerSteadyStateIsAllocationFree) {
                  sets[i].fingerprint(), set_ids[i]);
     }
     scorer.score_all(utility);
+    cache.commit_lanes();  // where the wave barrier commits the lane
     rank_top_k(scorer.scores(), scorer.nodes(), /*tie_salt=*/0x5a17ULL,
                /*k=*/12, ranked);
   };

@@ -10,6 +10,12 @@
 // on an AVX2 build (VITIS_SIMD=avx2) the vector lanes are under test; CI
 // runs the suite on both ISA paths.
 //
+// Under skewed rates the kernel sums the Eq.-1 denominator with its own
+// exact union merge, four candidates interleaved, while the reference
+// keeps pubsub::weighted_union; the randomized corpus spreads the rates
+// over sixty binary orders of magnitude, so any reassociated or skipped
+// addition changes the bits.
+//
 // The randomized corpus mirrors test_fault_fuzz: every case is wrapped in
 // a SCOPED_TRACE carrying a one-line `seed=...` repro, and the corpus
 // shifts with the BATCH_SCORE_SEED_OFFSET environment variable so
@@ -17,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -128,8 +135,10 @@ struct Pool {
 
 // Scores `pool` against prepared set `a` through both paths — the
 // per-candidate score() reference and BatchScorer — on two independently
-// configured UtilityFunction/cache instances, and requires bit-identical
-// scores, prefilter counters, and memo counters.
+// configured UtilityFunction/cache instances, both on lane 0, and requires
+// bit-identical scores, prefilter counters, and memo counters. Two rounds,
+// each closed by commit_lanes() where a wave barrier would: the first
+// misses, the second hits whatever the first left in the table.
 void expect_batch_matches_reference(std::span<const double> rates,
                                     const pubsub::SubscriptionSet& a,
                                     pubsub::SetId a_id, const Pool& pool,
@@ -145,25 +154,31 @@ void expect_batch_matches_reference(std::span<const double> rates,
     bat.set_cache(&bat_cache);
   }
 
-  ref.prepare(a, a_id);
-  std::vector<double> expect;
-  for (std::size_t i = 0; i < pool.sets.size(); ++i) {
-    expect.push_back(ref.score(pool.sets[i], pool.ids[i]));
-  }
-
-  bat.prepare(a, a_id);
   core::BatchScorer scorer;
-  for (std::size_t i = 0; i < pool.sets.size(); ++i) {
-    scorer.add(static_cast<ids::NodeIndex>(i), &pool.sets[i],
-               pool.sets[i].fingerprint(), pool.ids[i]);
-  }
-  scorer.score_all(bat);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    ref.prepare(a, a_id);
+    std::vector<double> expect;
+    for (std::size_t i = 0; i < pool.sets.size(); ++i) {
+      expect.push_back(ref.score(pool.sets[i], pool.ids[i]));
+    }
 
-  ASSERT_EQ(scorer.size(), expect.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(scorer.scores()[i]),
-              std::bit_cast<std::uint64_t>(expect[i]))
-        << "candidate " << i;
+    bat.prepare(a, a_id);
+    scorer.clear();
+    for (std::size_t i = 0; i < pool.sets.size(); ++i) {
+      scorer.add(static_cast<ids::NodeIndex>(i), &pool.sets[i],
+                 pool.sets[i].fingerprint(), pool.ids[i]);
+    }
+    scorer.score_all(bat);
+
+    ASSERT_EQ(scorer.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(scorer.scores()[i]),
+                std::bit_cast<std::uint64_t>(expect[i]))
+          << "candidate " << i;
+    }
+    ref_cache.commit_lanes();
+    bat_cache.commit_lanes();
   }
   EXPECT_EQ(bat.prefilter_stats().calls, ref.prefilter_stats().calls);
   EXPECT_EQ(bat.prefilter_stats().rejects, ref.prefilter_stats().rejects);
@@ -244,8 +259,8 @@ TEST(BatchScore, RaggedPoolTailsMatchReference) {
   }
 }
 
-// The prefilter verdicts the kernel hands to score_prefiltered must be
-// exactly fingerprints_disjoint of the live sets — accept and reject both
+// The kernel's batched prefilter verdicts must be exactly
+// fingerprints_disjoint of the live sets — accept and reject both
 // exercised — and with the prefilter disabled every candidate must pay the
 // merge (reject count pinned to zero).
 TEST(BatchScore, PrefilterAcceptRejectParity) {
@@ -292,37 +307,53 @@ TEST(BatchScore, PrefilterAcceptRejectParity) {
 }
 
 // Seed-enumerated randomized corpus (pattern of test_fault_fuzz): random
-// universes, pool sizes, rate skews, prefilter/memo toggles. Any failure
-// prints a one-line seed=... repro.
+// universes, pool sizes, rate skews, prefilter/memo toggles. Skewed rates
+// span 2^-30 to 2^30, with a few zeros, so any reassociated, reordered or
+// skipped addition in the union sum changes the bits. Sets reach 120
+// topics and often hold topic 0 and the last topic, the ends of the
+// merge. Every other case draws a pool of 0 to 9 candidates in turn, so
+// the kernel's merge count takes every tail of its 4-wide groups. Any
+// failure prints a one-line seed=... repro.
 TEST(BatchScore, RandomizedCorpusMatchesReference) {
-  constexpr std::uint64_t kCases = 48;
+  constexpr std::uint64_t kCases = 64;
   const std::uint64_t offset = seed_offset();
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const std::uint64_t seed = 0xbeefcafe0000ULL + offset + c;
     sim::Rng rng(seed);
     const std::size_t topics = 16 + rng.index(384);
-    const std::size_t pool_size = rng.index(200);
+    const std::size_t pool_size =
+        c % 2 == 0 ? (c / 2) % 10 : rng.index(200);
     const bool skewed = rng.bernoulli(0.5);
     const bool prefilter = rng.bernoulli(0.75);
     const bool cache = rng.bernoulli(0.5);
-    char repro[160];
+    const std::size_t max_set = 1 + rng.index(120);
+    char repro[192];
     std::snprintf(repro, sizeof repro,
                   "seed=%llu topics=%zu pool=%zu skewed=%d prefilter=%d "
-                  "cache=%d",
+                  "cache=%d max_set=%zu",
                   static_cast<unsigned long long>(seed), topics, pool_size,
-                  skewed ? 1 : 0, prefilter ? 1 : 0, cache ? 1 : 0);
+                  skewed ? 1 : 0, prefilter ? 1 : 0, cache ? 1 : 0, max_set);
     SCOPED_TRACE(repro);
 
     std::vector<double> rates(topics, 1.0);
     if (skewed) {
-      for (auto& r : rates) r = rng.uniform_real(0.0, 4.0);
+      for (auto& r : rates) {
+        const int exponent = static_cast<int>(rng.index(61)) - 30;
+        r = rng.bernoulli(0.02)
+                ? 0.0
+                : std::ldexp(rng.uniform_real(1.0, 2.0), exponent);
+      }
     }
     pubsub::SubscriptionRegistry registry;
     const auto random_set = [&]() {
       std::vector<ids::TopicIndex> t;
-      const std::size_t count = rng.index(21);
+      const std::size_t count = rng.index(max_set + 1);
       for (std::size_t k = 0; k < count; ++k) {
         t.push_back(static_cast<ids::TopicIndex>(rng.index(topics)));
+      }
+      if (rng.bernoulli(0.3)) t.push_back(0);
+      if (rng.bernoulli(0.3)) {
+        t.push_back(static_cast<ids::TopicIndex>(topics - 1));
       }
       return pubsub::SubscriptionSet(std::move(t));
     };
@@ -388,6 +419,7 @@ TEST(BatchScore, RankingIsPermutationStable) {
                  sets[i].fingerprint(), ids[i]);
     }
     scorer.score_all(utility);
+    cache.commit_lanes();  // later permutations rank memo hits
     std::vector<std::pair<double, std::size_t>> ranked;
     core::rank_top_k(scorer.scores(), scorer.nodes(), tie_salt, k, ranked);
     std::vector<ids::NodeIndex> nodes;

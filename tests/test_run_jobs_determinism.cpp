@@ -260,7 +260,7 @@ TEST(RunJobsDeterminism, VitisIsBitIdenticalAcrossWorkerCounts) {
 // Uniform rates keep the utility function in its all-ones fast path, which
 // never touches the pairwise memo. Skewed publication rates flip it onto the
 // weighted merge + memo cache, so this variant drives the batch-scoring
-// kernel's prefetch_batch/score_prefiltered sequence — memo lookups,
+// kernel's skewed passes — memo lookups, interleaved union merges,
 // deferred inserts and evictions included — under every worker count; the
 // digest folds the memo's counters, so the lanes' commit order is pinned.
 TEST(RunJobsDeterminism, VitisSkewedRatesIsBitIdenticalAcrossWorkerCounts) {

@@ -31,9 +31,10 @@ pubsub::SubscriptionSet random_set(sim::Rng& rng, std::size_t count,
 // overlapping and disjoint — a cache-attached score returns the exact
 // double the two-pointer merge produces. EXPECT_EQ on doubles is
 // deliberate: the contract is bit-identical, not approximately equal.
-// With skewed rates the memo serves hits; with uniform rates it is
-// bypassed entirely (the stamped count merge is cheaper than a probe),
-// which the lookup counter pins down.
+// With skewed rates the memo serves hits once a round's queued inserts are
+// committed (where the T-Man wave barrier commits them); with uniform
+// rates it is bypassed entirely (the stamped count merge is cheaper than a
+// probe), which the lookup counter pins down.
 TEST(PairUtilityCache, CachedScoreIsBitIdenticalToFreshMerge) {
   sim::Rng rng(7);
   std::vector<double> skewed(200);
@@ -65,6 +66,7 @@ TEST(PairUtilityCache, CachedScoreIsBitIdenticalToFreshMerge) {
                                 << round;
         }
       }
+      cache.commit_lanes();
     }
     if (memoizes) {
       EXPECT_GT(cache.stats().hits, 0u);
